@@ -16,7 +16,7 @@ from .harness import (
     sandwich_check,
     trajectory_error,
 )
-from .model import ChebyshevGrid, FiringRate, Interval, Kernel, UniformGrid
+from .model import ChebyshevGrid, FiringRate, Interval, UniformGrid
 from .problems import PROBLEM_IDS, make_problem
 from .quadrature import QuadratureRule, clenshaw_curtis, gauss_legendre_2, trapezium_rule
 from .schemes import (
@@ -34,7 +34,6 @@ __all__ = [
     "FiringRate",
     "IntegrationError",
     "Interval",
-    "Kernel",
     "PROBLEM_IDS",
     "QuadratureRule",
     "SemiDiscreteSystem",

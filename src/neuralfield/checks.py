@@ -1,4 +1,5 @@
-"""Self-contained property suites behind `nf check`.
+"""Self-contained property suites behind `nf check`, and the direct-summation
+oracles they and the tests compare the production transforms against.
 
 Each suite returns (name, passed, detail) triples; the CLI prints one line
 per entry and exits nonzero when anything fails. The same functions back
@@ -14,18 +15,21 @@ import numpy as np
 from .harness import eval_grid, sandwich_check
 from .model import ChebyshevGrid, Interval, UniformGrid
 from .problems import PROBLEM_IDS, continuum_residual, make_problem
-from .projection import (
-    ChebyshevBasis,
-    TentBasis,
-    dft_backward,
-    dft_forward,
-    dft_forward_direct,
-)
-from .quadrature import clenshaw_curtis, clenshaw_curtis_direct, gauss_legendre_2, trapezium_rule
+from .projection import ChebyshevBasis, TentBasis, dft_backward, dft_forward
+from .quadrature import QuadratureRule, clenshaw_curtis, gauss_legendre_2, trapezium_rule
 from .schemes import SchemeDiagnostics, SemiDiscreteSystem
 from .timestep import euler_integrate, rk54_integrate
 
-__all__ = ["CheckResult", "quadrature_suite", "residual_suite", "sandwich_suite", "SUITES"]
+__all__ = [
+    "CheckResult",
+    "clenshaw_curtis_direct",
+    "dft_forward_direct",
+    "dft_backward_direct",
+    "quadrature_suite",
+    "residual_suite",
+    "sandwich_suite",
+    "SUITES",
+]
 
 _BOX = Interval(-1.0, 1.0)
 
@@ -37,15 +41,63 @@ class CheckResult:
     detail: str = ""
 
 
+def clenshaw_curtis_direct(n: int) -> QuadratureRule:
+    """O(n^2) cosine-sum evaluation of the Clenshaw-Curtis weights.
+
+    Independent of the FFT construction in :func:`clenshaw_curtis` and kept
+    as its cross-check.
+    """
+    if n < 2:
+        raise ValueError("Clenshaw-Curtis needs n >= 2")
+    theta = np.pi * np.arange(n + 1) / n
+    inner = theta[1:-1]
+    weights = np.zeros(n + 1)
+    v = np.ones(n - 1)
+    if n % 2 == 0:
+        weights[0] = weights[n] = 1.0 / (n * n - 1)
+        for k in range(1, n // 2):
+            v -= 2.0 * np.cos(2.0 * k * inner) / (4.0 * k * k - 1)
+        v -= np.cos(n * inner) / (n * n - 1)
+    else:
+        weights[0] = weights[n] = 1.0 / (n * n)
+        for k in range(1, (n - 1) // 2 + 1):
+            v -= 2.0 * np.cos(2.0 * k * inner) / (4.0 * k * k - 1)
+    weights[1:-1] = 2.0 * v / n
+    return QuadratureRule(ChebyshevGrid(n).nodes, weights, _BOX)
+
+
+def _dft_phases(m: int) -> np.ndarray:
+    """Phases j * x_l for the modes j = 1..n and the samples x_l = 2*pi*l/m."""
+    if m % 2 == 0:
+        raise ValueError(f"transform length must be odd, got {m}")
+    return np.outer(np.arange(1, (m - 1) // 2 + 1), 2.0 * np.pi * np.arange(m) / m)
+
+
+def dft_forward_direct(samples) -> np.ndarray:
+    """O(m^2) cosine/sine-sum oracle for :func:`dft_forward`'s packed layout."""
+    v = np.asarray(samples, dtype=float)
+    phase = _dft_phases(len(v))
+    out = np.empty(len(v))
+    out[0] = v.sum()
+    out[1::2] = np.cos(phase) @ v
+    out[2::2] = -np.sin(phase) @ v
+    return out / len(v)
+
+
+def dft_backward_direct(coeffs) -> np.ndarray:
+    """O(m^2) cosine/sine-sum oracle for :func:`dft_backward`."""
+    a = np.asarray(coeffs, dtype=float)
+    phase = _dft_phases(len(a))
+    return a[0] + 2.0 * (a[1::2] @ np.cos(phase) - a[2::2] @ np.sin(phase))
+
+
 def scalar_decay_system() -> SemiDiscreteSystem:
     """One-component system a' = -a with a(0) = 1, for stepper checks."""
     return SemiDiscreteSystem(
-        dim=1,
         rhs=lambda t, a: -a,
         initial=np.array([1.0]),
         reconstruct=lambda a, xs: a[0] * np.ones(np.shape(xs)),
-        label="scalar-decay",
-        diagnostics=SchemeDiagnostics(0.0, 1.0, 0.0, 1.0),
+        diagnostics=SchemeDiagnostics(0.0, 0.0),
         norm="sup",
         encode=lambda fn: np.array([float(fn(0.0))]),
     )
@@ -126,12 +178,17 @@ def quadrature_suite() -> list[CheckResult]:
     check("chebyshev projector idempotence", np.array_equal(resampled, vals))
 
     rng = np.random.default_rng(7)
-    v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    v = rng.standard_normal(9)
     c = dft_forward(v)
     check("dft round trip", np.allclose(dft_backward(c), v, rtol=1e-13, atol=1e-14))
-    check("dft matches the direct summation", np.allclose(c, dft_forward_direct(v), atol=1e-13))
-    parseval = abs(np.sum(np.abs(v) ** 2) - 9 * np.sum(np.abs(c) ** 2))
-    check("dft Parseval identity", parseval <= 1e-11 * np.sum(np.abs(v) ** 2), f"gap={parseval:.2e}")
+    check(
+        "dft matches the direct summation",
+        np.allclose(c, dft_forward_direct(v), atol=1e-13)
+        and np.allclose(dft_backward(c), dft_backward_direct(c), atol=1e-13),
+    )
+    # each packed entry past c_0 stands for a conjugate pair of modes
+    parseval = abs(np.sum(v**2) - 9 * (c[0] ** 2 + 2.0 * np.sum(c[1:] ** 2)))
+    check("dft Parseval identity", parseval <= 1e-11 * np.sum(v**2), f"gap={parseval:.2e}")
 
     scalar = scalar_decay_system()
     one = euler_integrate(scalar, 0.0, 0.1, 0.1, [0.0, 0.1])

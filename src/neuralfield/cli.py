@@ -39,17 +39,19 @@ def _problem_list(text: str) -> tuple[str, ...]:
     return tuple(canonical_id(tok) for tok in text.split(",") if tok)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_window(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t0", type=float, default=0.0, help="start time (default 0)")
     parser.add_argument("--T", type=float, default=1.0, dest="duration", help="time window length (default 1)")
+    parser.add_argument("--eval-points", type=int, default=2048, dest="eval_points")
+    parser.add_argument("--checkpoints", type=int, default=51, dest="checkpoint_count")
+    parser.add_argument("--out", default=None, help="CSV output path (default: print to stdout)")
+
+
+def _add_stepper(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stepper", choices=("rk54", "euler"), default="rk54")
     parser.add_argument("--rtol", type=float, default=1e-6, help="rk54 relative tolerance")
     parser.add_argument("--atol", type=float, default=1e-9, help="rk54 absolute tolerance")
     parser.add_argument("--ht", type=float, default=None, help="euler step size")
-    parser.add_argument("--eval-points", type=int, default=2048, dest="eval_points")
-    parser.add_argument("--checkpoints", type=int, default=51, dest="checkpoint_count")
-    parser.add_argument("--seed", type=int, default=0, help="reserved; runs are fully deterministic")
-    parser.add_argument("--out", default=None, help="CSV output path (default: print to stdout)")
 
 
 def _add_scheme_flags(parser: argparse.ArgumentParser) -> None:
@@ -78,7 +80,6 @@ def _study_config(args, problems, n_values) -> harness.StudyConfig:
         ht=args.ht,
         eval_points=args.eval_points,
         checkpoint_count=args.checkpoint_count,
-        out=args.out,
     )
 
 
@@ -144,14 +145,16 @@ def _build_parser() -> _Parser:
     run.add_argument("--problem", required=True)
     run.add_argument("--n", type=int, required=True)
     _add_scheme_flags(run)
-    _add_common(run)
+    _add_stepper(run)
+    _add_window(run)
     run.set_defaults(func=_cmd_run)
 
     conv = sub.add_parser("converge", help="convergence sweep over n")
     conv.add_argument("--problems", required=True, help="comma-separated problem ids")
     conv.add_argument("--n", required=True, help="comma-separated n values")
     _add_scheme_flags(conv)
-    _add_common(conv)
+    _add_stepper(conv)
+    _add_window(conv)
     conv.set_defaults(func=_cmd_converge)
 
     euler = sub.add_parser("euler", help="forward-Euler temporal/spatial error split")
@@ -162,7 +165,7 @@ def _build_parser() -> _Parser:
                        help="n values for the spatial sweep")
     euler.add_argument("--spatial-ht", type=float, default=1e-4, dest="spatial_ht",
                        help="fixed small step for the spatial sweep")
-    _add_common(euler)
+    _add_window(euler)
     euler.set_defaults(func=_cmd_euler)
 
     check = sub.add_parser("check", help="standalone property suites")

@@ -8,7 +8,7 @@ error against the closed form, and emits deterministic CSV records.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -39,8 +39,6 @@ __all__ = [
     "projector_error",
     "observed_order",
     "run_study",
-    "estimate_temporal_floor",
-    "fitted_order",
     "sandwich_check",
     "euler_split_study",
     "emit_csv",
@@ -76,7 +74,6 @@ class StudyConfig:
     ht: Optional[float] = None
     eval_points: int = 2048
     checkpoint_count: int = 51
-    out: Optional[str] = None
 
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
@@ -273,35 +270,6 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
             records.append(record)
             previous = record
     return records
-
-
-def estimate_temporal_floor(cfg: StudyConfig, problem_id: str) -> float:
-    """Error of the finest-n cell re-integrated with tolerances tightened 100x.
-
-    Rate fits should ignore sweep points within 10x of this level, where the
-    timestepper rather than the projector dominates.
-    """
-    if cfg.stepper != "rk54":
-        raise ValueError("the temporal floor estimate applies to the rk54 stepper")
-    tight = replace(
-        cfg,
-        problems=(problem_id,),
-        n_values=(max(cfg.n_values),),
-        rtol=cfg.rtol / 100.0,
-        atol=cfg.atol / 100.0,
-        out=None,
-    )
-    return run_study(tight)[-1].error
-
-
-def fitted_order(records: Sequence[ConvergenceRecord], floor: float) -> Optional[float]:
-    """Least-squares slope of log error against log n over the points safely
-    above the temporal floor (error > 10 * floor); None with < 2 points."""
-    pts = [(r.n, r.error) for r in records if r.error > 10.0 * floor and r.error > 0.0]
-    if len(pts) < 2:
-        return None
-    ns, errs = np.array([p[0] for p in pts], float), np.array([p[1] for p in pts], float)
-    return float(-np.polyfit(np.log(ns), np.log(errs), 1)[0])
 
 
 @dataclass(frozen=True)

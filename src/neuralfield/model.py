@@ -1,4 +1,4 @@
-"""Core domain types: spatial grids, the sigmoidal firing rate, and synaptic kernels.
+"""Core domain types: spatial grids and the sigmoidal firing rate.
 
 Everything in this module is an immutable value object, safe to share across
 concurrent workers.
@@ -7,7 +7,6 @@ concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -16,7 +15,6 @@ __all__ = [
     "UniformGrid",
     "ChebyshevGrid",
     "FiringRate",
-    "Kernel",
 ]
 
 
@@ -86,8 +84,8 @@ class FiringRate:
 
     The curve decreases strictly from 1 to 0, maps all of R into (0, 1), and
     satisfies |r'(u)| <= gain/4 with equality at u = threshold. Evaluation
-    only ever exponentiates arguments with non-positive real part, so it
-    cannot overflow however large the voltage.
+    only ever exponentiates non-positive arguments, so it cannot overflow
+    however large the voltage.
     """
 
     gain: float
@@ -98,16 +96,9 @@ class FiringRate:
             raise ValueError("gain must be positive")
 
     def __call__(self, u):
-        s = self.gain * (np.asarray(u) - self.threshold)
-        if np.iscomplexobj(s):
-            # analytic continuation used by the pseudospectral evaluation;
-            # branch on the real part to keep |exp| <= 1
-            pos = s.real >= 0
-            z = np.exp(np.where(pos, -s, s))
-            out = np.where(pos, z / (1.0 + z), 1.0 / (1.0 + z))
-        else:
-            z = np.exp(-np.abs(s))
-            out = np.where(s >= 0, z / (1.0 + z), 1.0 / (1.0 + z))
+        s = self.gain * (np.asarray(u, dtype=float) - self.threshold)
+        z = np.exp(-np.abs(s))
+        out = np.where(s >= 0, z / (1.0 + z), 1.0 / (1.0 + z))
         return out if out.ndim else out[()]
 
     def derivative(self, u):
@@ -130,25 +121,6 @@ class FiringRate:
         return out if out.ndim else out[()]
 
     @property
-    def sup_value(self) -> float:
-        return 1.0
-
-    @property
     def sup_derivative(self) -> float:
         return self.gain / 4.0
 
-
-@dataclass(frozen=True)
-class Kernel:
-    """Synaptic weight w(x, y): connection strength from location y to x.
-
-    ``factors = (xpart, ypart)``, when present, records the separable form
-    w(x, y) = xpart(x) * ypart(y) that the bundled test problems use; the
-    full bivariate ``fn`` stays the single source of truth.
-    """
-
-    fn: Callable
-    factors: Optional[Tuple[Callable, Callable]] = None
-
-    def __call__(self, x, y):
-        return self.fn(x, y)

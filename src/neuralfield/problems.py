@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import FiringRate, Interval, Kernel
+from .model import FiringRate, Interval
 from .quadrature import QuadratureRule, clenshaw_curtis, trapezium_rule
 
 __all__ = [
@@ -73,7 +73,7 @@ class TestProblem:
 
     id: str
     interval: Interval
-    kernel: Kernel
+    kernel: Callable
     firing: FiringRate
     forcing: Callable
     initial: Callable
@@ -122,23 +122,11 @@ def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) 
     if periodic:
         interval = RING
         exponent = lambda x: np.cos(x) ** 2  # noqa: E731
-        kernel = Kernel(
-            fn=lambda x, y: np.exp(-np.cos(x) ** 2 + np.cos(y) ** 2) * mod(y),
-            factors=(
-                lambda x: np.exp(-np.cos(x) ** 2),
-                lambda y: np.exp(np.cos(y) ** 2) * mod(y),
-            ),
-        )
+        kernel = lambda x, y: np.exp(-np.cos(x) ** 2 + np.cos(y) ** 2) * mod(y)  # noqa: E731
     else:
         interval = BOX
         exponent = lambda x: np.asarray(x) ** 2  # noqa: E731
-        kernel = Kernel(
-            fn=lambda x, y: np.exp(-(x**2) + y**2) * mod(y),
-            factors=(
-                lambda x: np.exp(-np.asarray(x) ** 2),
-                lambda y: np.exp(np.asarray(y) ** 2) * mod(y),
-            ),
-        )
+        kernel = lambda x, y: np.exp(-(x**2) + y**2) * mod(y)  # noqa: E731
 
     def envelope(x, t):
         return AMPLITUDE * np.exp(-DECAY * t - exponent(x))
@@ -227,7 +215,7 @@ def pure_decay_problem(initial: Optional[Callable] = None, periodic: bool = Fals
     return TestProblem(
         id="pure-decay-ring" if periodic else "pure-decay",
         interval=interval,
-        kernel=Kernel(fn=lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))),
+        kernel=lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y))),
         firing=FiringRate(gain=GAIN, threshold=THRESHOLD),
         forcing=lambda x, t: np.zeros(np.shape(x)),
         initial=u0,

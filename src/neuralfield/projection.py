@@ -1,14 +1,14 @@
 """Basis evaluation and interpolation for the three projector families.
 
 Piecewise-linear tents on a uniform grid, the Chebyshev-Lagrange basis
-evaluated with the second barycentric formula, and complex Fourier modes
-with square forward/backward transforms of odd length.
+evaluated with the second barycentric formula, and real trigonometric
+polynomials of odd length 2n + 1, stored as packed real Fourier
+coefficients with a forward/backward transform pair to samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -17,11 +17,8 @@ from .model import ChebyshevGrid, UniformGrid, _frozen
 __all__ = [
     "TentBasis",
     "ChebyshevBasis",
-    "FourierBasis",
     "dft_forward",
     "dft_backward",
-    "dft_forward_direct",
-    "dft_backward_direct",
     "fourier_reconstruct",
 ]
 
@@ -118,25 +115,6 @@ class ChebyshevBasis:
         return out[0] if np.ndim(x) == 0 else out
 
 
-@dataclass(frozen=True)
-class FourierBasis:
-    """Complex exponentials exp(i j x) for j = -n..n on the 2*pi ring."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("Fourier basis needs n >= 1")
-
-    @property
-    def modes(self) -> np.ndarray:
-        return np.arange(-self.n, self.n + 1)
-
-    @property
-    def size(self) -> int:
-        return 2 * self.n + 1
-
-
 def _odd_length(values) -> int:
     m = len(values)
     if m % 2 == 0:
@@ -145,51 +123,40 @@ def _odd_length(values) -> int:
 
 
 def dft_forward(samples) -> np.ndarray:
-    """Coefficients c_j = (1/m) sum_l v_l exp(-i j x_l), j = -n..n.
+    """Packed real coefficients [Re c_0, Re c_1, Im c_1, ..., Re c_n, Im c_n].
 
-    Samples live on x_l = 2*pi*l/m with m = 2n + 1 odd; the 1/m factor sits
-    here so the coefficients approximate the continuous Fourier coefficients
-    directly. Output is ordered by mode, from -n to n.
+    c_j = (1/m) sum_l v_l exp(-i j x_l) for real samples v_l on
+    x_l = 2*pi*l/m with m = 2n + 1 odd; the 1/m factor sits here so the
+    coefficients approximate the continuous Fourier coefficients directly.
+    Real samples give c_{-j} = conj(c_j) and Im c_0 = 0, so those are not
+    stored and the packed vector has m entries.
     """
-    v = np.asarray(samples)
+    v = np.asarray(samples, dtype=float)
     m = _odd_length(v)
-    return np.fft.fftshift(np.fft.fft(v)) / m
+    c = np.fft.rfft(v) / m
+    out = c.view(np.float64)[1:].copy()
+    out[0] = c[0].real
+    return out
 
 
 def dft_backward(coeffs) -> np.ndarray:
     """Inverse of :func:`dft_forward`: samples v_l = sum_j c_j exp(i j x_l)."""
-    c = np.asarray(coeffs)
-    m = _odd_length(c)
-    return np.fft.ifft(np.fft.ifftshift(c)) * m
-
-
-def dft_forward_direct(samples) -> np.ndarray:
-    """O(m^2) summation oracle for :func:`dft_forward`."""
-    v = np.asarray(samples, dtype=complex)
-    m = _odd_length(v)
-    n = (m - 1) // 2
-    x = 2.0 * np.pi * np.arange(m) / m
-    return np.exp(-1j * np.outer(np.arange(-n, n + 1), x)) @ v / m
-
-
-def dft_backward_direct(coeffs) -> np.ndarray:
-    """O(m^2) summation oracle for :func:`dft_backward`."""
-    c = np.asarray(coeffs, dtype=complex)
-    m = _odd_length(c)
-    n = (m - 1) // 2
-    x = 2.0 * np.pi * np.arange(m) / m
-    return np.exp(1j * np.outer(x, np.arange(-n, n + 1))) @ c
+    a = np.asarray(coeffs, dtype=float)
+    m = _odd_length(a)
+    c = np.concatenate(([a[0]], a[1::2] + 1j * a[2::2]))
+    return np.fft.irfft(c, m) * m
 
 
 def fourier_reconstruct(coeffs, x):
-    """Real part of sum_j c_j exp(i j x).
+    """Trigonometric polynomial c_0 + 2 sum_j (Re c_j cos(j x) - Im c_j sin(j x))
+    of packed coefficients, evaluated at the points x.
 
     For coefficients that came from real samples this is the trigonometric
     interpolant through those samples.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    m = _odd_length(c)
-    n = (m - 1) // 2
+    a = np.asarray(coeffs, dtype=float)
+    n = (_odd_length(a) - 1) // 2
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = (np.exp(1j * np.outer(xs, np.arange(-n, n + 1))) @ c).real
+    phase = np.outer(xs, np.arange(1, n + 1))
+    out = a[0] + 2.0 * (np.cos(phase) @ a[1::2] - np.sin(phase) @ a[2::2])
     return out[0] if np.ndim(x) == 0 else out

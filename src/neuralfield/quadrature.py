@@ -7,7 +7,7 @@ fixed rule whose order matches its basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ __all__ = [
     "QuadratureRule",
     "trapezium_rule",
     "clenshaw_curtis",
-    "clenshaw_curtis_direct",
     "gauss_legendre_2",
 ]
 
@@ -83,31 +82,6 @@ def clenshaw_curtis(n: int) -> QuadratureRule:
     g = g0 / (n * n - 1 + (n % 2))
     weights = np.fft.ifft(v + g).real
     weights = np.concatenate([weights, weights[:1]])
-    return QuadratureRule(ChebyshevGrid(n).nodes, weights, _REFERENCE)
-
-
-def clenshaw_curtis_direct(n: int) -> QuadratureRule:
-    """O(n^2) cosine-sum evaluation of the Clenshaw-Curtis weights.
-
-    Independent of the FFT construction above and kept as its cross-check;
-    also a perfectly serviceable fallback at small n.
-    """
-    if n < 2:
-        raise ValueError("Clenshaw-Curtis needs n >= 2")
-    theta = np.pi * np.arange(n + 1) / n
-    inner = theta[1:-1]
-    weights = np.zeros(n + 1)
-    v = np.ones(n - 1)
-    if n % 2 == 0:
-        weights[0] = weights[n] = 1.0 / (n * n - 1)
-        for k in range(1, n // 2):
-            v -= 2.0 * np.cos(2.0 * k * inner) / (4.0 * k * k - 1)
-        v -= np.cos(n * inner) / (n * n - 1)
-    else:
-        weights[0] = weights[n] = 1.0 / (n * n)
-        for k in range(1, (n - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2.0 * k * inner) / (4.0 * k * k - 1)
-    weights[1:-1] = 2.0 * v / n
     return QuadratureRule(ChebyshevGrid(n).nodes, weights, _REFERENCE)
 
 

@@ -1,9 +1,28 @@
-"""Assembly of the four semi-discrete systems.
+"""Assembly of the four semi-discrete systems in one operator form.
 
-Each builder turns a test problem and a resolution n into a plain ODE
-system: state dimension, a pure right-hand side a' = Phi(t, a), the initial
-state, and a reconstruction map from states back to functions on the
-domain. Systems are immutable and their right-hand sides allocate no shared
+Every scheme integrates the state a in the projected form
+
+    a' = -a + post(F(X, t) + W f(pre(a)))
+
+on quadrature nodes X with weight matrix W: ``pre`` maps the state to
+values at X, the firing rate f acts pointwise there, and ``post`` maps
+values at X back to the state space, so that ``encode(fn) = post(fn(X))``
+is the scheme's projector and the quadrature is enslaved to it. Per scheme
+(nodes X; weight W; pre; post):
+
+- fe-collocation and fe-galerkin/lumped: the n + 1 uniform nodes;
+  trapezium weights; identity; identity.
+- cheb-collocation/cc: the n + 1 Chebyshev nodes; Clenshaw-Curtis weights;
+  identity; identity.
+- cheb-collocation/trapezium: m + 1 uniform panel nodes; trapezium
+  weights; barycentric interpolation onto the panel nodes; identity.
+- fe-galerkin/gauss2: two Gauss points per element; element-scaled
+  kernel; tents at the Gauss points; the mass-matrix solve of the
+  Gauss-rule load vector, M^-1 L, precomputed as one dense matrix.
+- spectral-galerkin: the 2n + 1 uniform ring nodes; trapezium weights;
+  inverse real DFT of the packed coefficients; forward real DFT.
+
+Systems are immutable and their right-hand sides allocate no shared
 scratch, so they are safe to evaluate concurrently.
 """
 
@@ -17,16 +36,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .model import ChebyshevGrid, UniformGrid
 from .problems import TestProblem
-from .projection import (
-    ChebyshevBasis,
-    TentBasis,
-    dft_backward,
-    dft_backward_direct,
-    dft_forward,
-    dft_forward_direct,
-    fourier_reconstruct,
-)
-from .quadrature import clenshaw_curtis, trapezium_rule
+from .projection import ChebyshevBasis, TentBasis, dft_backward, dft_forward, fourier_reconstruct
+from .quadrature import clenshaw_curtis, gauss_legendre_2, trapezium_rule
 
 __all__ = [
     "SchemeDiagnostics",
@@ -35,11 +46,8 @@ __all__ = [
     "build_cheb_collocation",
     "build_fe_galerkin",
     "build_spectral_galerkin",
-    "rhs_eval",
     "reconstruct_on",
 ]
-
-_GAUSS_NODES = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -53,18 +61,11 @@ class SchemeDiagnostics:
     """
 
     weight_infnorm: float
-    firing_sup: float
     firing_derivative_sup: float
-    kappa_omega: float  # 1 in the sup-norm setting, sqrt(|domain|) in L2
 
     def beta_n(self, duration: float) -> float:
         """Growth exponent duration * ||W_n|| * sup|f'| of the two-sided bound."""
         return duration * self.weight_infnorm * self.firing_derivative_sup
-
-    @property
-    def gamma_n(self) -> float:
-        """Bound kappa * ||W_n|| * sup|f| on the nonlocal term's size."""
-        return self.kappa_omega * self.weight_infnorm * self.firing_sup
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,23 +75,22 @@ class SemiDiscreteSystem:
     ``rhs(t, a)`` is pure; ``reconstruct(a, xs)`` maps a state and
     evaluation points to function values; ``encode(fn)`` maps a spatial
     function to the state representing it (nodal samples, a Galerkin
-    projection, or transformed coefficients depending on the scheme).
-    ``norm`` names the scheme's ambient space, "sup" for collocation and
-    "l2" for Galerkin, and controls how errors are measured downstream.
-
-    For the spectral Galerkin scheme the state interleaves real and
-    imaginary parts of the 2n + 1 mode coefficients, so ``dim`` is
-    2 * (2n + 1) there and n + 1 for the nodal schemes.
+    projection, or packed real Fourier coefficients depending on the
+    scheme). ``norm`` names the scheme's ambient space, "sup" for
+    collocation and "l2" for Galerkin, and controls how errors are measured
+    downstream.
     """
 
-    dim: int
     rhs: Callable
     initial: np.ndarray
     reconstruct: Callable
-    label: str
     diagnostics: SchemeDiagnostics
     norm: str
     encode: Callable
+
+    @property
+    def dim(self) -> int:
+        return len(self.initial)
 
 
 def _require_compact(problem: TestProblem, scheme: str) -> None:
@@ -102,26 +102,55 @@ def _infnorm(matrix: np.ndarray) -> float:
     return float(np.abs(matrix).sum(axis=1).max())
 
 
-def _diagnostics(problem: TestProblem, weight_infnorm: float, kappa: float) -> SchemeDiagnostics:
-    firing = problem.firing
-    return SchemeDiagnostics(weight_infnorm, firing.sup_value, firing.sup_derivative, kappa)
+def _identity(values):
+    return values
 
 
-def _fe_nodal_parts(problem: TestProblem, n: int):
-    grid = UniformGrid(problem.interval, n)
-    rule = trapezium_rule(problem.interval, n)
-    x = grid.nodes
-    weight = np.asarray(problem.kernel(x[:, None], x[None, :]), dtype=float) * rule.weights[None, :]
-    return grid, x, weight
+def _kernel_matrix(problem: TestProblem, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    return np.asarray(problem.kernel(rows[:, None], cols[None, :]), dtype=float)
 
 
-def _collocation_rhs(problem: TestProblem, x: np.ndarray, weight: np.ndarray) -> Callable:
+def _projected(
+    problem: TestProblem,
+    nodes: np.ndarray,
+    weight: np.ndarray,
+    reconstruct: Callable,
+    norm: str,
+    pre: Callable = _identity,
+    post: Callable = _identity,
+    weight_infnorm: Optional[float] = None,
+) -> SemiDiscreteSystem:
+    """The system a' = -a + post(F(nodes, t) + weight @ f(pre(a))).
+
+    ``weight_infnorm``, the ||W_n|| entering beta_n, defaults to the row-sum
+    norm of ``weight`` itself; gauss2 passes that of its nodal operator
+    post @ weight @ pre instead.
+    """
     firing, forcing = problem.firing, problem.forcing
 
     def rhs(t, a):
-        return -a + weight @ firing(a) + forcing(x, t)
+        return -a + post(forcing(nodes, t) + weight @ firing(pre(a)))
 
-    return rhs
+    def encode(fn):
+        return post(np.asarray(fn(nodes), dtype=float))
+
+    if weight_infnorm is None:
+        weight_infnorm = _infnorm(weight)
+    return SemiDiscreteSystem(
+        rhs=rhs,
+        initial=encode(problem.initial),
+        reconstruct=reconstruct,
+        diagnostics=SchemeDiagnostics(weight_infnorm, firing.sup_derivative),
+        norm=norm,
+        encode=encode,
+    )
+
+
+def _fe_nodal(problem: TestProblem, n: int, norm: str) -> SemiDiscreteSystem:
+    grid = UniformGrid(problem.interval, n)
+    rule = trapezium_rule(problem.interval, n)
+    weight = _kernel_matrix(problem, grid.nodes, grid.nodes) * rule.weights[None, :]
+    return _projected(problem, grid.nodes, weight, TentBasis(grid).interpolate, norm)
 
 
 def build_fe_collocation(problem: TestProblem, n: int) -> SemiDiscreteSystem:
@@ -134,18 +163,7 @@ def build_fe_collocation(problem: TestProblem, n: int) -> SemiDiscreteSystem:
     _require_compact(problem, "fe-collocation")
     if n < 2:
         raise ValueError("fe-collocation needs n >= 2")
-    grid, x, weight = _fe_nodal_parts(problem, n)
-    basis = TentBasis(grid)
-    return SemiDiscreteSystem(
-        dim=n + 1,
-        rhs=_collocation_rhs(problem, x, weight),
-        initial=np.asarray(problem.initial(x), dtype=float),
-        reconstruct=basis.interpolate,
-        label="fe-collocation",
-        diagnostics=_diagnostics(problem, _infnorm(weight), 1.0),
-        norm="sup",
-        encode=lambda fn: np.asarray(fn(x), dtype=float),
-    )
+    return _fe_nodal(problem, n, "sup")
 
 
 def build_cheb_collocation(
@@ -172,38 +190,20 @@ def build_cheb_collocation(
         raise ValueError("cheb-collocation is implemented on [-1, 1] only")
     basis = ChebyshevBasis(ChebyshevGrid(n))
     x = basis.grid.nodes
-    firing, forcing = problem.firing, problem.forcing
 
     if quadrature == "cc":
-        rule = clenshaw_curtis(n)
-        weight = np.asarray(problem.kernel(x[:, None], x[None, :]), dtype=float) * rule.weights[None, :]
-        rhs = _collocation_rhs(problem, x, weight)
-    elif quadrature == "trapezium":
-        panels = n if m is None else int(m)
-        if panels < 1:
-            raise ValueError("trapezium variant needs m >= 1 panels")
-        rule = trapezium_rule(iv, panels)
-        onto_quad = basis.interpolation_matrix(rule.nodes)
-        weight = (
-            np.asarray(problem.kernel(x[:, None], rule.nodes[None, :]), dtype=float)
-            * rule.weights[None, :]
-        )
-
-        def rhs(t, a):
-            return -a + weight @ firing(onto_quad @ a) + forcing(x, t)
-
-    else:
+        weight = _kernel_matrix(problem, x, x) * clenshaw_curtis(n).weights[None, :]
+        return _projected(problem, x, weight, basis.interpolate, "sup")
+    if quadrature != "trapezium":
         raise ValueError(f"unknown quadrature {quadrature!r}; use 'cc' or 'trapezium'")
-
-    return SemiDiscreteSystem(
-        dim=n + 1,
-        rhs=rhs,
-        initial=np.asarray(problem.initial(x), dtype=float),
-        reconstruct=basis.interpolate,
-        label=f"cheb-collocation/{quadrature}",
-        diagnostics=_diagnostics(problem, _infnorm(weight), 1.0),
-        norm="sup",
-        encode=lambda fn: np.asarray(fn(x), dtype=float),
+    panels = n if m is None else int(m)
+    if panels < 1:
+        raise ValueError("trapezium variant needs m >= 1 panels")
+    rule = trapezium_rule(iv, panels)
+    onto_quad = basis.interpolation_matrix(rule.nodes)
+    weight = _kernel_matrix(problem, x, rule.nodes) * rule.weights[None, :]
+    return _projected(
+        problem, x, weight, basis.interpolate, "sup", pre=lambda a: onto_quad @ a
     )
 
 
@@ -219,38 +219,26 @@ def build_fe_galerkin(problem: TestProblem, n: int, variant: str = "gauss2") -> 
     variant="gauss2" keeps the exact tridiagonal mass matrix (h/3 at the two
     corner diagonal entries, 2h/3 inside, h/6 off the diagonal) and builds
     the load vector by 2-point Gauss per element, both for the forcing inner
-    products and for the double kernel integral; every right-hand side
-    evaluation performs one banded solve against the mass matrix.
+    products and for the double kernel integral. The mass solve of the load
+    map is done once at build time, so a right-hand side evaluation is dense
+    products only.
     """
     _require_compact(problem, "fe-galerkin")
     if n < 2:
         raise ValueError("fe-galerkin needs n >= 2")
-    kappa = float(np.sqrt(problem.interval.length))
-
     if variant == "lumped":
-        grid, x, weight = _fe_nodal_parts(problem, n)
-        basis = TentBasis(grid)
-        return SemiDiscreteSystem(
-            dim=n + 1,
-            rhs=_collocation_rhs(problem, x, weight),
-            initial=np.asarray(problem.initial(x), dtype=float),
-            reconstruct=basis.interpolate,
-            label="fe-galerkin/lumped",
-            diagnostics=_diagnostics(problem, _infnorm(weight), kappa),
-            norm="l2",
-            encode=lambda fn: np.asarray(fn(x), dtype=float),
-        )
+        return _fe_nodal(problem, n, "l2")
     if variant != "gauss2":
         raise ValueError(f"unknown variant {variant!r}; use 'lumped' or 'gauss2'")
 
     grid = UniformGrid(problem.interval, n)
     x, h = grid.nodes, grid.h
-    basis = TentBasis(grid)
+    ref = gauss_legendre_2().nodes
 
     # two Gauss points per element, element-major ordering
-    gauss_points = (x[:-1, None] + (1.0 + _GAUSS_NODES[None, :]) * (h / 2.0)).ravel()
-    hat_left = (1.0 - _GAUSS_NODES) / 2.0  # element's left hat at the two Gauss points
-    hat_right = (1.0 + _GAUSS_NODES) / 2.0
+    gauss_points = (x[:-1, None] + (1.0 + ref[None, :]) * (h / 2.0)).ravel()
+    hat_left = (1.0 - ref) / 2.0  # element's left hat at the two Gauss points
+    hat_right = (1.0 + ref) / 2.0
     local_interp = np.zeros((2 * n, n + 1))
     rows = 2 * np.arange(n)
     for q in range(2):
@@ -258,105 +246,45 @@ def build_fe_galerkin(problem: TestProblem, n: int, variant: str = "gauss2") -> 
         local_interp[rows + q, np.arange(n) + 1] = hat_right[q]
     load_map = (h / 2.0) * local_interp.T  # integrates Gauss-point values against each hat
 
-    kernel_matrix = (h / 2.0) * np.asarray(
-        problem.kernel(gauss_points[:, None], gauss_points[None, :]), dtype=float
-    )
-
     band = np.zeros((2, n + 1))
     band[0, 1:] = h / 6.0
     band[1, :] = 2.0 * h / 3.0
     band[1, 0] = band[1, n] = h / 3.0
-    mass_factor = cholesky_banded(band)
+    projector = cho_solve_banded((cholesky_banded(band), False), load_map)
 
-    firing, forcing = problem.firing, problem.forcing
-
-    def rhs(t, a):
-        load = load_map @ (forcing(gauss_points, t) + kernel_matrix @ firing(local_interp @ a))
-        return -a + cho_solve_banded((mass_factor, False), load)
-
-    def encode(fn):
-        return cho_solve_banded(
-            (mass_factor, False), load_map @ np.asarray(fn(gauss_points), dtype=float)
-        )
-
-    weight_nodal = cho_solve_banded((mass_factor, False), load_map @ kernel_matrix @ local_interp)
-    return SemiDiscreteSystem(
-        dim=n + 1,
-        rhs=rhs,
-        initial=encode(problem.initial),
-        reconstruct=basis.interpolate,
-        label="fe-galerkin/gauss2",
-        diagnostics=_diagnostics(problem, _infnorm(weight_nodal), kappa),
-        norm="l2",
-        encode=encode,
+    weight = (h / 2.0) * _kernel_matrix(problem, gauss_points, gauss_points)
+    return _projected(
+        problem,
+        gauss_points,
+        weight,
+        TentBasis(grid).interpolate,
+        "l2",
+        pre=lambda a: local_interp @ a,
+        post=lambda v: projector @ v,
+        weight_infnorm=_infnorm(projector @ weight @ local_interp),
     )
 
 
-def build_spectral_galerkin(
-    problem: TestProblem, n: int, transform: str = "fft"
-) -> SemiDiscreteSystem:
+def build_spectral_galerkin(problem: TestProblem, n: int) -> SemiDiscreteSystem:
     """Fourier-Galerkin scheme on the ring with pseudospectral evaluation.
 
-    The 2n + 1 mode coefficients are integrated as interleaved real and
-    imaginary parts (state length 2 * (2n + 1)); conjugate symmetry of real
-    data is preserved by the dynamics rather than enforced. Each evaluation
-    transforms the state back to the m = 2n + 1 sample grid x_l = 2*pi*l/m,
-    applies the firing rate pointwise, multiplies by the kernel matrix
-    scaled with the uniform trapezium weight 2*pi/m, adds the forcing
-    samples, and transforms forward again.
-
-    transform="direct" swaps the FFT for the O(m^2) summation, kept as the
-    cross-check oracle for the FFT path.
+    The state holds the 2n + 1 real numbers [Re c_0, Re c_1, Im c_1, ...,
+    Re c_n, Im c_n] of the modes j = -n..n, the negative modes being the
+    conjugates of the positive ones. Each evaluation transforms the state
+    back to the m = 2n + 1 sample grid x_l = 2*pi*l/m, applies the firing
+    rate pointwise, multiplies by the kernel matrix scaled with the uniform
+    trapezium weight 2*pi/m, adds the forcing samples, and transforms
+    forward again.
     """
     if not problem.interval.periodic:
         raise ValueError("spectral-galerkin needs a periodic domain (ring)")
     if n < 1:
         raise ValueError("spectral-galerkin needs n >= 1")
-    if transform == "fft":
-        forward, backward = dft_forward, dft_backward
-    elif transform == "direct":
-        forward, backward = dft_forward_direct, dft_backward_direct
-    else:
-        raise ValueError(f"unknown transform {transform!r}; use 'fft' or 'direct'")
-
-    m = 2 * n + 1
-    grid = UniformGrid(problem.interval, m)
-    x = grid.nodes
-    weight = grid.h * np.asarray(problem.kernel(x[:, None], x[None, :]), dtype=float)
-    firing, forcing = problem.firing, problem.forcing
-
-    def rhs(t, a):
-        coeffs = np.ascontiguousarray(a, dtype=float).view(np.complex128)
-        samples = forcing(x, t) + weight @ firing(backward(coeffs))
-        out = -coeffs + forward(samples)
-        return np.ascontiguousarray(out, dtype=np.complex128).view(np.float64)
-
-    def encode(fn):
-        coeffs = np.asarray(forward(np.asarray(fn(x), dtype=float)), dtype=np.complex128)
-        return coeffs.view(np.float64).copy()
-
-    def reconstruct(a, xs):
-        coeffs = np.ascontiguousarray(a, dtype=float).view(np.complex128)
-        return fourier_reconstruct(coeffs, xs)
-
-    return SemiDiscreteSystem(
-        dim=2 * m,
-        rhs=rhs,
-        initial=encode(problem.initial),
-        reconstruct=reconstruct,
-        label=f"spectral-galerkin/{transform}",
-        diagnostics=_diagnostics(problem, _infnorm(weight), float(np.sqrt(problem.interval.length))),
-        norm="l2",
-        encode=encode,
+    grid = UniformGrid(problem.interval, 2 * n + 1)
+    weight = grid.h * _kernel_matrix(problem, grid.nodes, grid.nodes)
+    return _projected(
+        problem, grid.nodes, weight, fourier_reconstruct, "l2", pre=dft_backward, post=dft_forward
     )
-
-
-def rhs_eval(system: SemiDiscreteSystem, t: float, a) -> np.ndarray:
-    """Pure right-hand side evaluation with a state-length check."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (system.dim,):
-        raise ValueError(f"state of shape {a.shape} does not match dim {system.dim}")
-    return np.asarray(system.rhs(float(t), a), dtype=float)
 
 
 def reconstruct_on(system: SemiDiscreteSystem, a, xs) -> np.ndarray:

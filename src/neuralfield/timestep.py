@@ -16,7 +16,8 @@ __all__ = ["StepStats", "Trajectory", "IntegrationError", "euler_integrate", "rk
 
 
 class IntegrationError(RuntimeError):
-    """Raised on step-size underflow or a non-finite right-hand side."""
+    """Raised on step-size underflow, a non-finite right-hand side, or a
+    non-finite recorded state."""
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,8 @@ def euler_integrate(system, t0: float, duration: float, ht: float, checkpoints) 
 
     Every checkpoint must be an exact multiple of ht away from t0 (within a
     1e-8 relative alignment tolerance); anything off the lattice is rejected
-    outright rather than silently interpolated.
+    outright rather than silently interpolated. A non-finite state at a
+    checkpoint raises IntegrationError.
     """
     if not ht > 0:
         raise ValueError("step size must be positive")
@@ -84,6 +86,10 @@ def euler_integrate(system, t0: float, duration: float, ht: float, checkpoints) 
     last = indices[-1]
     for k in range(last + 1):
         if next_rec < len(indices) and indices[next_rec] == k:
+            # a non-finite component stays non-finite under u + ht * rhs, so
+            # checking only the recorded states catches every blow-up
+            if not np.all(np.isfinite(u)):
+                raise IntegrationError(f"non-finite state at checkpoint t={float(cps[next_rec])!r}")
             states.append(u.copy())
             next_rec += 1
         if k < last:

@@ -143,12 +143,3 @@ class TestKernel:
     def test_p7p_kernel_at_origin(self, p7p):
         # exp(-1 + 1) * cos(0)^2 = 1 by cancellation
         assert p7p.kernel(0.0, 0.0) == pytest.approx(1.0, rel=1e-15)
-
-    @pytest.mark.parametrize("pid_fixture", ["p1", "p4", "p7p"])
-    def test_separable_structure_agrees(self, pid_fixture, request):
-        problem = request.getfixturevalue(pid_fixture)
-        xpart, ypart = problem.kernel.factors
-        xs = np.linspace(problem.interval.a, problem.interval.b, 50)
-        full = problem.kernel(xs[:, None], xs[None, :])
-        product = np.outer(xpart(xs), ypart(xs))
-        assert np.all(np.abs(full - product) <= 1e-14 * (1.0 + np.abs(full)))

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neuralfield.checks import dft_backward_direct, dft_forward_direct
 from neuralfield.model import ChebyshevGrid, Interval, UniformGrid
 from neuralfield.projection import (
     ChebyshevBasis,
-    FourierBasis,
     TentBasis,
     dft_backward,
-    dft_backward_direct,
     dft_forward,
-    dft_forward_direct,
     fourier_reconstruct,
 )
 
@@ -145,23 +143,21 @@ class TestBarycentricInterp:
 class TestDft:
     def test_constant_samples(self):
         c = dft_forward(np.ones(7))
-        assert c[3] == pytest.approx(1.0, abs=1e-15)
-        others = np.delete(c, 3)
-        assert np.max(np.abs(others)) <= 1e-15
+        assert c[0] == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(c[1:])) <= 1e-15
 
-    def test_cosine_modes(self):
+    def test_cosine_and_sine_modes(self):
+        # packed layout [Re c_0, Re c_1, Im c_1, ...]: cos x = (e^ix + e^-ix)/2
+        # has Re c_1 = 1/2, and sin 2x = (e^2ix - e^-2ix)/2i has Im c_2 = -1/2
         m = 9
         x = 2.0 * np.pi * np.arange(m) / m
-        c = dft_forward(np.cos(x))
-        n = (m - 1) // 2
-        assert c[n - 1] == pytest.approx(0.5, abs=1e-15)
-        assert c[n + 1] == pytest.approx(0.5, abs=1e-15)
-        mask = np.ones(m, bool)
-        mask[[n - 1, n + 1]] = False
-        assert np.max(np.abs(c[mask])) <= 1e-15
+        c = dft_forward(np.cos(x) + np.sin(2.0 * x))
+        assert c[1] == pytest.approx(0.5, abs=1e-15)
+        assert c[4] == pytest.approx(-0.5, abs=1e-15)
+        assert np.max(np.abs(np.delete(c, [1, 4]))) <= 1e-15
 
     def test_matches_direct_summation(self, rng):
-        v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        v = rng.standard_normal(9)
         assert np.max(np.abs(dft_forward(v) - dft_forward_direct(v))) <= 1e-13
         c = dft_forward(v)
         assert np.max(np.abs(dft_backward(c) - dft_backward_direct(c))) <= 1e-13
@@ -184,8 +180,8 @@ class TestDft:
     def test_parseval(self, rng):
         v = rng.standard_normal(15)
         c = dft_forward(v)
-        lhs = np.sum(np.abs(v) ** 2)
-        rhs = 15 * np.sum(np.abs(c) ** 2)
+        lhs = np.sum(v**2)
+        rhs = 15 * (c[0] ** 2 + 2.0 * np.sum(c[1:] ** 2))
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
@@ -205,13 +201,11 @@ class TestFourierReconstruct:
         assert np.max(np.abs(fourier_reconstruct(c, xs) - np.sin(2.0 * xs))) <= 1e-12
 
     def test_matches_direct_summation(self, rng):
-        c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        # sum over j = -4..4 of the conjugate-symmetric complex modes
+        a = rng.standard_normal(9)
+        half = a[1::2] + 1j * a[2::2]
+        c = np.concatenate([np.conj(half[::-1]), [a[0]], half])
         xs = rng.uniform(0.0, 2.0 * np.pi, size=17)
         modes = np.arange(-4, 5)
         direct = np.array([np.sum(c * np.exp(1j * modes * x)).real for x in xs])
-        assert np.max(np.abs(fourier_reconstruct(c, xs) - direct)) <= 1e-12
-
-    def test_basis_modes(self):
-        basis = FourierBasis(3)
-        assert basis.size == 7
-        assert np.array_equal(basis.modes, np.arange(-3, 4))
+        assert np.max(np.abs(fourier_reconstruct(a, xs) - direct)) <= 1e-12

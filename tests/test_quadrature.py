@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neuralfield.checks import clenshaw_curtis_direct
 from neuralfield.model import Interval
-from neuralfield.quadrature import (
-    clenshaw_curtis,
-    clenshaw_curtis_direct,
-    gauss_legendre_2,
-    trapezium_rule,
-)
+from neuralfield.quadrature import clenshaw_curtis, gauss_legendre_2, trapezium_rule
 
 BOX = Interval(-1.0, 1.0)
 RING = Interval(0.0, 2.0 * np.pi, periodic=True)

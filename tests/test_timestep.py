@@ -13,13 +13,12 @@ from neuralfield.timestep import (
 
 
 def make_system(dim, rhs, initial):
+    assert len(initial) == dim
     return SemiDiscreteSystem(
-        dim=dim,
         rhs=rhs,
         initial=np.asarray(initial, dtype=float),
         reconstruct=lambda a, xs: a[0] * np.ones(np.shape(xs)),
-        label="synthetic",
-        diagnostics=SchemeDiagnostics(0.0, 1.0, 0.0, 1.0),
+        diagnostics=SchemeDiagnostics(0.0, 0.0),
         norm="sup",
         encode=lambda fn: np.asarray(initial, dtype=float),
     )
@@ -61,6 +60,14 @@ class TestEuler:
             euler_integrate(system, 0.0, 1.0, 0.1, [0.0, 1.5])
         with pytest.raises(ValueError):
             euler_integrate(system, 0.0, 1.0, -0.1, [0.0, 0.5])
+
+    def test_blowup_raises_at_the_first_non_finite_checkpoint(self):
+        # u' = u^2 from u(0) = 1 blows up at t = 1; with ht = 0.01 the Euler
+        # iterate is 30.4 at t = 1 and has overflowed by t = 1.5
+        system = make_system(1, lambda t, a: a * a, [1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError, match="non-finite state at checkpoint t=1.5"):
+                euler_integrate(system, 0.0, 2.0, 0.01, [0.0, 0.5, 1.0, 1.5, 2.0])
 
     def test_vector_decay_matches_exponential(self, p1):
         system = build_fe_collocation(pure_decay_problem(), 8)
