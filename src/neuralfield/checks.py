@@ -96,7 +96,7 @@ def scalar_decay_system() -> SemiDiscreteSystem:
     return SemiDiscreteSystem(
         rhs=lambda t, a: -a,
         initial=np.array([1.0]),
-        reconstruct=lambda a, xs: a[0] * np.ones(np.shape(xs)),
+        reconstruct=lambda a, xs: a[..., :1] * np.ones(np.shape(xs)),
         diagnostics=SchemeDiagnostics(0.0, 0.0),
         norm="sup",
         encode=lambda fn: np.array([float(fn(0.0))]),

@@ -117,10 +117,15 @@ def _cmd_euler(args) -> int:
     )
     records = result.temporal_records + result.spatial_records + result.grid_records
     _emit(records, args.out)
-    print(f"temporal order {result.temporal_order:.3f}, spatial order {result.spatial_order:.3f}")
+    # the summary goes to stderr so that stdout stays a pure CSV stream
+    print(
+        f"temporal order {result.temporal_order:.3f}, spatial order {result.spatial_order:.3f}",
+        file=sys.stderr,
+    )
     print(
         f"two-term fit: err ~ {result.fit_time_coefficient:.3e}*ht "
-        f"+ {result.fit_space_coefficient:.3e}*hx^2, relative residual {result.fit_residual:.1%}"
+        f"+ {result.fit_space_coefficient:.3e}*hx^2, relative residual {result.fit_residual:.1%}",
+        file=sys.stderr,
     )
     return EXIT_OK
 

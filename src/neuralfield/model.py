@@ -78,6 +78,9 @@ class ChebyshevGrid:
         object.__setattr__(self, "nodes", _frozen(nodes))
 
 
+INVERSE_DOMAIN_ERROR = "firing-rate inverse needs an activity strictly inside (0, 1)"
+
+
 @dataclass(frozen=True)
 class FiringRate:
     """Logistic voltage-to-activity map r(u) = 1 / (1 + exp(gain * (u - threshold))).
@@ -116,9 +119,14 @@ class FiringRate:
         """
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0.0) or np.any(r >= 1.0):
-            raise ValueError("firing-rate inverse needs an activity strictly inside (0, 1)")
-        out = self.threshold + np.log((1.0 - r) / r) / self.gain
+            raise ValueError(INVERSE_DOMAIN_ERROR)
+        out = self._inverse_unchecked(r)
         return out if out.ndim else out[()]
+
+    def _inverse_unchecked(self, r):
+        """The log-odds formula of :meth:`inverse` without its domain check,
+        for callers that have already bounded r inside (0, 1)."""
+        return self.threshold + np.log((1.0 - r) / r) / self.gain
 
     @property
     def sup_derivative(self) -> float:

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import FiringRate, Interval
+from .model import INVERSE_DOMAIN_ERROR, FiringRate, Interval
 from .quadrature import QuadratureRule, clenshaw_curtis, trapezium_rule
 
 __all__ = [
@@ -135,8 +135,12 @@ def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) 
         return firing.inverse(envelope(x, t))
 
     def forcing(x, t):
+        # q >= 0 on both domains, so the envelope peaks at AMPLITUDE * exp(-DECAY * t):
+        # one scalar check on the peak stands for the inverse's check at every x
+        if not 0.0 < AMPLITUDE * np.exp(-DECAY * t) < 1.0:
+            raise ValueError(INVERSE_DOMAIN_ERROR)
         env = envelope(x, t)
-        return DECAY / (GAIN * (1.0 - env)) + firing.inverse(env) - mod_integral * env
+        return DECAY / (GAIN * (1.0 - env)) + firing._inverse_unchecked(env) - mod_integral * env
 
     def initial(x):
         return exact(x, 0.0)

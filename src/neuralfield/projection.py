@@ -23,6 +23,14 @@ __all__ = [
 ]
 
 
+def _states(values, size: int) -> np.ndarray:
+    """One state of shape (size,) or a stack of shape (k, size), as floats."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim not in (1, 2) or values.shape[-1] != size:
+        raise ValueError(f"expected {size} nodal values per state, got shape {values.shape}")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class TentBasis:
     """Lagrange basis of shifted tents on a uniform grid.
@@ -52,19 +60,19 @@ class TentBasis:
     def interpolate(self, values, x):
         """Continuous piecewise-linear interpolant of nodal values.
 
-        The element index comes from direct arithmetic on (x - a) / h, not
-        from a search, so evaluation is O(1) per point.
+        ``values`` is one state of shape (size,) or a stack of shape
+        (k, size); the result has one row per state. The element index
+        comes from direct arithmetic on (x - a) / h, not from a search, so
+        evaluation is O(1) per point and state.
         """
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.size,):
-            raise ValueError(f"expected {self.size} nodal values, got {values.shape}")
+        values = _states(values, self.size)
         iv = self.grid.interval
         xs = np.asarray(x, dtype=float)
         if np.any(xs < iv.a) or np.any(xs > iv.b):
             raise ValueError(f"evaluation point outside [{iv.a}, {iv.b}]")
         idx = np.clip((xs - iv.a) // self.grid.h, 0, self.grid.n - 1).astype(int)
         t = (xs - (iv.a + idx * self.grid.h)) / self.grid.h
-        out = values[idx] * (1.0 - t) + values[idx + 1] * t
+        out = values[..., idx] * (1.0 - t) + values[..., idx + 1] * t
         return out if out.ndim else out[()]
 
 
@@ -108,15 +116,19 @@ class ChebyshevBasis:
         return mat
 
     def interpolate(self, values, x):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.size,):
-            raise ValueError(f"expected {self.size} nodal values, got {values.shape}")
-        out = self.interpolation_matrix(x) @ values
-        return out[0] if np.ndim(x) == 0 else out
+        """Barycentric interpolant of nodal values at the points x.
+
+        ``values`` is one state of shape (size,) or a stack of shape
+        (k, size); the interpolation matrix is built once and applied to
+        every state in one product.
+        """
+        values = _states(values, self.size)
+        out = values @ self.interpolation_matrix(x).T
+        return out[..., 0][()] if np.ndim(x) == 0 else out
 
 
 def _odd_length(values) -> int:
-    m = len(values)
+    m = np.shape(values)[-1]
     if m % 2 == 0:
         raise ValueError(f"transform length must be odd, got {m}")
     return m
@@ -151,12 +163,14 @@ def fourier_reconstruct(coeffs, x):
     """Trigonometric polynomial c_0 + 2 sum_j (Re c_j cos(j x) - Im c_j sin(j x))
     of packed coefficients, evaluated at the points x.
 
-    For coefficients that came from real samples this is the trigonometric
-    interpolant through those samples.
+    ``coeffs`` is one packed vector of odd length m or a stack of shape
+    (k, m); cos(j x) and sin(j x) are built once and applied to every
+    vector in one product. For coefficients that came from real samples
+    this is the trigonometric interpolant through those samples.
     """
     a = np.asarray(coeffs, dtype=float)
     n = (_odd_length(a) - 1) // 2
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     phase = np.outer(xs, np.arange(1, n + 1))
-    out = a[0] + 2.0 * (np.cos(phase) @ a[1::2] - np.sin(phase) @ a[2::2])
-    return out[0] if np.ndim(x) == 0 else out
+    out = a[..., :1] + 2.0 * (a[..., 1::2] @ np.cos(phase).T - a[..., 2::2] @ np.sin(phase).T)
+    return out[..., 0][()] if np.ndim(x) == 0 else out

@@ -72,8 +72,9 @@ class SchemeDiagnostics:
 class SemiDiscreteSystem:
     """State-space form of one spatial discretization.
 
-    ``rhs(t, a)`` is pure; ``reconstruct(a, xs)`` maps a state and
-    evaluation points to function values; ``encode(fn)`` maps a spatial
+    ``rhs(t, a)`` is pure; ``reconstruct(a, xs)`` maps a state of shape
+    (dim,), or a stack of states of shape (k, dim), and evaluation points
+    to function values, one row per state; ``encode(fn)`` maps a spatial
     function to the state representing it (nodal samples, a Galerkin
     projection, or packed real Fourier coefficients depending on the
     scheme). ``norm`` names the scheme's ambient space, "sup" for
@@ -288,8 +289,15 @@ def build_spectral_galerkin(problem: TestProblem, n: int) -> SemiDiscreteSystem:
 
 
 def reconstruct_on(system: SemiDiscreteSystem, a, xs) -> np.ndarray:
-    """Function values of the state ``a`` on an arbitrary evaluation grid."""
+    """Function values of ``a`` on an arbitrary evaluation grid.
+
+    ``a`` is one state of shape (dim,) or a stack of shape (k, dim); a
+    stack gives a (k, len(xs)) array, one row per state, from a single
+    evaluation map.
+    """
     a = np.asarray(a, dtype=float)
-    if a.shape != (system.dim,):
-        raise ValueError(f"state of shape {a.shape} does not match dim {system.dim}")
+    if a.ndim not in (1, 2) or a.shape[-1] != system.dim:
+        raise ValueError(
+            f"state of shape {a.shape} is neither ({system.dim},) nor (k, {system.dim})"
+        )
     return np.asarray(system.reconstruct(a, np.asarray(xs, dtype=float)), dtype=float)

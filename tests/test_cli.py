@@ -32,12 +32,27 @@ def test_converge_writes_csv(capsys, tmp_path):
     assert len(path.read_text().splitlines()) == 5
 
 
+EULER_P1 = ["euler", "--problem", "P1", "--ht", "0.02,0.01", "--spatial-n", "8,16",
+            "--spatial-ht", "1e-3"]
+
+
 def test_euler_split(capsys):
-    argv = ["euler", "--problem", "P1", "--n", "128", "--ht", "0.02,0.01",
-            "--spatial-n", "8,16", "--spatial-ht", "1e-3"]
-    code, out, _ = _exit(argv, capsys)
+    code, out, err = _exit(EULER_P1 + ["--n", "128"], capsys)
     assert code == cli.EXIT_OK
-    assert "temporal order" in out
+    lines = out.splitlines()
+    assert lines[0] == harness.CSV_HEADER
+    # 2 temporal, 2 spatial and 2 x 2 grid records
+    assert len(lines) == 9
+    assert all(len(line.split(",")) == 9 for line in lines[1:])
+    assert "temporal order" in err
+    assert "two-term fit" in err
+
+
+def test_euler_spatial_floor_exits_2(capsys):
+    # at n = 64 the spatial floor is not below a tenth of the temporal error
+    code, _, err = _exit(EULER_P1 + ["--n", "64"], capsys)
+    assert code == cli.EXIT_NUMERICAL
+    assert err.startswith("numerical failure: spatial resolution n=64")
 
 
 def test_check_quadrature_suite(capsys):
@@ -54,8 +69,10 @@ def test_check_quadrature_suite(capsys):
         ["run", "--problem", "P11", "--n", "8", "--scheme", "fe-collocation"],
         # euler steps on its own --ht list and takes no rk54 tolerances
         ["euler", "--problem", "P1", "--n", "64", "--ht", "0.01", "--rtol", "1e-3"],
+        # the envelope 0.8 * exp(-t / 2) exceeds 1 before t = -0.45
+        RUN_P1 + ["--t0", "-2"],
     ],
-    ids=["bad-flag", "n=1", "unknown-problem", "euler-rtol"],
+    ids=["bad-flag", "n=1", "unknown-problem", "euler-rtol", "t0-outside-the-domain"],
 )
 def test_usage_errors_exit_1(argv, capsys):
     code, _, err = _exit(argv, capsys)
@@ -67,7 +84,7 @@ def test_euler_blowup_exits_2(capsys, monkeypatch):
     blowup = SemiDiscreteSystem(
         rhs=lambda t, a: a * a,
         initial=np.array([1.0]),
-        reconstruct=lambda a, xs: a[0] * np.ones(np.shape(xs)),
+        reconstruct=lambda a, xs: a[..., :1] * np.ones(np.shape(xs)),
         diagnostics=SchemeDiagnostics(0.0, 0.0),
         norm="sup",
         encode=lambda fn: np.array([1.0]),

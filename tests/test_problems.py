@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from neuralfield.harness import default_checkpoints, eval_grid
 from neuralfield.model import FiringRate
 from neuralfield.problems import (
     PROBLEM_IDS,
@@ -126,6 +127,27 @@ class TestRangeSafety:
             env = problem.amplitude * np.exp(-problem.decay * t - problem.envelope_exponent(xs))
             assert np.all(env <= 0.8)
             assert np.all(env > 0.8 * np.exp(-problem.decay * 4.0 - 1.0) * (1.0 - 1e-12))
+
+
+class TestForcing:
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    def test_matches_the_checked_inverse_bitwise(self, pid):
+        problem = make_problem(pid)
+        firing = problem.firing
+        xs = eval_grid(problem.interval, 2048)
+        for t in default_checkpoints(0.0, 1.0, 51):
+            env = problem.amplitude * np.exp(-problem.decay * t - problem.envelope_exponent(xs))
+            checked = (
+                problem.decay / (firing.gain * (1.0 - env))
+                + firing.inverse(env)
+                - problem.modulation_integral * env
+            )
+            assert np.array_equal(problem.forcing(xs, t), checked)
+
+    def test_rejects_an_envelope_peak_outside_the_unit_interval(self, p1):
+        # 0.8 * exp(0.5 * 2) > 1: the inverse firing rate is undefined
+        with pytest.raises(ValueError, match="strictly inside"):
+            p1.forcing(np.zeros(3), -2.0)
 
 
 class TestHelpers:

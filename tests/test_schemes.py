@@ -234,10 +234,41 @@ class TestPlumbing:
         with pytest.raises(ValueError):
             reconstruct_on(system, np.zeros(4), np.zeros(3))
 
+    @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
+    def test_reconstruct_on_rejects_a_wrong_last_axis_and_three_dimensions(self, builder, periodic):
+        system = builder(pure_decay_problem(periodic=periodic), 8)
+        with pytest.raises(ValueError):
+            reconstruct_on(system, np.zeros((3, system.dim + 1)), np.zeros(3))
+        with pytest.raises(ValueError):
+            reconstruct_on(system, np.zeros((2, 3, system.dim)), np.zeros(3))
+
     def test_diagnostics_relations(self, p1):
         system = build_fe_collocation(p1, 32)
         d = system.diagnostics
         assert d.beta_n(2.0) == pytest.approx(2.0 * d.weight_infnorm * 1.25)
+
+
+# the tent schemes index nodal values, so a stack reproduces the rows bitwise;
+# the dense maps of the global bases may sum in another order in one product
+STACK_CASES = [
+    (builder, periodic, bitwise)
+    for (builder, periodic), bitwise in zip(ALL_BUILDERS, (True, False, False, True, True, False))
+]
+
+
+@pytest.mark.parametrize("builder,periodic,bitwise", STACK_CASES)
+def test_stacked_reconstruction_matches_row_by_row(builder, periodic, bitwise):
+    problem = make_problem("P7p" if periodic else "P1")
+    system = builder(problem, 16)
+    states = rk54_integrate(system, 0.0, 1.0, 1e-6, 1e-9, np.linspace(0.0, 1.0, 11)).states
+    xs = np.linspace(problem.interval.a, problem.interval.b, 2048)
+    stacked = reconstruct_on(system, states, xs)
+    rows = np.array([reconstruct_on(system, a, xs) for a in states])
+    assert stacked.shape == (11, 2048)
+    if bitwise:
+        assert np.array_equal(stacked, rows)
+    else:
+        assert np.max(np.abs(stacked - rows)) <= 1e-15 * np.max(np.abs(states))
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ def make_system(dim, rhs, initial):
     return SemiDiscreteSystem(
         rhs=rhs,
         initial=np.asarray(initial, dtype=float),
-        reconstruct=lambda a, xs: a[0] * np.ones(np.shape(xs)),
+        reconstruct=lambda a, xs: a[..., :1] * np.ones(np.shape(xs)),
         diagnostics=SchemeDiagnostics(0.0, 0.0),
         norm="sup",
         encode=lambda fn: np.asarray(initial, dtype=float),
