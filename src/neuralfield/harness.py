@@ -8,7 +8,7 @@ error against the closed form, and emits deterministic CSV records.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -78,12 +78,16 @@ class StudyConfig:
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {', '.join(SCHEMES)}")
+        if not self.problems:
+            raise ValueError("need at least one problem")
         ns = tuple(self.n_values)
+        if not ns:
+            raise ValueError("need at least one n")
         if any(n < 2 for n in ns):
             raise ValueError("every n must be >= 2")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n_values must be strictly increasing")
-        if ns and self.eval_points < 4 * max(ns):
+        if self.eval_points < 4 * max(ns):
             raise ValueError(f"eval_points must be >= 4 * max(n) = {4 * max(ns)}")
         if self.checkpoint_count < 2:
             raise ValueError("need at least two checkpoints")
@@ -240,11 +244,27 @@ def _mesh_size(problem: TestProblem, scheme: str, n: int) -> float:
     return problem.interval.length / n
 
 
+def _cell(problem: TestProblem, cfg: StudyConfig, n: int, checkpoints):
+    """Build, integrate and measure one (problem, n) cell of ``cfg``.
+
+    Returns the system, its trajectory, the worst checkpoint error and the
+    wall time of build plus integration (monotonic clock; the error
+    measurement is excluded).
+    """
+    start = time.perf_counter()
+    system = build_system(
+        problem, cfg.scheme, n, quadrature=cfg.quadrature, variant=cfg.variant, trap_m=cfg.trap_m
+    )
+    traj = _integrate(system, cfg, checkpoints)
+    wall = time.perf_counter() - start
+    return system, traj, trajectory_error(system, traj, problem, cfg.eval_points), wall
+
+
 def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     """Run every (problem, n) cell of the sweep, problem-major, n-minor.
 
-    Wall time covers build plus integration (monotonic clock); the error
-    measurement is excluded. Output ordering and values are deterministic.
+    Each record's wall time is that of :func:`_cell`: build plus integration.
+    Output ordering and values are deterministic.
     """
     cfg.validate()
     records: list[ConvergenceRecord] = []
@@ -254,14 +274,7 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
         problem = make_problem(pid) if isinstance(pid, str) else pid
         previous: Optional[ConvergenceRecord] = None
         for n in cfg.n_values:
-            start = time.perf_counter()
-            system = build_system(
-                problem, cfg.scheme, n,
-                quadrature=cfg.quadrature, variant=cfg.variant, trap_m=cfg.trap_m,
-            )
-            traj = _integrate(system, cfg, cps)
-            wall = time.perf_counter() - start
-            err = trajectory_error(system, traj, problem, cfg.eval_points)
+            system, _, err, wall = _cell(problem, cfg, n, cps)
             order = (
                 observed_order(previous.error, err, previous.n, n) if previous is not None else None
             )
@@ -295,44 +308,36 @@ class SandwichResult:
     beta_n: float
 
 
-def sandwich_check(
-    problem: Union[str, TestProblem],
-    scheme: str,
-    n: int,
-    *,
-    quadrature: str = "cc",
-    variant: str = "gauss2",
-    t0: float = 0.0,
-    duration: float = 1.0,
-    rtol: float = 1e-6,
-    atol: float = 1e-9,
-    eval_points: int = 2048,
-    checkpoint_count: int = 51,
-    slack: float = 0.1,
-) -> SandwichResult:
+# relative widening of both sandwich bounds, to absorb temporal error
+SANDWICH_SLACK = 0.1
+
+
+def sandwich_check(problem: Union[str, TestProblem], scheme: str, n: int) -> SandwichResult:
     """Check that the integrated scheme error sits inside the two-sided bound
     [projector_error / (1 + beta_n), projector_error * exp(beta_n)].
 
-    Both bounds are widened by the relative ``slack`` (10% by default) to
+    The cell runs under the :class:`StudyConfig` defaults (rk54, the default
+    window, checkpoints and evaluation grid, cc quadrature, gauss2 variant).
+    Both bounds are widened by the relative ``SANDWICH_SLACK`` (10%) to
     absorb temporal error. When the projector error has sunk below ten times
     the temporal-error scale (rtol * sup|u| + atol) the comparison says
     nothing about the bound; such cells are flagged inconclusive and count
     as not-failed.
     """
     prob = make_problem(problem) if isinstance(problem, str) else problem
-    system = build_system(prob, scheme, n, quadrature=quadrature, variant=variant)
-    cps = default_checkpoints(t0, duration, checkpoint_count)
-    traj = rk54_integrate(system, t0, duration, rtol, atol, cps)
-    scheme_err = trajectory_error(system, traj, prob, eval_points)
-    proj_err = projector_error(system, prob, cps, eval_points)
-    beta = system.diagnostics.beta_n(duration)
+    cfg = StudyConfig(problems=(prob,), scheme=scheme, n_values=(n,))
+    cfg.validate()
+    cps = default_checkpoints(cfg.t0, cfg.duration, cfg.checkpoint_count)
+    system, _, scheme_err, _ = _cell(prob, cfg, n, cps)
+    proj_err = projector_error(system, prob, cps, cfg.eval_points)
+    beta = system.diagnostics.beta_n(cfg.duration)
     lower, upper = 1.0 / (1.0 + beta), float(np.exp(beta))
 
-    xs = eval_grid(prob.interval, eval_points)
+    xs = eval_grid(prob.interval, cfg.eval_points)
     sup_u = float(np.max(np.abs(prob.exact(xs, cps[:, None]))))
-    conclusive = proj_err >= 10.0 * (rtol * sup_u + atol)
+    conclusive = proj_err >= 10.0 * (cfg.rtol * sup_u + cfg.atol)
     ratio = scheme_err / proj_err if proj_err > 0.0 else float("inf")
-    passed = (lower * (1.0 - slack) <= ratio <= upper * (1.0 + slack)) if conclusive else True
+    passed = not conclusive or lower * (1.0 - SANDWICH_SLACK) <= ratio <= upper * (1.0 + SANDWICH_SLACK)
     return SandwichResult(ratio, lower, upper, passed, conclusive, scheme_err, proj_err, beta)
 
 
@@ -366,28 +371,42 @@ def euler_split_study(
     """Split the forward-Euler error into its temporal and spatial parts.
 
     Three sweeps on the fe-collocation scheme: (1) step sizes at the fixed
-    large n, measured per checkpoint against a tight Runge-Kutta reference
-    of the same semi-discrete system, isolating the temporal error; (2) n at
-    the fixed small step, measured against the closed form, recovering the
-    spatial order; (3) the full (ht, n) grid measured against the closed
-    form and least-squares fitted to err ~ a*ht + b*hx^2.
+    large n, measured per checkpoint against a tight rk54 reference cell of
+    the same semi-discrete system, isolating the temporal error; (2)
+    ``run_study`` over n at the fixed small step, recovering the spatial
+    order; (3) ``run_study`` over n at each step size, the ht-major (ht, n)
+    grid, least-squares fitted to err ~ a*ht + b*hx^2. Sweeps (2) and (3)
+    keep ``run_study``'s records, relabelled, with no orders on the grid.
 
-    Raises ``ArithmeticError``, reporting the measured floor, when the
-    spatial floor at n_fixed is not below a tenth of the coarsest temporal
-    error: the temporal errors would then not be separable from it.
+    Every setting, ``n_fixed`` included, passes :meth:`StudyConfig.validate`
+    before any work, and the fitted orders need two distinct step sizes and
+    two spatial n; otherwise ``ValueError``. Raises ``ArithmeticError``,
+    reporting the measured floor, when the spatial floor at n_fixed is not
+    below a tenth of the coarsest temporal error: the temporal errors would
+    then not be separable from it.
     """
     prob = make_problem(problem) if isinstance(problem, str) else problem
     hts = tuple(float(h) for h in ht_values)
-    if not hts or any(h <= 0 for h in hts):
-        raise ValueError("ht_values must be positive step sizes")
-    cps = default_checkpoints(t0, duration, checkpoint_count)
+    if len(set(hts)) < 2:
+        raise ValueError("ht_values need at least two distinct step sizes")
+    if len(spatial_n_values) < 2:
+        raise ValueError("spatial_n_values need at least two n")
+    spatial_cfg = StudyConfig(
+        problems=(prob,), scheme="fe-collocation", n_values=tuple(spatial_n_values),
+        t0=t0, duration=duration, stepper="euler", ht=spatial_ht,
+        eval_points=eval_points, checkpoint_count=checkpoint_count,
+    )
+    reference_cfg = replace(spatial_cfg, n_values=(n_fixed,), stepper="rk54", rtol=1e-10, atol=1e-12)
+    grid_cfgs = [replace(spatial_cfg, ht=ht) for ht in hts]
+    for cfg in (reference_cfg, spatial_cfg, *grid_cfgs):
+        cfg.validate()
 
-    fixed = build_fe_collocation(prob, n_fixed)
-    reference = rk54_integrate(fixed, t0, duration, 1e-10, 1e-12, cps)
-    spatial_floor = trajectory_error(fixed, reference, prob, eval_points)
-    hx_fixed = prob.interval.length / n_fixed
+    cps = default_checkpoints(t0, duration, checkpoint_count)
+    fixed, reference, spatial_floor, _ = _cell(prob, reference_cfg, n_fixed, cps)
+    hx_fixed = _mesh_size(prob, "fe-collocation", n_fixed)
     beta_fixed = fixed.diagnostics.beta_n(duration)
 
+    # the one hand-written sweep: it measures state differences, not reconstruction error
     temporal: list[ConvergenceRecord] = []
     for ht in hts:
         start = time.perf_counter()
@@ -407,50 +426,17 @@ def euler_split_study(
             f"spatial resolution n={n_fixed} leaves a floor of {spatial_floor:.3e}, "
             f"not below a tenth of the coarsest temporal error {coarse:.3e}"
         )
-    temporal_order = float(
-        np.polyfit(np.log(hts), np.log([r.error for r in temporal]), 1)[0]
-    )
+    temporal_order = float(np.polyfit(np.log(hts), np.log([r.error for r in temporal]), 1)[0])
 
-    systems = {}
-    spatial: list[ConvergenceRecord] = []
-    previous = None
-    for n in spatial_n_values:
-        start = time.perf_counter()
-        systems[n] = build_fe_collocation(prob, n)
-        traj = euler_integrate(systems[n], t0, duration, spatial_ht, cps)
-        wall = time.perf_counter() - start
-        err = trajectory_error(systems[n], traj, prob, eval_points)
-        order = observed_order(previous.error, err, previous.n, n) if previous else None
-        record = ConvergenceRecord(
-            prob.id, "fe-collocation", f"euler-spatial;ht={spatial_ht:.17g}",
-            n, prob.interval.length / n, err, order,
-            systems[n].diagnostics.beta_n(duration), wall,
-        )
-        spatial.append(record)
-        previous = record
+    spatial = [replace(r, variant=f"euler-spatial;ht={spatial_ht:.17g}") for r in run_study(spatial_cfg)]
     spatial_order = float(
         -np.polyfit(np.log(list(spatial_n_values)), np.log([r.error for r in spatial]), 1)[0]
     )
 
-    grid: list[ConvergenceRecord] = []
-    design, measured = [], []
-    for ht in hts:
-        for n in spatial_n_values:
-            start = time.perf_counter()
-            traj = euler_integrate(systems[n], t0, duration, ht, cps)
-            wall = time.perf_counter() - start
-            err = trajectory_error(systems[n], traj, prob, eval_points)
-            hx = prob.interval.length / n
-            design.append((ht, hx * hx))
-            measured.append(err)
-            grid.append(
-                ConvergenceRecord(
-                    prob.id, "fe-collocation", f"euler-grid;ht={ht:.17g}",
-                    n, hx, err, None, systems[n].diagnostics.beta_n(duration), wall,
-                )
-            )
-    design = np.asarray(design)
-    measured = np.asarray(measured)
+    runs = [(cfg.ht, r) for cfg in grid_cfgs for r in run_study(cfg)]
+    grid = [replace(r, variant=f"euler-grid;ht={ht:.17g}", observed_order=None) for ht, r in runs]
+    design = np.array([(ht, r.h_x * r.h_x) for ht, r in runs])
+    measured = np.array([r.error for r in grid])
     coeffs, *_ = np.linalg.lstsq(design, measured, rcond=None)
     residual = float(np.linalg.norm(design @ coeffs - measured) / np.linalg.norm(measured))
 

@@ -43,6 +43,7 @@ AMPLITUDE = 0.8
 DECAY = 0.5
 GAIN = 5.0
 THRESHOLD = 0.3
+_TINY = np.finfo(float).tiny
 
 _MODULATIONS: dict[str, tuple[Callable, bool]] = {
     "P1": ((lambda y: np.exp(y) * np.cos(y)), False),
@@ -64,9 +65,9 @@ PROBLEM_IDS = tuple(_MODULATIONS)
 class TestProblem:
     """One benchmark: a closed-form solution plus everything schemes assemble from.
 
-    ``modulation`` is the kernel's y-profile, ``modulation_integral`` its
-    integral over the domain (the constant appearing in the forcing), and
-    ``envelope_exponent`` the shared spatial profile q. The three optional
+    ``modulation_integral`` is the integral of the kernel's y-profile over
+    the domain (the constant appearing in the forcing), and
+    ``envelope_exponent`` the shared spatial profile q. The four optional
     fields are None for the synthetic decay helpers, which are not of the
     manufactured family.
     """
@@ -80,7 +81,6 @@ class TestProblem:
     exact: Callable
     amplitude: Optional[float] = None
     decay: Optional[float] = None
-    modulation: Optional[Callable] = None
     modulation_integral: Optional[float] = None
     envelope_exponent: Optional[Callable] = None
 
@@ -135,9 +135,12 @@ def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) 
         return firing.inverse(envelope(x, t))
 
     def forcing(x, t):
-        # q >= 0 on both domains, so the envelope peaks at AMPLITUDE * exp(-DECAY * t):
-        # one scalar check on the peak stands for the inverse's check at every x
-        if not 0.0 < AMPLITUDE * np.exp(-DECAY * t) < 1.0:
+        # 0 <= q <= 1 on both domains, so the envelope lies between its trough and its
+        # peak: two scalar checks stand for the inverse's check at every x, and a trough
+        # no smaller than the least normal float keeps (1 - env) / env finite
+        peak = AMPLITUDE * np.exp(-DECAY * t)
+        trough = AMPLITUDE * np.exp(-DECAY * t - 1.0)
+        if not (peak < 1.0 and trough >= _TINY):
             raise ValueError(INVERSE_DOMAIN_ERROR)
         env = envelope(x, t)
         return DECAY / (GAIN * (1.0 - env)) + firing._inverse_unchecked(env) - mod_integral * env
@@ -155,7 +158,6 @@ def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) 
         exact=exact,
         amplitude=AMPLITUDE,
         decay=DECAY,
-        modulation=mod,
         modulation_integral=mod_integral,
         envelope_exponent=exponent,
     )

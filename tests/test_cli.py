@@ -36,6 +36,12 @@ EULER_P1 = ["euler", "--problem", "P1", "--ht", "0.02,0.01", "--spatial-n", "8,1
             "--spatial-ht", "1e-3"]
 
 
+def _euler_128(*extra, ht="0.02,0.01", spatial_n="8,16"):
+    """An `nf euler` run at n = 128 that passes its floor check with the defaults."""
+    return ["euler", "--problem", "P1", "--n", "128", "--ht", ht, "--spatial-n", spatial_n,
+            "--spatial-ht", "1e-3", *extra]
+
+
 def test_euler_split(capsys):
     code, out, err = _exit(EULER_P1 + ["--n", "128"], capsys)
     assert code == cli.EXIT_OK
@@ -71,8 +77,26 @@ def test_check_quadrature_suite(capsys):
         ["euler", "--problem", "P1", "--n", "64", "--ht", "0.01", "--rtol", "1e-3"],
         # the envelope 0.8 * exp(-t / 2) exceeds 1 before t = -0.45
         RUN_P1 + ["--t0", "-2"],
+        # its trough 0.8 * exp(-t / 2 - 1) falls below the least normal float near t = 1414
+        RUN_P1 + ["--T", "1600", "--checkpoints", "2"],
+        ["converge", "--problems", "P1", "--n", "", "--scheme", "fe-collocation"],
+        ["converge", "--problems", "", "--n", "8,16", "--scheme", "fe-collocation"],
+        _euler_128(spatial_n=""),
+        _euler_128(spatial_n="16,8"),
+        _euler_128("--eval-points", "4"),
+        _euler_128("--checkpoints", "1"),
+        # the orders are fitted slopes, which one point does not determine
+        _euler_128(ht="0.02"),
+        _euler_128(spatial_n="8"),
+        # n = 128 is validated like any sweep n: it needs 512 evaluation points
+        _euler_128("--eval-points", "256"),
     ],
-    ids=["bad-flag", "n=1", "unknown-problem", "euler-rtol", "t0-outside-the-domain"],
+    ids=[
+        "bad-flag", "n=1", "unknown-problem", "euler-rtol", "t0-outside-the-domain",
+        "T-past-the-representable-envelope", "converge-no-n", "converge-no-problems",
+        "euler-no-spatial-n", "euler-spatial-n-decreasing", "euler-too-few-eval-points",
+        "euler-one-checkpoint", "euler-one-ht", "euler-one-spatial-n", "euler-n-fixed-eval-points",
+    ],
 )
 def test_usage_errors_exit_1(argv, capsys):
     code, _, err = _exit(argv, capsys)
