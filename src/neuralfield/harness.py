@@ -7,6 +7,7 @@ error against the closed form, and emits deterministic CSV records.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -35,6 +36,7 @@ __all__ = [
     "build_system",
     "default_checkpoints",
     "eval_grid",
+    "exact_grid",
     "trajectory_error",
     "projector_error",
     "observed_order",
@@ -93,10 +95,14 @@ class StudyConfig:
             raise ValueError("need at least two checkpoints")
         if self.stepper not in ("rk54", "euler"):
             raise ValueError(f"unknown stepper {self.stepper!r}")
-        if self.stepper == "euler" and not (self.ht and self.ht > 0):
-            raise ValueError("euler stepping needs a positive ht")
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
+        if self.stepper == "rk54" and not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise ValueError("rk54 stepping needs positive finite rtol and atol")
+        if self.stepper == "euler" and not (self.ht and 0.0 < self.ht < math.inf):
+            raise ValueError("euler stepping needs a positive finite ht")
+        if not math.isfinite(self.t0):
+            raise ValueError("t0 must be finite")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -155,22 +161,36 @@ def _l2_weights(interval: Interval, eval_points: int) -> np.ndarray:
     return w
 
 
+def exact_grid(problem: TestProblem, checkpoints, eval_points: int) -> np.ndarray:
+    """The closed form on the checkpoint x point grid, one row per checkpoint.
+
+    It depends only on the problem, the checkpoints and the evaluation grid,
+    so one evaluation serves every cell of a study; the array is read-only.
+    """
+    xs = eval_grid(problem.interval, eval_points)
+    ts = np.asarray(checkpoints, dtype=float)
+    grid = np.asarray(problem.exact(xs, ts[:, None]), dtype=float)
+    grid.setflags(write=False)
+    return grid
+
+
 def _worst_error(
     system: SemiDiscreteSystem,
     problem: TestProblem,
     states: np.ndarray,
     checkpoints,
     eval_points: int,
+    exact: Optional[np.ndarray],
 ) -> float:
     """Largest error over the checkpoints of the stacked ``states`` (one row
     per checkpoint) against the closed form, in the scheme's norm.
 
-    The states are reconstructed in one call and the closed form is
-    evaluated once on the checkpoint x point grid.
+    The states are reconstructed in one call and compared with ``exact``,
+    the :func:`exact_grid` of the checkpoints, evaluated here when None.
     """
     xs = eval_grid(problem.interval, eval_points)
-    ts = np.asarray(checkpoints, dtype=float)
-    exact = np.asarray(problem.exact(xs, ts[:, None]), dtype=float)
+    if exact is None:
+        exact = exact_grid(problem, checkpoints, eval_points)
     diff = reconstruct_on(system, states, xs) - exact
     if system.norm == "l2":
         per_checkpoint = np.sqrt((diff * diff) @ _l2_weights(problem.interval, eval_points))
@@ -184,15 +204,19 @@ def trajectory_error(
     trajectory: Trajectory,
     problem: TestProblem,
     eval_points: int = 2048,
+    exact: Optional[np.ndarray] = None,
 ) -> float:
     """Worst checkpoint error of the reconstruction against the closed form.
 
     The (k, dim) stack of checkpoint states is reconstructed in one call.
     Collocation schemes are measured in the sup norm over a uniform
     evaluation grid; Galerkin schemes in the trapezium-quadrature L2 norm on
-    the same grid, following each scheme's ambient space.
+    the same grid, following each scheme's ambient space. ``exact`` is the
+    :func:`exact_grid` of the trajectory's checkpoints, when the caller has it.
     """
-    return _worst_error(system, problem, trajectory.states, trajectory.checkpoints, eval_points)
+    return _worst_error(
+        system, problem, trajectory.states, trajectory.checkpoints, eval_points, exact
+    )
 
 
 def projector_error(
@@ -200,17 +224,19 @@ def projector_error(
     problem: TestProblem,
     checkpoints,
     eval_points: int = 2048,
+    exact: Optional[np.ndarray] = None,
 ) -> float:
     """Worst checkpoint error of projecting the closed form itself.
 
     No time integration is involved: the exact solution is encoded into the
     scheme's state space at every checkpoint, and the (k, dim) stack of
     encoded states is reconstructed in one call and compared with the
-    original, in the scheme's own norm.
+    original, in the scheme's own norm. ``exact`` is the :func:`exact_grid`
+    of the checkpoints, when the caller has it.
     """
     ts = np.asarray(checkpoints, dtype=float)
     states = np.stack([system.encode(lambda x, t=t: problem.exact(x, t)) for t in ts])
-    return _worst_error(system, problem, states, ts, eval_points)
+    return _worst_error(system, problem, states, ts, eval_points, exact)
 
 
 def observed_order(e1: float, e2: float, n1: int, n2: int) -> Optional[float]:
@@ -244,12 +270,14 @@ def _mesh_size(problem: TestProblem, scheme: str, n: int) -> float:
     return problem.interval.length / n
 
 
-def _cell(problem: TestProblem, cfg: StudyConfig, n: int, checkpoints):
+def _cell(
+    problem: TestProblem, cfg: StudyConfig, n: int, checkpoints, exact: Optional[np.ndarray] = None
+):
     """Build, integrate and measure one (problem, n) cell of ``cfg``.
 
     Returns the system, its trajectory, the worst checkpoint error and the
     wall time of build plus integration (monotonic clock; the error
-    measurement is excluded).
+    measurement is excluded). ``exact`` is passed on to :func:`trajectory_error`.
     """
     start = time.perf_counter()
     system = build_system(
@@ -257,14 +285,16 @@ def _cell(problem: TestProblem, cfg: StudyConfig, n: int, checkpoints):
     )
     traj = _integrate(system, cfg, checkpoints)
     wall = time.perf_counter() - start
-    return system, traj, trajectory_error(system, traj, problem, cfg.eval_points), wall
+    return system, traj, trajectory_error(system, traj, problem, cfg.eval_points, exact), wall
 
 
 def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     """Run every (problem, n) cell of the sweep, problem-major, n-minor.
 
     Each record's wall time is that of :func:`_cell`: build plus integration.
-    Output ordering and values are deterministic.
+    The closed form is evaluated on the checkpoint x point grid once per
+    problem and shared by its cells. Output ordering and values are
+    deterministic.
     """
     cfg.validate()
     records: list[ConvergenceRecord] = []
@@ -272,9 +302,10 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     variant = _variant_label(cfg)
     for pid in cfg.problems:
         problem = make_problem(pid) if isinstance(pid, str) else pid
+        exact = exact_grid(problem, cps, cfg.eval_points)
         previous: Optional[ConvergenceRecord] = None
         for n in cfg.n_values:
-            system, _, err, wall = _cell(problem, cfg, n, cps)
+            system, _, err, wall = _cell(problem, cfg, n, cps, exact)
             order = (
                 observed_order(previous.error, err, previous.n, n) if previous is not None else None
             )
@@ -328,13 +359,13 @@ def sandwich_check(problem: Union[str, TestProblem], scheme: str, n: int) -> San
     cfg = StudyConfig(problems=(prob,), scheme=scheme, n_values=(n,))
     cfg.validate()
     cps = default_checkpoints(cfg.t0, cfg.duration, cfg.checkpoint_count)
-    system, _, scheme_err, _ = _cell(prob, cfg, n, cps)
-    proj_err = projector_error(system, prob, cps, cfg.eval_points)
+    exact = exact_grid(prob, cps, cfg.eval_points)
+    system, _, scheme_err, _ = _cell(prob, cfg, n, cps, exact)
+    proj_err = projector_error(system, prob, cps, cfg.eval_points, exact)
     beta = system.diagnostics.beta_n(cfg.duration)
     lower, upper = 1.0 / (1.0 + beta), float(np.exp(beta))
 
-    xs = eval_grid(prob.interval, cfg.eval_points)
-    sup_u = float(np.max(np.abs(prob.exact(xs, cps[:, None]))))
+    sup_u = float(np.max(np.abs(exact)))
     conclusive = proj_err >= 10.0 * (cfg.rtol * sup_u + cfg.atol)
     ratio = scheme_err / proj_err if proj_err > 0.0 else float("inf")
     passed = not conclusive or lower * (1.0 - SANDWICH_SLACK) <= ratio <= upper * (1.0 + SANDWICH_SLACK)

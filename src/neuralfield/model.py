@@ -101,7 +101,8 @@ class FiringRate:
     def __call__(self, u):
         s = self.gain * (np.asarray(u, dtype=float) - self.threshold)
         z = np.exp(-np.abs(s))
-        out = np.where(s >= 0, z / (1.0 + z), 1.0 / (1.0 + z))
+        # z / (1 + z) for s >= 0 and 1 / (1 + z) below: one division serves both branches
+        out = np.where(s >= 0, z, 1.0) / (1.0 + z)
         return out if out.ndim else out[()]
 
     def derivative(self, u):

@@ -15,6 +15,7 @@ three can never drift apart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -43,7 +44,11 @@ AMPLITUDE = 0.8
 DECAY = 0.5
 GAIN = 5.0
 THRESHOLD = 0.3
-_TINY = np.finfo(float).tiny
+# the envelope's peak AMPLITUDE * e^rate and its trough AMPLITUDE * e^(rate - 1), with
+# rate = -DECAY * t, compared as exponents on Python floats: no exp, so no overflow
+# however negative t is
+_PEAK_RATE = -math.log(AMPLITUDE)  # peak < 1
+_TROUGH_RATE = math.log(np.finfo(float).tiny / AMPLITUDE)  # trough >= the least normal float
 
 _MODULATIONS: dict[str, tuple[Callable, bool]] = {
     "P1": ((lambda y: np.exp(y) * np.cos(y)), False),
@@ -138,9 +143,8 @@ def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) 
         # 0 <= q <= 1 on both domains, so the envelope lies between its trough and its
         # peak: two scalar checks stand for the inverse's check at every x, and a trough
         # no smaller than the least normal float keeps (1 - env) / env finite
-        peak = AMPLITUDE * np.exp(-DECAY * t)
-        trough = AMPLITUDE * np.exp(-DECAY * t - 1.0)
-        if not (peak < 1.0 and trough >= _TINY):
+        rate = -DECAY * float(t)
+        if not (rate < _PEAK_RATE and rate - 1.0 >= _TROUGH_RATE):
             raise ValueError(INVERSE_DOMAIN_ERROR)
         env = envelope(x, t)
         return DECAY / (GAIN * (1.0 - env)) + firing._inverse_unchecked(env) - mod_integral * env

@@ -130,7 +130,7 @@ def _projected(
     firing, forcing = problem.firing, problem.forcing
 
     def rhs(t, a):
-        return -a + post(forcing(nodes, t) + weight @ firing(pre(a)))
+        return post(forcing(nodes, t) + weight @ firing(pre(a))) - a
 
     def encode(fn):
         return post(np.asarray(fn(nodes), dtype=float))

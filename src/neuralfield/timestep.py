@@ -8,6 +8,7 @@ clipping steps). There is no dense output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,10 @@ class Trajectory:
 
 
 def _validated_checkpoints(t0: float, duration: float, checkpoints) -> np.ndarray:
+    if not math.isfinite(t0):
+        raise ValueError("t0 must be finite")
+    if not 0.0 < duration < math.inf:
+        raise ValueError("duration must be positive and finite")
     cps = np.asarray(checkpoints, dtype=float)
     if cps.ndim != 1 or len(cps) == 0:
         raise ValueError("checkpoints must be a non-empty 1-D sequence of times")
@@ -66,8 +71,8 @@ def euler_integrate(system, t0: float, duration: float, ht: float, checkpoints) 
     outright rather than silently interpolated. A non-finite state at a
     checkpoint raises IntegrationError.
     """
-    if not ht > 0:
-        raise ValueError("step size must be positive")
+    if not 0.0 < ht < math.inf:
+        raise ValueError("step size must be positive and finite")
     cps = _validated_checkpoints(t0, duration, checkpoints)
     indices = []
     for c in cps:
@@ -98,34 +103,39 @@ def euler_integrate(system, t0: float, duration: float, ht: float, checkpoints) 
     return _finish(cps, states, accepted=last, rejected=0, evals=evals)
 
 
-# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6, 1980)
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6, 1980).
+# The seventh stage sits at the landing point (c_7 = 1) and evaluates the
+# proposal itself, since its row of A equals the fifth-order weights.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
 _DP_A = (
     np.array([1 / 5]),
     np.array([3 / 40, 9 / 40]),
     np.array([44 / 45, -56 / 15, 32 / 9]),
     np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 )
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# fifth-order weights; the seventh stage's weight is zero
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 # fifth-order weights minus the embedded fourth-order ones
 _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
-def _dormand_prince_step(rhs, t, u, h, k1=None):
-    """One 7-stage attempt; returns the 5th-order proposal and the error vector.
+def _dormand_prince_step(rhs, t, u, h, t_new, k1):
+    """One attempt from (t, u) with step h, given its first stage k1 = rhs(t, u).
 
-    Passing a precomputed first stage saves one evaluation (the first stage
-    depends only on (t, u), not on h).
+    ``t_new`` is the time the step lands on: t + h, or the checkpoint a
+    clipped step ends at exactly. Returns the 5th-order proposal, the error
+    vector and the last stage rhs(t_new, proposal), which is the first stage
+    of the next attempt once the step is accepted ("first same as last").
     """
     stages = np.empty((7, len(u)))
-    stages[0] = rhs(t, u) if k1 is None else k1
+    stages[0] = k1
     for i, row in enumerate(_DP_A):
         stages[i + 1] = rhs(t + _DP_C[i + 1] * h, u + h * (row @ stages[: i + 1]))
-    proposal = u + h * (_DP_B5 @ stages)
+    proposal = u + h * (_DP_B5 @ stages[:6])
+    stages[6] = rhs(t_new, proposal)
     error = h * (_DP_ERR @ stages)
-    return proposal, error
+    return proposal, error, stages[6]
 
 
 def rk54_integrate(
@@ -138,11 +148,14 @@ def rk54_integrate(
     h * min(5, max(0.2, 0.9 * err^(-1/5))). Steps are clipped to land exactly
     on each checkpoint. The deterministic initial step is
     min(duration/100, 0.1 * (atol / max(||rhs(t0, u0)||_inf, 1e-12))^(1/5)),
-    and its right-hand side probe is reused as the first stage of the first
-    attempt, so rhs_evals is exactly 7 per attempted step (no FSAL reuse).
+    and its right-hand side probe is the first stage of the first attempt.
+    Every attempt then makes 6 evaluations: an accepted step hands its last
+    stage, the right-hand side at the state it lands on, to the next attempt
+    as its first stage (FSAL), and a rejected attempt's successor keeps the
+    rejected one's first stage. So rhs_evals is 1 + 6 * attempts.
     """
-    if not (rtol > 0 and atol > 0):
-        raise ValueError("rtol and atol must be positive")
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise ValueError("rtol and atol must be positive and finite")
     cps = _validated_checkpoints(t0, duration, checkpoints)
     u = np.array(system.initial, dtype=float)
     t = t0
@@ -173,9 +186,11 @@ def rk54_integrate(
                     f"step size underflow at t={t!r} (h={h_try!r} below 1e-14 * duration); "
                     f"{accepted} accepted / {rejected} rejected steps so far"
                 )
-            proposal, error = _dormand_prince_step(system.rhs, t, u, h_try, first_stage)
-            evals += 7 if first_stage is None else 6
-            first_stage = None
+            t_new = target if clipped else t + h_try
+            proposal, error, last_stage = _dormand_prince_step(
+                system.rhs, t, u, h_try, t_new, first_stage
+            )
+            evals += 6
             denom = atol + rtol * np.maximum(np.abs(u), np.abs(proposal))
             err = float(np.max(np.abs(error) / denom))
             if not np.isfinite(err):
@@ -185,8 +200,7 @@ def rk54_integrate(
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             if err <= 1.0:
                 accepted += 1
-                t = target if clipped else t + h_try
-                u = proposal
+                t, u, first_stage = t_new, proposal, last_stage
             else:
                 rejected += 1
             h = h_try * factor

@@ -90,18 +90,32 @@ def test_check_quadrature_suite(capsys):
         _euler_128(spatial_n="8"),
         # n = 128 is validated like any sweep n: it needs 512 evaluation points
         _euler_128("--eval-points", "256"),
+        # the window and the step controls must be finite
+        RUN_P1 + ["--T", "inf"],
+        RUN_P1 + ["--t0", "nan"],
+        RUN_P1 + ["--rtol", "inf"],
+        RUN_P1 + ["--atol", "inf"],
+        RUN_P1 + ["--stepper", "euler", "--ht", "inf"],
     ],
     ids=[
         "bad-flag", "n=1", "unknown-problem", "euler-rtol", "t0-outside-the-domain",
         "T-past-the-representable-envelope", "converge-no-n", "converge-no-problems",
         "euler-no-spatial-n", "euler-spatial-n-decreasing", "euler-too-few-eval-points",
         "euler-one-checkpoint", "euler-one-ht", "euler-one-spatial-n", "euler-n-fixed-eval-points",
+        "T-inf", "t0-nan", "rtol-inf", "atol-inf", "euler-ht-inf",
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
     code, _, err = _exit(argv, capsys)
     assert code == cli.EXIT_USAGE
     assert err.startswith("usage error:")
+
+
+def test_a_nan_t0_is_reported_as_such(capsys):
+    # it used to reach the forcing and be reported as a firing-rate domain error
+    code, _, err = _exit(RUN_P1 + ["--t0", "nan"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == "usage error: t0 must be finite\n"
 
 
 def test_euler_blowup_exits_2(capsys, monkeypatch):

@@ -91,6 +91,23 @@ class TestFiringRate:
         if abs(u2 - u1) >= 1e-6:  # below that the float values can collide
             assert np.sign(FR(u2) - FR(u1)) == -np.sign(u2 - u1)
 
+    def test_one_division_matches_the_two_branch_formula_bitwise(self):
+        def two_branch(u):
+            s = FR.gain * (u - FR.threshold)
+            z = np.exp(-np.abs(s))
+            return np.where(s >= 0, z / (1.0 + z), 1.0 / (1.0 + z))
+
+        ramp = np.linspace(-1e6, 1e6, 400_001)
+        decades = np.logspace(-300, 6, 3_000)
+        near = FR.threshold + np.linspace(-1e-12, 1e-12, 2_001)
+        u = np.concatenate([ramp, decades, -decades, near, [0.0, -0.0, FR.threshold]])
+        u = np.concatenate([u, np.nextafter(u, np.inf), np.nextafter(u, -np.inf)])
+        # e^(-|s|) underflows to 0 beyond |s| = 745 in both forms: that is the
+        # saturation, so only overflow, invalid and division are errors
+        with np.errstate(all="raise", under="ignore"):
+            out = FR(u)
+        assert np.array_equal(out.view(np.int64), two_branch(u).view(np.int64))
+
     def test_derivative_extremum_at_threshold(self):
         assert FR.derivative(0.3) == pytest.approx(-1.25, rel=1e-15)
         assert FR.sup_derivative == 1.25

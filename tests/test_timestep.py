@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,76 @@ def make_system(dim, rhs, initial):
         norm="sup",
         encode=lambda fn: np.asarray(initial, dtype=float),
     )
+
+
+def counted(system):
+    """The system with its right-hand side wrapped to record each call's time."""
+    calls = []
+
+    def rhs(t, a):
+        calls.append(t)
+        return system.rhs(t, a)
+
+    return dataclasses.replace(system, rhs=rhs), calls
+
+
+def stiff_decay_system():
+    """a' = -50 a: the controller grows the step into the stability limit
+    and has attempts rejected."""
+    return make_system(2, lambda t, a: -50.0 * a, [1.0, 2.0])
+
+
+# Dormand-Prince 5(4) in its classic seven-stage form (Hairer, Norsett & Wanner,
+# Solving ODEs I, Table II.5.2): the last row of A is the fifth-order weights b
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_A = np.zeros((7, 7))
+_A[1, :1] = [1 / 5]
+_A[2, :2] = [3 / 40, 9 / 40]
+_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+_B = _A[6].copy()
+# b minus the embedded fourth-order weights, each difference as one rounded fraction
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+
+
+def seven_evaluation_rk54(system, t0, duration, rtol, atol, checkpoints):
+    """Reference for rk54_integrate that evaluates all seven stages of every
+    attempt afresh, the first at (t, u) and the last at the landing time.
+
+    Same initial step, controller and checkpoint clipping; returns the
+    recorded states and the accepted and rejected counts.
+    """
+    cps = np.asarray(checkpoints, dtype=float)
+    u = np.array(system.initial, dtype=float)
+    t = t0
+    probe = system.rhs(t0, u)
+    h = min(duration / 100.0, 0.1 * (atol / max(float(np.max(np.abs(probe))), 1e-12)) ** 0.2)
+    states = [u.copy()] if cps[0] == t0 else []
+    accepted = rejected = 0
+    for target in cps[len(states):]:
+        while t < target:
+            clipped = h >= target - t
+            h_try = target - t if clipped else h
+            t_new = target if clipped else t + h_try
+            k = np.empty((7, len(u)))
+            k[0] = system.rhs(t, u)
+            for i in range(1, 7):
+                time_i = t_new if i == 6 else t + _C[i] * h_try
+                k[i] = system.rhs(time_i, u + h_try * (_A[i, :i] @ k[:i]))
+            proposal = u + h_try * (_B @ k)
+            error = h_try * (_E @ k)
+            err = float(np.max(np.abs(error) / (atol + rtol * np.maximum(np.abs(u), np.abs(proposal)))))
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+            if err <= 1.0:
+                accepted += 1
+                t, u = t_new, proposal
+            else:
+                rejected += 1
+            h = h_try * factor
+        states.append(u.copy())
+    return np.array(states), accepted, rejected
 
 
 class TestEuler:
@@ -96,17 +168,42 @@ class TestDormandPrince:
         # exact on u = t^5, and the embedded difference bounds the 4th-order
         # proposal's true error
         rhs = lambda t, u: np.array([5.0 * t**4])  # noqa: E731
-        proposal, error = _dormand_prince_step(rhs, 0.0, np.array([0.0]), 0.3)
+        u0 = np.array([0.0])
+        proposal, error, last = _dormand_prince_step(rhs, 0.0, u0, 0.3, 0.3, rhs(0.0, u0))
         assert proposal[0] == pytest.approx(0.3**5, abs=1e-15)
         assert abs(error[0]) > 0.0
         assert abs(proposal[0] - 0.3**5) <= abs(error[0])
+        # the last stage is the right-hand side where the step lands
+        assert np.array_equal(last, rhs(0.3, proposal))
 
     def test_stats_accounting(self):
-        system = scalar_decay_system()
-        traj = rk54_integrate(system, 0.0, 1.0, 1e-8, 1e-10, np.linspace(0.0, 1.0, 6))
-        attempts = traj.stats.accepted + traj.stats.rejected
-        assert traj.stats.rhs_evals == 7 * attempts
-        assert attempts >= 5  # at least one per checkpoint gap
+        # the probe is the first attempt's first stage, and every accepted step
+        # hands its last stage on as the next first stage
+        cases = (
+            (scalar_decay_system(), np.linspace(0.0, 1.0, 6), False),
+            (stiff_decay_system(), [0.0, 0.5, 1.0], True),
+        )
+        for system, cps, rejects in cases:
+            system, calls = counted(system)
+            traj = rk54_integrate(system, 0.0, 1.0, 1e-8, 1e-10, cps)
+            attempts = traj.stats.accepted + traj.stats.rejected
+            assert (traj.stats.rejected > 0) == rejects
+            assert len(calls) == traj.stats.rhs_evals == 1 + 6 * attempts
+            assert attempts >= len(cps) - 1  # at least one per checkpoint gap
+
+    @pytest.mark.parametrize("case", ["p1-fe-collocation-n16", "stiff-with-rejections"])
+    def test_fsal_matches_the_seven_evaluation_reference_bitwise(self, case, p1):
+        if case == "stiff-with-rejections":
+            system, cps = stiff_decay_system(), [0.0, 0.5, 1.0]
+        else:
+            system, cps = build_fe_collocation(p1, 16), np.linspace(0.0, 1.0, 51)
+        states, accepted, rejected = seven_evaluation_rk54(system, 0.0, 1.0, 1e-6, 1e-9, cps)
+        assert (rejected > 0) == (case == "stiff-with-rejections")
+        system, calls = counted(system)
+        traj = rk54_integrate(system, 0.0, 1.0, 1e-6, 1e-9, cps)
+        assert np.array_equal(traj.states, states)
+        assert (traj.stats.accepted, traj.stats.rejected) == (accepted, rejected)
+        assert len(calls) == 1 + 6 * (accepted + rejected)
 
     def test_determinism_bitwise(self, p1):
         system = build_fe_collocation(p1, 16)
@@ -127,6 +224,20 @@ class TestDormandPrince:
         system = make_system(1, lambda t, a: a * np.nan, [1.0])
         with pytest.raises(IntegrationError, match="non-finite"):
             rk54_integrate(system, 0.0, 1.0, 1e-6, 1e-9, [0.0, 1.0])
+
+    def test_non_finite_windows_and_tolerances_rejected(self):
+        system = scalar_decay_system()
+        for t0, duration in ((np.nan, 1.0), (-np.inf, 1.0), (0.0, np.inf), (0.0, np.nan), (0.0, 0.0)):
+            with pytest.raises(ValueError, match="t0 must be finite|duration must be positive"):
+                rk54_integrate(system, t0, duration, 1e-6, 1e-9, [0.0, 1.0])
+            with pytest.raises(ValueError, match="t0 must be finite|duration must be positive"):
+                euler_integrate(system, t0, duration, 0.1, [0.0, 1.0])
+        for rtol, atol in ((np.inf, 1e-9), (1e-6, np.inf), (np.nan, 1e-9)):
+            with pytest.raises(ValueError, match="rtol and atol"):
+                rk54_integrate(system, 0.0, 1.0, rtol, atol, [0.0, 1.0])
+        for ht in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="step size"):
+                euler_integrate(system, 0.0, 1.0, ht, [0.0, 1.0])
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
