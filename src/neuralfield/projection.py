@@ -127,8 +127,8 @@ class ChebyshevBasis:
         return out[..., 0][()] if np.ndim(x) == 0 else out
 
 
-def _odd_length(values) -> int:
-    m = np.shape(values)[-1]
+def _odd_length(values, axis: int = -1) -> int:
+    m = np.shape(values)[axis]
     if m % 2 == 0:
         raise ValueError(f"transform length must be odd, got {m}")
     return m
@@ -141,13 +141,18 @@ def dft_forward(samples) -> np.ndarray:
     x_l = 2*pi*l/m with m = 2n + 1 odd; the 1/m factor sits here so the
     coefficients approximate the continuous Fourier coefficients directly.
     Real samples give c_{-j} = conj(c_j) and Im c_0 = 0, so those are not
-    stored and the packed vector has m entries.
+    stored and the packed vector has m entries. ``samples`` is one vector
+    of length m or a stack of columns of shape (m, k), each column
+    transformed into one packed column, so that a linear map on samples can
+    be carried into coefficient space.
     """
     v = np.asarray(samples, dtype=float)
-    m = _odd_length(v)
-    c = np.fft.rfft(v) / m
-    out = c.view(np.float64)[1:].copy()
+    _odd_length(v, axis=0)
+    c = np.fft.rfft(v, axis=0, norm="forward")
+    out = np.empty(v.shape)
     out[0] = c[0].real
+    out[1::2] = c[1:].real
+    out[2::2] = c[1:].imag
     return out
 
 

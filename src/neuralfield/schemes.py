@@ -7,20 +7,32 @@ Every scheme integrates the state a in the projected form
 on quadrature nodes X with weight matrix W: ``pre`` maps the state to
 values at X, the firing rate f acts pointwise there, and ``post`` maps
 values at X back to the state space, so that ``encode(fn) = post(fn(X))``
-is the scheme's projector and the quadrature is enslaved to it. Per scheme
-(nodes X; weight W; pre; post):
+is the scheme's projector and the quadrature is enslaved to it. Everything
+but the state is therefore known when the scheme is built. The logistic's
+tanh form f(u) = 1/2 - tanh(kappa u - mu) / 2 and the linearity of
+``post`` fold W into a constant half and a slope, so a right-hand side
+evaluates
+
+    a' = post(G(t)) + K tanh(kappa pre(a) - mu) - a,
+    G(t) = F(X, t) + W 1 / 2,   K = post(-W / 2),
+
+with K, W 1 / 2 and every factor of F(X, t) that depends on X alone
+computed once at build. Per scheme (nodes X; weight W; pre; post; K):
 
 - fe-collocation and fe-galerkin/lumped: the n + 1 uniform nodes;
-  trapezium weights; identity; identity.
+  trapezium weights; identity; identity; -W/2, (n + 1) x (n + 1).
 - cheb-collocation/cc: the n + 1 Chebyshev nodes; Clenshaw-Curtis weights;
-  identity; identity.
+  identity; identity; -W/2, (n + 1) x (n + 1).
 - cheb-collocation/trapezium: m + 1 uniform panel nodes; trapezium
-  weights; barycentric interpolation onto the panel nodes; identity.
+  weights; barycentric interpolation onto the panel nodes; identity;
+  -W/2, (n + 1) x (m + 1).
 - fe-galerkin/gauss2: two Gauss points per element; element-scaled
-  kernel; tents at the Gauss points; the mass-matrix solve of the
-  Gauss-rule load vector, M^-1 L, precomputed as one dense matrix.
+  kernel; tents at the Gauss points, a two-tap stencil per element; the
+  mass-matrix solve of the Gauss-rule load vector, P = M^-1 L,
+  precomputed as one dense matrix; -P W / 2, (n + 1) x 2n.
 - spectral-galerkin: the 2n + 1 uniform ring nodes; trapezium weights;
-  inverse real DFT of the packed coefficients; forward real DFT.
+  inverse real DFT of the packed coefficients; forward real DFT; the
+  forward DFT of the columns of -W/2, (2n + 1) x (2n + 1).
 
 Systems are immutable and their right-hand sides allocate no shared
 scratch, so they are safe to evaluate concurrently.
@@ -107,6 +119,13 @@ def _identity(values):
     return values
 
 
+def _two_tap(a, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Values of the tent interpolant of ``a`` at the two Gauss points of each
+    element, element-major: a[e] * left[q] + a[e + 1] * right[q] at point q
+    of element e."""
+    return (a[:-1, None] * left + a[1:, None] * right).ravel()
+
+
 def _kernel_matrix(problem: TestProblem, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.asarray(problem.kernel(rows[:, None], cols[None, :]), dtype=float)
 
@@ -119,29 +138,41 @@ def _projected(
     norm: str,
     pre: Callable = _identity,
     post: Callable = _identity,
-    weight_infnorm: Optional[float] = None,
+    weight_infnorm: Optional[Callable] = None,
 ) -> SemiDiscreteSystem:
-    """The system a' = -a + post(F(nodes, t) + weight @ f(pre(a))).
+    """The system a' = -a + post(F(nodes, t) + weight @ f(pre(a))), evaluated as
+    a' = post(G(t)) + K tanh(kappa pre(a) - mu) - a.
 
-    ``weight_infnorm``, the ||W_n|| entering beta_n, defaults to the row-sum
-    norm of ``weight`` itself; gauss2 passes that of its nodal operator
-    post @ weight @ pre instead.
+    f(u) = 1/2 - tanh(kappa u - mu) / 2 splits weight @ f into the constant
+    weight @ 1 / 2, which joins the forcing in G(t), and the slope
+    -weight / 2, which ``post`` maps once into K = post(-weight / 2). So
+    ``post`` must be linear and accept a matrix, acting on its columns.
+
+    ``weight_infnorm(K)`` gives the ||W_n|| entering beta_n; by default it
+    is the row-sum norm of ``weight`` itself. gauss2 passes that of its
+    nodal operator post @ weight @ pre = -2 K @ pre instead, which reuses
+    the product in K.
     """
-    firing, forcing = problem.firing, problem.forcing
+    firing = problem.firing
+    forcing = problem.forcing_at(nodes)
+    kappa, mu = firing.tanh_form
+    half_row_sums = 0.5 * weight.sum(axis=1)
+    slope = post(-0.5 * weight)
 
     def rhs(t, a):
-        return post(forcing(nodes, t) + weight @ firing(pre(a))) - a
+        return post(forcing(t) + half_row_sums) + slope @ np.tanh(kappa * pre(a) - mu) - a
 
     def encode(fn):
         return post(np.asarray(fn(nodes), dtype=float))
 
-    if weight_infnorm is None:
-        weight_infnorm = _infnorm(weight)
     return SemiDiscreteSystem(
         rhs=rhs,
         initial=encode(problem.initial),
         reconstruct=reconstruct,
-        diagnostics=SchemeDiagnostics(weight_infnorm, firing.sup_derivative),
+        diagnostics=SchemeDiagnostics(
+            _infnorm(weight) if weight_infnorm is None else weight_infnorm(slope),
+            firing.sup_derivative,
+        ),
         norm=norm,
         encode=encode,
     )
@@ -221,8 +252,9 @@ def build_fe_galerkin(problem: TestProblem, n: int, variant: str = "gauss2") -> 
     corner diagonal entries, 2h/3 inside, h/6 off the diagonal) and builds
     the load vector by 2-point Gauss per element, both for the forcing inner
     products and for the double kernel integral. The mass solve of the load
-    map is done once at build time, so a right-hand side evaluation is dense
-    products only.
+    map is done once at build time, and so is its product with the kernel,
+    so a right-hand side evaluation is a two-tap stencil onto the Gauss
+    points and two (n + 1) x 2n products.
     """
     _require_compact(problem, "fe-galerkin")
     if n < 2:
@@ -260,9 +292,10 @@ def build_fe_galerkin(problem: TestProblem, n: int, variant: str = "gauss2") -> 
         weight,
         TentBasis(grid).interpolate,
         "l2",
-        pre=lambda a: local_interp @ a,
+        pre=lambda a: _two_tap(a, hat_left, hat_right),
         post=lambda v: projector @ v,
-        weight_infnorm=_infnorm(projector @ weight @ local_interp),
+        # K = -P W / 2 exactly, so 2 ||K L|| is ||P W L|| to the bit
+        weight_infnorm=lambda slope: 2.0 * _infnorm(slope @ local_interp),
     )
 
 

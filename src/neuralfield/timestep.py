@@ -46,6 +46,8 @@ def _validated_checkpoints(t0: float, duration: float, checkpoints) -> np.ndarra
         raise ValueError("t0 must be finite")
     if not 0.0 < duration < math.inf:
         raise ValueError("duration must be positive and finite")
+    if not math.isfinite(t0 + duration):
+        raise ValueError("t0 + duration must be finite")
     cps = np.asarray(checkpoints, dtype=float)
     if cps.ndim != 1 or len(cps) == 0:
         raise ValueError("checkpoints must be a non-empty 1-D sequence of times")

@@ -96,13 +96,15 @@ def test_check_quadrature_suite(capsys):
         RUN_P1 + ["--rtol", "inf"],
         RUN_P1 + ["--atol", "inf"],
         RUN_P1 + ["--stepper", "euler", "--ht", "inf"],
+        # a finite start and length whose end overflows
+        RUN_P1 + ["--t0", "1e308", "--T", "1e308"],
     ],
     ids=[
         "bad-flag", "n=1", "unknown-problem", "euler-rtol", "t0-outside-the-domain",
         "T-past-the-representable-envelope", "converge-no-n", "converge-no-problems",
         "euler-no-spatial-n", "euler-spatial-n-decreasing", "euler-too-few-eval-points",
         "euler-one-checkpoint", "euler-one-ht", "euler-one-spatial-n", "euler-n-fixed-eval-points",
-        "T-inf", "t0-nan", "rtol-inf", "atol-inf", "euler-ht-inf",
+        "T-inf", "t0-nan", "rtol-inf", "atol-inf", "euler-ht-inf", "window-end-overflows",
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
@@ -116,6 +118,25 @@ def test_a_nan_t0_is_reported_as_such(capsys):
     code, _, err = _exit(RUN_P1 + ["--t0", "nan"], capsys)
     assert code == cli.EXIT_USAGE
     assert err == "usage error: t0 must be finite\n"
+
+
+def test_an_overflowing_window_end_is_reported_as_such(capsys):
+    # it used to warn from np.linspace and blame the firing-rate inverse
+    code, _, err = _exit(RUN_P1 + ["--t0", "1e308", "--T", "1e308"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == "usage error: t0 + duration must be finite\n"
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array", ""])
+def test_memory_error_is_one_line(message, capsys, monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(harness, "run_study", exhausted)
+    code, out, err = _exit(RUN_P1 + ["--checkpoints", "100000000000"], capsys)
+    assert code == cli.EXIT_MEMORY
+    assert out == ""
+    assert err == (f"out of memory: {message}\n" if message else "out of memory\n")
 
 
 def test_euler_blowup_exits_2(capsys, monkeypatch):

@@ -152,8 +152,8 @@ P3,fe-collocation,trapezium,8,0.25,0.012833304598058912,,0.96531702752213799
 P3,fe-collocation,trapezium,16,0.125,0.0037037834432228425,1.7928210615886482,0.96168612336501491
 P3,fe-collocation,trapezium,32,0.0625,0.00096327397217380734,1.9429816584659902,0.96163358827717427
 P6,fe-collocation,trapezium,8,0.25,0.015185251897026408,,1.4229315629007546
-P6,fe-collocation,trapezium,16,0.125,0.0039334493116100211,1.9488039429672199,1.2939831684214189
-P6,fe-collocation,trapezium,32,0.0625,0.00099282435599723495,1.9861845791822621,1.2610443683117403
+P6,fe-collocation,trapezium,16,0.125,0.0039334493116099933,1.9488039429672301,1.2939831684214189
+P6,fe-collocation,trapezium,32,0.0625,0.00099282435599729046,1.9861845791821715,1.2610443683117403
 """,
     (("P7p", "P9p"), "spectral-galerkin"): """\
 P7p,spectral-galerkin,fft,8,0.36959913571644626,0.0022164686805541049,,8.4827515581815192
@@ -161,7 +161,7 @@ P7p,spectral-galerkin,fft,16,0.19039955476301776,3.234226326159387e-05,6.0986985
 P7p,spectral-galerkin,fft,32,0.096664389341224399,1.1631193337841871e-08,11.441205802461891,8.5502834713904257
 P9p,spectral-galerkin,fft,8,0.36959913571644626,0.0022164686805541049,,7.5109370868022252
 P9p,spectral-galerkin,fft,16,0.19039955476301776,3.234226326159387e-05,6.0986985267438438,7.5580620552248359
-P9p,spectral-galerkin,fft,32,0.096664389341224399,4.341857005750626e-08,9.5408927114024547,7.5707742101005699
+P9p,spectral-galerkin,fft,32,0.096664389341224399,4.341857018940396e-08,9.5408927070198093,7.5707742101005699
 """,
 }
 

@@ -18,6 +18,16 @@ def bisect_inverse(fr, target, lo=-100.0, hi=100.0):
     return 0.5 * (lo + hi)
 
 
+def _dense_sample():
+    """A ramp over [-1e6, 1e6], decades from 1e-300 to 1e6 of both signs, the
+    threshold's neighbourhood, and every point's two float neighbours."""
+    ramp = np.linspace(-1e6, 1e6, 400_001)
+    decades = np.logspace(-300, 6, 3_000)
+    near = FR.threshold + np.linspace(-1e-12, 1e-12, 2_001)
+    u = np.concatenate([ramp, decades, -decades, near, [0.0, -0.0, FR.threshold]])
+    return np.concatenate([u, np.nextafter(u, np.inf), np.nextafter(u, -np.inf)])
+
+
 class TestInterval:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -97,16 +107,21 @@ class TestFiringRate:
             z = np.exp(-np.abs(s))
             return np.where(s >= 0, z / (1.0 + z), 1.0 / (1.0 + z))
 
-        ramp = np.linspace(-1e6, 1e6, 400_001)
-        decades = np.logspace(-300, 6, 3_000)
-        near = FR.threshold + np.linspace(-1e-12, 1e-12, 2_001)
-        u = np.concatenate([ramp, decades, -decades, near, [0.0, -0.0, FR.threshold]])
-        u = np.concatenate([u, np.nextafter(u, np.inf), np.nextafter(u, -np.inf)])
+        u = _dense_sample()
         # e^(-|s|) underflows to 0 beyond |s| = 745 in both forms: that is the
         # saturation, so only overflow, invalid and division are errors
         with np.errstate(all="raise", under="ignore"):
             out = FR(u)
         assert np.array_equal(out.view(np.int64), two_branch(u).view(np.int64))
+
+    def test_tanh_form_matches_the_logistic_within_one_epsilon(self):
+        kappa, mu = FR.tanh_form
+        assert (kappa, mu) == (2.5, 0.75)
+        u = _dense_sample()
+        with np.errstate(all="raise", under="ignore"):
+            folded = 0.5 - 0.5 * np.tanh(kappa * u - mu)
+            exact = FR(u)
+        assert np.max(np.abs(folded - exact)) <= np.finfo(float).eps
 
     def test_derivative_extremum_at_threshold(self):
         assert FR.derivative(0.3) == pytest.approx(-1.25, rel=1e-15)

@@ -10,7 +10,6 @@ from neuralfield.problems import (
     exact_time_derivative,
     make_problem,
     modulation_integral,
-    pure_decay_problem,
     zero_kernel_problem,
 )
 from neuralfield.quadrature import clenshaw_curtis, trapezium_rule
@@ -91,7 +90,7 @@ class TestExactTimeDerivative:
         # envelope -> 0, derivative -> decay/gain
         assert exact_time_derivative(p1, 0.0, 1e6) == pytest.approx(0.5 / 5.0, rel=1e-12)
 
-    def test_rejects_non_manufactured(self):
+    def test_rejects_non_manufactured(self, pure_decay_problem):
         with pytest.raises(ValueError):
             exact_time_derivative(pure_decay_problem(), 0.0, 0.0)
 
@@ -149,9 +148,27 @@ class TestForcing:
         with pytest.raises(ValueError, match="strictly inside"):
             p1.forcing(np.zeros(3), -2.0)
 
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    def test_node_bound_forcing_matches_the_closed_form(self, pid):
+        # the bound form reassociates the closed form around its precomputed
+        # spatial factors, so it agrees to a few roundings, not bitwise
+        problem = make_problem(pid)
+        xs = eval_grid(problem.interval, 2048)
+        bound = problem.forcing_at(xs)
+        for t in default_checkpoints(0.0, 1.0, 51):
+            closed = problem.forcing(xs, t)
+            tolerance = 16.0 * np.finfo(float).eps * np.max(np.abs(closed))
+            assert np.max(np.abs(bound(t) - closed)) <= tolerance
+
+    def test_node_bound_forcing_keeps_the_envelope_checks(self, p1):
+        bound = p1.forcing_at(np.zeros(3))
+        for t in (-2.0, 1600.0, float("nan")):
+            with pytest.raises(ValueError, match="strictly inside"):
+                bound(t)
+
 
 class TestHelpers:
-    def test_pure_decay_exact_solution(self):
+    def test_pure_decay_exact_solution(self, pure_decay_problem):
         problem = pure_decay_problem()
         xs = np.linspace(-1.0, 1.0, 5)
         assert np.allclose(problem.exact(xs, 1.0), 0.4 * np.exp(-1.0))

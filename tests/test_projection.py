@@ -171,6 +171,13 @@ class TestDft:
         back = dft_backward(dft_forward(v))
         assert np.max(np.abs(back - v)) <= 1e-13 * max(1.0, np.max(np.abs(v)))
 
+    def test_a_stack_of_columns_transforms_column_by_column(self, rng):
+        stack = rng.standard_normal((11, 4))
+        columns = np.stack([dft_forward(stack[:, j]) for j in range(4)], axis=1)
+        assert np.max(np.abs(dft_forward(stack) - columns)) <= 1e-15 * np.max(np.abs(stack))
+        with pytest.raises(ValueError):
+            dft_forward(np.ones((8, 3)))
+
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
             dft_forward(np.ones(8))

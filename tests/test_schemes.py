@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 from neuralfield.checks import dft_backward_direct, dft_forward_direct
-from neuralfield.model import UniformGrid
-from neuralfield.problems import (
-    exact_time_derivative,
-    make_problem,
-    pure_decay_problem,
-)
-from neuralfield.projection import dft_forward
-from neuralfield.quadrature import gauss_legendre_2, trapezium_rule
+from neuralfield.model import ChebyshevGrid, UniformGrid
+from neuralfield.problems import exact_time_derivative, make_problem
+from neuralfield.projection import ChebyshevBasis, dft_backward, dft_forward
+from neuralfield.quadrature import clenshaw_curtis, gauss_legendre_2, trapezium_rule
 from neuralfield.schemes import (
+    _two_tap,
     build_cheb_collocation,
     build_fe_collocation,
     build_fe_galerkin,
@@ -31,7 +28,9 @@ ALL_BUILDERS = [
 
 class TestDecayReduction:
     @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
-    def test_rhs_is_pure_decay_for_zero_kernel_and_forcing(self, builder, periodic, rng):
+    def test_rhs_is_pure_decay_for_zero_kernel_and_forcing(
+        self, builder, periodic, rng, pure_decay_problem
+    ):
         system = builder(pure_decay_problem(periodic=periodic), 8)
         a = rng.standard_normal(system.dim)
         assert np.array_equal(system.rhs(0.7, a), -a)
@@ -235,7 +234,9 @@ class TestPlumbing:
             reconstruct_on(system, np.zeros(4), np.zeros(3))
 
     @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
-    def test_reconstruct_on_rejects_a_wrong_last_axis_and_three_dimensions(self, builder, periodic):
+    def test_reconstruct_on_rejects_a_wrong_last_axis_and_three_dimensions(
+        self, builder, periodic, pure_decay_problem
+    ):
         system = builder(pure_decay_problem(periodic=periodic), 8)
         with pytest.raises(ValueError):
             reconstruct_on(system, np.zeros((3, system.dim + 1)), np.zeros(3))
@@ -290,3 +291,103 @@ def test_weight_infnorm_stabilizes(scheme, problems):
         coarse = build_system(problem, scheme, 128).diagnostics.weight_infnorm
         fine = build_system(problem, scheme, 256).diagnostics.weight_infnorm
         assert abs(fine - coarse) / coarse < 0.01, f"{scheme} {pid}"
+
+
+def _gauss2_interpolation(n):
+    """The dense 2n x (n + 1) map from nodal values to the two Gauss points
+    of every element, element-major, and the points themselves."""
+    ref = gauss_legendre_2().nodes
+    x, h = np.linspace(-1.0, 1.0, n + 1), 2.0 / n
+    local = np.zeros((2 * n, n + 1))
+    for e in range(n):
+        for q in range(2):
+            local[2 * e + q, e] = (1.0 - ref[q]) / 2.0
+            local[2 * e + q, e + 1] = (1.0 + ref[q]) / 2.0
+    points = (x[:-1, None] + (1.0 + ref[None, :]) * (h / 2.0)).ravel()
+    return local, points
+
+
+def _same(values):
+    return values
+
+
+def _parent_form(label, problem, n):
+    """Nodes X, weight W, pre and post of the unfolded formula
+    post(forcing(X, t) + W @ firing(pre(a))) - a, assembled independently."""
+    iv = problem.interval
+
+    def kernel(rows, cols):
+        return problem.kernel(rows[:, None], cols[None, :])
+
+    if label == "spectral-galerkin":
+        m = 2 * n + 1
+        x = 2.0 * np.pi * np.arange(m) / m
+        return x, (2.0 * np.pi / m) * kernel(x, x), dft_backward, dft_forward
+    if label in ("fe-collocation", "fe-galerkin/lumped"):
+        rule = trapezium_rule(iv, n)
+        return rule.nodes, kernel(rule.nodes, rule.nodes) * rule.weights, _same, _same
+    x = ChebyshevGrid(n).nodes
+    if label == "cheb-collocation/cc":
+        return x, kernel(x, x) * clenshaw_curtis(n).weights, _same, _same
+    if label == "cheb-collocation/trapezium":
+        rule = trapezium_rule(iv, n)
+        onto = ChebyshevBasis(ChebyshevGrid(n)).interpolation_matrix(rule.nodes)
+        return x, kernel(x, rule.nodes) * rule.weights, (lambda a: onto @ a), _same
+    # fe-galerkin/gauss2: the dense Gauss-point interpolation and the mass
+    # matrix solved densely
+    h = iv.length / n
+    local, points = _gauss2_interpolation(n)
+    mass = np.diag(np.full(n + 1, 2.0 * h / 3.0)) + np.diag(np.full(n, h / 6.0), 1) + np.diag(
+        np.full(n, h / 6.0), -1
+    )
+    mass[0, 0] = mass[n, n] = h / 3.0
+    projector = np.linalg.solve(mass, (h / 2.0) * local.T)
+    return points, (h / 2.0) * kernel(points, points), (lambda a: local @ a), (lambda v: projector @ v)
+
+
+FOLD_CASES = [
+    ("fe-collocation", lambda p, n: build_fe_collocation(p, n)),
+    ("cheb-collocation/cc", lambda p, n: build_cheb_collocation(p, n, quadrature="cc")),
+    ("cheb-collocation/trapezium", lambda p, n: build_cheb_collocation(p, n, quadrature="trapezium")),
+    ("fe-galerkin/lumped", lambda p, n: build_fe_galerkin(p, n, variant="lumped")),
+    ("fe-galerkin/gauss2", lambda p, n: build_fe_galerkin(p, n, variant="gauss2")),
+    ("spectral-galerkin", lambda p, n: build_spectral_galerkin(p, n)),
+]
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("label,builder", FOLD_CASES, ids=[label for label, _ in FOLD_CASES])
+def test_folded_rhs_matches_the_unfolded_formula(label, builder, n, rng):
+    # the right-hand side folds the logistic's constant half into the forcing
+    # and its slope into post(-W/2); unfolded, it is the parent formula
+    problem = make_problem("P7p" if label == "spectral-galerkin" else "P1")
+    system = builder(problem, n)
+    nodes, weight, pre, post = _parent_form(label, problem, n)
+    states = [system.initial, rng.standard_normal(system.dim), 0.3 * rng.standard_normal(system.dim)]
+    for t, a in zip((0.0, 0.37, 0.91), states):
+        oracle = post(problem.forcing(nodes, t) + weight @ problem.firing(pre(a))) - a
+        rhs = system.rhs(t, a)
+        assert np.max(np.abs(rhs - oracle)) <= 1e-14 * np.max(np.abs(rhs))
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_gauss2_stencil_matches_the_dense_interpolation(n, rng):
+    ref = gauss_legendre_2().nodes
+    local, _ = _gauss2_interpolation(n)
+    for a in (rng.standard_normal(n + 1), 1e3 * rng.standard_normal(n + 1)):
+        stencil = _two_tap(a, (1.0 - ref) / 2.0, (1.0 + ref) / 2.0)
+        assert stencil.shape == (2 * n,)
+        assert np.max(np.abs(stencil - local @ a)) <= np.finfo(float).eps * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("label,builder", FOLD_CASES, ids=[label for label, _ in FOLD_CASES])
+def test_weight_infnorm_matches_the_unfolded_operator(label, builder):
+    # ||W_n|| is the row-sum norm of W, and of gauss2's nodal operator P W L
+    problem = make_problem("P7p" if label == "spectral-galerkin" else "P1")
+    system = builder(problem, 64)
+    _, weight, pre, post = _parent_form(label, problem, 64)
+    if label == "fe-galerkin/gauss2":
+        local, _ = _gauss2_interpolation(64)
+        weight = post(weight) @ local
+    oracle = np.max(np.sum(np.abs(weight), axis=1))
+    assert abs(system.diagnostics.weight_infnorm - oracle) <= 1e-13 * oracle

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from neuralfield.checks import scalar_decay_system
-from neuralfield.problems import pure_decay_problem
 from neuralfield.schemes import SchemeDiagnostics, SemiDiscreteSystem, build_fe_collocation
 from neuralfield.timestep import (
     IntegrationError,
@@ -141,7 +140,7 @@ class TestEuler:
             with pytest.raises(IntegrationError, match="non-finite state at checkpoint t=1.5"):
                 euler_integrate(system, 0.0, 2.0, 0.01, [0.0, 0.5, 1.0, 1.5, 2.0])
 
-    def test_vector_decay_matches_exponential(self, p1):
+    def test_vector_decay_matches_exponential(self, p1, pure_decay_problem):
         system = build_fe_collocation(pure_decay_problem(), 8)
         traj = euler_integrate(system, 0.0, 1.0, 1e-4, [0.0, 0.5, 1.0])
         exact = 0.4 * np.exp(-np.asarray([0.0, 0.5, 1.0]))
@@ -238,6 +237,13 @@ class TestDormandPrince:
         for ht in (np.inf, np.nan):
             with pytest.raises(ValueError, match="step size"):
                 euler_integrate(system, 0.0, 1.0, ht, [0.0, 1.0])
+
+    def test_an_overflowing_window_end_is_rejected(self):
+        system = scalar_decay_system()
+        with pytest.raises(ValueError, match=r"t0 \+ duration must be finite"):
+            rk54_integrate(system, 1e308, 1e308, 1e-6, 1e-9, [1e308])
+        with pytest.raises(ValueError, match=r"t0 \+ duration must be finite"):
+            euler_integrate(system, 1e308, 1e308, 1e307, [1e308])
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
