@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 from . import harness
 from .checks import SUITES
 from .problems import canonical_id
+from .schemes import SCHEMES
 from .timestep import IntegrationError
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_IO, EXIT_MEMORY = 0, 1, 2, 3, 4
@@ -55,13 +56,15 @@ def _add_stepper(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ht", type=float, default=None, help="euler step size")
 
 
+def _variants(scheme: str) -> tuple[str, ...]:
+    return tuple(v for s, v in SCHEMES if s == scheme)
+
+
 def _add_scheme_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scheme", required=True, choices=harness.SCHEMES)
-    parser.add_argument("--quadrature", choices=("trapezium", "cc"), default="cc",
+    parser.add_argument("--scheme", required=True, choices=tuple(dict.fromkeys(s for s, _ in SCHEMES)))
+    parser.add_argument("--quadrature", choices=_variants("cheb-collocation"), default="cc",
                         help="cheb-collocation quadrature")
-    parser.add_argument("--trap-m", type=int, default=None, dest="trap_m",
-                        help="trapezium panel count override (cheb-collocation)")
-    parser.add_argument("--variant", choices=("lumped", "gauss2"), default="gauss2",
+    parser.add_argument("--variant", choices=_variants("fe-galerkin"), default="gauss2",
                         help="fe-galerkin variant")
 
 
@@ -72,7 +75,6 @@ def _study_config(args, problems, n_values) -> harness.StudyConfig:
         n_values=n_values,
         quadrature=args.quadrature,
         variant=args.variant,
-        trap_m=args.trap_m,
         t0=args.t0,
         duration=args.duration,
         stepper=args.stepper,

@@ -16,18 +16,13 @@ import numpy as np
 
 from .model import Interval
 from .problems import TestProblem, make_problem
-from .schemes import (
-    SemiDiscreteSystem,
-    build_cheb_collocation,
-    build_fe_collocation,
-    build_fe_galerkin,
-    build_spectral_galerkin,
-    reconstruct_on,
-)
+from .schemes import SCHEMES, SemiDiscreteSystem, reconstruct_on
+
+# not called here: the benchmark's tracer rebinds this name, so it stays importable
+from .schemes import build_fe_collocation  # noqa: F401
 from .timestep import Trajectory, euler_integrate, rk54_integrate
 
 __all__ = [
-    "SCHEMES",
     "StudyConfig",
     "ConvergenceRecord",
     "SandwichResult",
@@ -47,8 +42,6 @@ __all__ = [
     "render_csv",
 ]
 
-SCHEMES = ("fe-collocation", "cheb-collocation", "fe-galerkin", "spectral-galerkin")
-
 CSV_HEADER = "problem,scheme,variant,n,h_x,error,observed_order,beta_n,wall_time_s"
 
 
@@ -56,10 +49,11 @@ CSV_HEADER = "problem,scheme,variant,n,h_x,error,observed_order,beta_n,wall_time
 class StudyConfig:
     """Sweep description for a convergence study.
 
-    ``quadrature`` applies to cheb-collocation ("cc" or "trapezium", with
-    ``trap_m`` overriding the trapezium panel count), ``variant`` to
-    fe-galerkin ("lumped" or "gauss2"). ``ht`` is required when the stepper
-    is "euler" and ignored otherwise.
+    ``scheme`` with its selector names one entry of :data:`schemes.SCHEMES`:
+    ``quadrature`` selects cheb-collocation's ("cc" or "trapezium") and
+    ``variant`` fe-galerkin's ("lumped" or "gauss2"); the other schemes have
+    one entry each and ignore both. ``ht`` is required when the stepper is
+    "euler" and ignored otherwise.
     """
 
     problems: Sequence[str]
@@ -67,7 +61,6 @@ class StudyConfig:
     n_values: Sequence[int]
     quadrature: str = "cc"
     variant: str = "gauss2"
-    trap_m: Optional[int] = None
     t0: float = 0.0
     duration: float = 1.0
     stepper: str = "rk54"
@@ -78,8 +71,7 @@ class StudyConfig:
     checkpoint_count: int = 51
 
     def validate(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {', '.join(SCHEMES)}")
+        _scheme_key(self.scheme, self.quadrature, self.variant)
         if not self.problems:
             raise ValueError("need at least one problem")
         ns = tuple(self.n_values)
@@ -122,25 +114,33 @@ class ConvergenceRecord:
     wall_time_s: float
 
 
+def _scheme_key(scheme: str, quadrature: str, variant: str) -> tuple[str, str]:
+    """The :data:`schemes.SCHEMES` key that a scheme and the study selectors name.
+
+    cheb-collocation reads ``quadrature`` and fe-galerkin ``variant``; a
+    scheme with one entry ignores both. Unknown names raise ``ValueError``.
+    """
+    variants = [v for s, v in SCHEMES if s == scheme]
+    if not variants:
+        names = ", ".join(dict.fromkeys(s for s, _ in SCHEMES))
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {names}")
+    if len(variants) == 1:
+        return scheme, variants[0]
+    selector, chosen = (
+        ("quadrature", quadrature) if scheme == "cheb-collocation" else ("variant", variant)
+    )
+    if chosen not in variants:
+        raise ValueError(
+            f"unknown {selector} {chosen!r} for {scheme}; expected one of {', '.join(variants)}"
+        )
+    return scheme, chosen
+
+
 def build_system(
-    problem: TestProblem,
-    scheme: str,
-    n: int,
-    *,
-    quadrature: str = "cc",
-    variant: str = "gauss2",
-    trap_m: Optional[int] = None,
+    problem: TestProblem, scheme: str, n: int, *, quadrature: str = "cc", variant: str = "gauss2"
 ) -> SemiDiscreteSystem:
-    """Dispatch to the scheme builders with the study-level selectors."""
-    if scheme == "fe-collocation":
-        return build_fe_collocation(problem, n)
-    if scheme == "cheb-collocation":
-        return build_cheb_collocation(problem, n, quadrature=quadrature, m=trap_m)
-    if scheme == "fe-galerkin":
-        return build_fe_galerkin(problem, n, variant=variant)
-    if scheme == "spectral-galerkin":
-        return build_spectral_galerkin(problem, n)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEMES)}")
+    """Build the :data:`schemes.SCHEMES` entry that the study-level selectors name."""
+    return SCHEMES[_scheme_key(scheme, quadrature, variant)](problem, n)
 
 
 def default_checkpoints(t0: float, duration: float, count: int) -> np.ndarray:
@@ -254,22 +254,11 @@ def _integrate(system, cfg: StudyConfig, checkpoints) -> Trajectory:
     return euler_integrate(system, cfg.t0, cfg.duration, cfg.ht, checkpoints)
 
 
-def _variant_label(cfg: StudyConfig) -> str:
-    if cfg.scheme == "fe-collocation":
-        return "trapezium"
-    if cfg.scheme == "cheb-collocation":
-        if cfg.quadrature == "trapezium" and cfg.trap_m is not None:
-            return f"trapezium;m={cfg.trap_m}"
-        return cfg.quadrature
-    if cfg.scheme == "fe-galerkin":
-        return cfg.variant
-    return "fft"
-
-
-def _mesh_size(problem: TestProblem, scheme: str, n: int) -> float:
-    if scheme == "spectral-galerkin":
-        return problem.interval.length / (2 * n + 1)
-    return problem.interval.length / n
+def _h_x(problem: TestProblem, system: SemiDiscreteSystem) -> float:
+    """h_x: the interval length per degree of freedom of the built system,
+    which has one more state than intervals unless the domain is a ring."""
+    interval = problem.interval
+    return interval.length / (system.dim if interval.periodic else system.dim - 1)
 
 
 def _cell(
@@ -282,9 +271,7 @@ def _cell(
     measurement is excluded). ``exact`` is passed on to :func:`trajectory_error`.
     """
     start = time.perf_counter()
-    system = build_system(
-        problem, cfg.scheme, n, quadrature=cfg.quadrature, variant=cfg.variant, trap_m=cfg.trap_m
-    )
+    system = build_system(problem, cfg.scheme, n, quadrature=cfg.quadrature, variant=cfg.variant)
     traj = _integrate(system, cfg, checkpoints)
     wall = time.perf_counter() - start
     return system, traj, trajectory_error(system, traj, problem, cfg.eval_points, exact), wall
@@ -301,7 +288,7 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     cfg.validate()
     records: list[ConvergenceRecord] = []
     cps = default_checkpoints(cfg.t0, cfg.duration, cfg.checkpoint_count)
-    variant = _variant_label(cfg)
+    _, variant = _scheme_key(cfg.scheme, cfg.quadrature, cfg.variant)
     for pid in cfg.problems:
         problem = make_problem(pid) if isinstance(pid, str) else pid
         exact = exact_grid(problem, cps, cfg.eval_points)
@@ -316,7 +303,7 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
                 scheme=cfg.scheme,
                 variant=variant,
                 n=n,
-                h_x=_mesh_size(problem, cfg.scheme, n),
+                h_x=_h_x(problem, system),
                 error=err,
                 observed_order=order,
                 beta_n=system.diagnostics.beta_n(cfg.duration),
@@ -436,7 +423,7 @@ def euler_split_study(
 
     cps = default_checkpoints(t0, duration, checkpoint_count)
     fixed, reference, spatial_floor, _ = _cell(prob, reference_cfg, n_fixed, cps)
-    hx_fixed = _mesh_size(prob, "fe-collocation", n_fixed)
+    hx_fixed = _h_x(prob, fixed)
     beta_fixed = fixed.diagnostics.beta_n(duration)
 
     # the one hand-written sweep: it measures state differences, not reconstruction error

@@ -105,13 +105,6 @@ class FiringRate:
         out = np.where(s >= 0, z, 1.0) / (1.0 + z)
         return out if out.ndim else out[()]
 
-    def derivative(self, u):
-        """Slope r'(u) = -gain * e^s / (1 + e^s)^2 with s = gain*(u - threshold)."""
-        s = self.gain * (np.asarray(u, dtype=float) - self.threshold)
-        z = np.exp(-np.abs(s))
-        out = -self.gain * z / (1.0 + z) ** 2
-        return out if out.ndim else out[()]
-
     def inverse(self, r):
         """Exact functional inverse: the voltage u with r(u) = r.
 

@@ -32,7 +32,6 @@ __all__ = [
     "modulation_integral",
     "exact_time_derivative",
     "continuum_residual",
-    "zero_kernel_problem",
 ]
 
 BOX = Interval(-1.0, 1.0)
@@ -72,11 +71,9 @@ class TestProblem:
     ``forcing(x, t)`` is the pointwise closed form; ``forcing_at(X)`` binds
     it to fixed nodes X and returns t -> forcing(X, t) with every factor
     that depends on X alone computed once, for right-hand sides that
-    evaluate it at the same nodes many times. ``modulation_integral`` is
-    the integral of the kernel's y-profile over the domain (the constant
-    appearing in the forcing), and ``envelope_exponent`` the shared spatial
-    profile q. The four optional fields are None for problems built outside
-    the manufactured family.
+    evaluate it at the same nodes many times. ``envelope_exponent`` is the
+    shared spatial profile q. The three optional fields are None for
+    problems built outside the manufactured family.
     """
 
     id: str
@@ -89,7 +86,6 @@ class TestProblem:
     exact: Callable
     amplitude: Optional[float] = None
     decay: Optional[float] = None
-    modulation_integral: Optional[float] = None
     envelope_exponent: Optional[Callable] = None
 
 
@@ -195,7 +191,6 @@ def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) 
         exact=exact,
         amplitude=AMPLITUDE,
         decay=DECAY,
-        modulation_integral=mod_integral,
         envelope_exponent=exponent,
     )
 
@@ -233,14 +228,3 @@ def continuum_residual(problem: TestProblem, x: float, t: float, ref_quad: Quadr
     return float(
         exact_time_derivative(problem, x, t) + problem.exact(x, t) - integral - problem.forcing(x, t)
     )
-
-
-def zero_kernel_problem(periodic: bool = False) -> TestProblem:
-    """Manufactured problem with the kernel switched off.
-
-    The closed form still solves it exactly because the forcing drops the
-    integral term along with the kernel; the residual is zero with no
-    quadrature error at all.
-    """
-    pid = "zero-kernel-ring" if periodic else "zero-kernel"
-    return _manufactured(pid, lambda y: np.asarray(y) * 0.0, periodic, 0.0)

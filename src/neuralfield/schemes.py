@@ -34,6 +34,10 @@ computed once at build. Per scheme (nodes X; weight W; pre; post; K):
   inverse real DFT of the packed coefficients; forward real DFT; the
   forward DFT of the columns of -W/2, (2n + 1) x (2n + 1).
 
+``SCHEMES`` is the one list of these six (scheme, variant) pairs: it maps
+each to a builder (problem, n) -> system, and the harness and the CLI read
+their scheme names, selectors and variant labels from it.
+
 Systems are immutable and their right-hand sides allocate no shared
 scratch, so they are safe to evaluate concurrently.
 """
@@ -41,6 +45,7 @@ scratch, so they are safe to evaluate concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,6 +57,7 @@ from .projection import ChebyshevBasis, TentBasis, dft_backward, dft_forward, fo
 from .quadrature import clenshaw_curtis, gauss_legendre_2, trapezium_rule
 
 __all__ = [
+    "SCHEMES",
     "SchemeDiagnostics",
     "SemiDiscreteSystem",
     "build_fe_collocation",
@@ -67,9 +73,12 @@ class SchemeDiagnostics:
     """Computable proxies for the operator norms entering the error bounds.
 
     ``weight_infnorm`` is the maximum absolute row sum of the assembled
-    weight matrix, the discrete stand-in for the norm of the projected
-    integral operator (for continuous kernels that operator norm equals the
-    largest row integral, and the row sum is its quadrature image).
+    weight matrix, or of the nodal operator that the scheme runs where the
+    state is mapped onto other quadrature nodes (W B for
+    cheb-collocation/trapezium, P W L for fe-galerkin/gauss2): the discrete
+    stand-in for the norm of the projected integral operator (for continuous
+    kernels that operator norm equals the largest row integral, and the row
+    sum is its quadrature image).
     """
 
     weight_infnorm: float
@@ -149,9 +158,9 @@ def _projected(
     ``post`` must be linear and accept a matrix, acting on its columns.
 
     ``weight_infnorm(K)`` gives the ||W_n|| entering beta_n; by default it
-    is the row-sum norm of ``weight`` itself. gauss2 passes that of its
-    nodal operator post @ weight @ pre = -2 K @ pre instead, which reuses
-    the product in K.
+    is the row-sum norm of ``weight`` itself. cheb-collocation/trapezium and
+    gauss2 pass that of their nodal operator post @ weight @ pre = -2 K @ pre
+    instead, which reuses the product in K.
     """
     firing = problem.firing
     forcing = problem.forcing_at(nodes)
@@ -235,7 +244,9 @@ def build_cheb_collocation(
     onto_quad = basis.interpolation_matrix(rule.nodes)
     weight = _kernel_matrix(problem, x, rule.nodes) * rule.weights[None, :]
     return _projected(
-        problem, x, weight, basis.interpolate, "sup", pre=lambda a: onto_quad @ a
+        problem, x, weight, basis.interpolate, "sup", pre=lambda a: onto_quad @ a,
+        # K = -W / 2 exactly, so 2 ||K B|| is ||W B|| to the bit
+        weight_infnorm=lambda slope: 2.0 * _infnorm(slope @ onto_quad),
     )
 
 
@@ -319,6 +330,18 @@ def build_spectral_galerkin(problem: TestProblem, n: int) -> SemiDiscreteSystem:
     return _projected(
         problem, grid.nodes, weight, fourier_reconstruct, "l2", pre=dft_backward, post=dft_forward
     )
+
+
+# (scheme, variant) -> builder (problem, n) -> system; the variant is the
+# CSV's label, and the selector the builder takes where it has one
+SCHEMES: dict[tuple[str, str], Callable[[TestProblem, int], SemiDiscreteSystem]] = {
+    ("fe-collocation", "trapezium"): build_fe_collocation,
+    ("cheb-collocation", "cc"): partial(build_cheb_collocation, quadrature="cc"),
+    ("cheb-collocation", "trapezium"): partial(build_cheb_collocation, quadrature="trapezium"),
+    ("fe-galerkin", "gauss2"): partial(build_fe_galerkin, variant="gauss2"),
+    ("fe-galerkin", "lumped"): partial(build_fe_galerkin, variant="lumped"),
+    ("spectral-galerkin", "fft"): build_spectral_galerkin,
+}
 
 
 def reconstruct_on(system: SemiDiscreteSystem, a, xs) -> np.ndarray:

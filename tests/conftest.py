@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from neuralfield.model import FiringRate
-from neuralfield.problems import BOX, GAIN, RING, THRESHOLD, TestProblem, make_problem
+from neuralfield.problems import BOX, GAIN, RING, THRESHOLD, TestProblem, _manufactured, make_problem
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +52,20 @@ def _pure_decay(periodic: bool = False) -> TestProblem:
 def pure_decay_problem():
     """Factory of the pure-decay problem: call it with periodic=True for the ring."""
     return _pure_decay
+
+
+def _zero_kernel(periodic: bool = False) -> TestProblem:
+    """Manufactured problem with the kernel switched off.
+
+    The closed form still solves it exactly because the forcing drops the
+    integral term along with the kernel; the residual is zero with no
+    quadrature error at all.
+    """
+    pid = "zero-kernel-ring" if periodic else "zero-kernel"
+    return _manufactured(pid, lambda y: np.asarray(y) * 0.0, periodic, 0.0)
+
+
+@pytest.fixture(scope="session")
+def zero_kernel_problem():
+    """Factory of the zero-kernel problem: call it with periodic=True for the ring."""
+    return _zero_kernel

@@ -22,6 +22,16 @@ def test_run_prints_one_csv_record(capsys):
     assert lines[1].startswith("P1,fe-collocation,trapezium,8,")
 
 
+RUN_CHEB_TRAPEZIUM = ["run", "--problem", "P1", "--n", "8", "--scheme", "cheb-collocation",
+                      "--quadrature", "trapezium"]
+
+
+def test_run_cheb_collocation_with_the_trapezium_rule(capsys):
+    code, out, _ = _exit(RUN_CHEB_TRAPEZIUM, capsys)
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[1].startswith("P1,cheb-collocation,trapezium,8,0.25,")
+
+
 def test_converge_writes_csv(capsys, tmp_path):
     path = tmp_path / "sweep.csv"
     argv = ["converge", "--problems", "P1,p2", "--n", "8,16", "--scheme", "fe-galerkin",
@@ -98,6 +108,8 @@ def test_check_quadrature_suite(capsys):
         RUN_P1 + ["--stepper", "euler", "--ht", "inf"],
         # a finite start and length whose end overflows
         RUN_P1 + ["--t0", "1e308", "--T", "1e308"],
+        # the trapezium panel count is the scheme's own, not a flag
+        RUN_CHEB_TRAPEZIUM + ["--trap-m", "32"],
     ],
     ids=[
         "bad-flag", "n=1", "unknown-problem", "euler-rtol", "t0-outside-the-domain",
@@ -105,6 +117,7 @@ def test_check_quadrature_suite(capsys):
         "euler-no-spatial-n", "euler-spatial-n-decreasing", "euler-too-few-eval-points",
         "euler-one-checkpoint", "euler-one-ht", "euler-one-spatial-n", "euler-n-fixed-eval-points",
         "T-inf", "t0-nan", "rtol-inf", "atol-inf", "euler-ht-inf", "window-end-overflows",
+        "trap-m",
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):

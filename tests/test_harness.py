@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from neuralfield import harness
 from neuralfield.harness import (
     StudyConfig,
-    build_system,
+    _h_x,
     default_checkpoints,
     euler_split_study,
     eval_grid,
@@ -18,17 +19,30 @@ from neuralfield.harness import (
     trajectory_error,
 )
 from neuralfield.problems import make_problem
-from neuralfield.schemes import reconstruct_on
+from neuralfield.schemes import SCHEMES, reconstruct_on
 from neuralfield.timestep import rk54_integrate
 
-CELLS = [
-    ("P1", "fe-collocation", {}),
-    ("P3", "cheb-collocation", {"quadrature": "cc"}),
-    ("P3", "cheb-collocation", {"quadrature": "trapezium"}),
-    ("P2", "fe-galerkin", {"variant": "lumped"}),
-    ("P5", "fe-galerkin", {"variant": "gauss2"}),
-    ("P8p", "spectral-galerkin", {}),
-]
+# the problem each (scheme, variant) of the table is measured on
+CELL_PROBLEMS = {
+    ("fe-collocation", "trapezium"): "P1",
+    ("cheb-collocation", "cc"): "P3",
+    ("cheb-collocation", "trapezium"): "P3",
+    ("fe-galerkin", "gauss2"): "P5",
+    ("fe-galerkin", "lumped"): "P2",
+    ("spectral-galerkin", "fft"): "P8p",
+}
+CELLS = [pytest.param(CELL_PROBLEMS[key], key, id="/".join(key)) for key in SCHEMES]
+
+
+# the StudyConfig field that picks among a scheme's entries, where it has several
+SELECTORS = {"cheb-collocation": "quadrature", "fe-galerkin": "variant"}
+
+
+def _selectors(key):
+    """StudyConfig's scheme and selector that name ``key``; the other selector
+    keeps its default."""
+    scheme, variant = key
+    return {"scheme": scheme, **({SELECTORS[scheme]: variant} if scheme in SELECTORS else {})}
 
 
 def _loop_oracle(system, problem, states, checkpoints, eval_points):
@@ -53,10 +67,10 @@ def _agrees(measured, oracle):
     return abs(measured - oracle) <= max(1e-12 * oracle, 1e-15)
 
 
-@pytest.mark.parametrize("pid,scheme,selectors", CELLS)
-def test_errors_match_the_per_checkpoint_loop(pid, scheme, selectors):
+@pytest.mark.parametrize("pid,key", CELLS)
+def test_errors_match_the_per_checkpoint_loop(pid, key):
     problem = make_problem(pid)
-    system = build_system(problem, scheme, 16, **selectors)
+    system = SCHEMES[key](problem, 16)
     cps = default_checkpoints(0.0, 1.0, 11)
     traj = rk54_integrate(system, 0.0, 1.0, 1e-6, 1e-9, cps)
     assert _agrees(
@@ -124,10 +138,10 @@ def test_sandwich_check_evaluates_the_closed_form_grid_once():
     assert calls == [(51, 1)]
 
 
-@pytest.mark.parametrize("pid,scheme,selectors", CELLS)
-def test_a_passed_grid_gives_the_same_bits(pid, scheme, selectors):
+@pytest.mark.parametrize("pid,key", CELLS)
+def test_a_passed_grid_gives_the_same_bits(pid, key):
     problem = make_problem(pid)
-    system = build_system(problem, scheme, 16, **selectors)
+    system = SCHEMES[key](problem, 16)
     cps = default_checkpoints(0.0, 1.0, 11)
     traj = rk54_integrate(system, 0.0, 1.0, 1e-6, 1e-9, cps)
     exact = exact_grid(problem, cps, 1024)
@@ -171,3 +185,39 @@ def test_study_records_match_the_golden_csv(problems, scheme):
     text = render_csv(run_study(StudyConfig(problems=problems, scheme=scheme, n_values=(8, 16, 32))))
     rows = [line.rsplit(",", 1)[0] for line in text.splitlines()[1:]]
     assert rows == GOLDEN[problems, scheme].splitlines()
+
+
+def test_an_unknown_selector_fails_validation_before_any_work(monkeypatch):
+    cfg = StudyConfig(problems=("P1",), scheme="fe-galerkin", n_values=(8,), variant="mass-free")
+    with pytest.raises(ValueError, match="unknown variant 'mass-free' for fe-galerkin"):
+        cfg.validate()
+    builds = []
+    monkeypatch.setattr(harness, "build_system", lambda *args, **kwargs: builds.append(args))
+    with pytest.raises(ValueError, match="unknown variant 'mass-free'"):
+        run_study(cfg)
+    assert builds == []
+    with pytest.raises(ValueError, match="unknown quadrature 'simpson' for cheb-collocation"):
+        dataclasses.replace(cfg, scheme="cheb-collocation", quadrature="simpson").validate()
+    with pytest.raises(ValueError, match="unknown scheme 'fe-petrov'"):
+        dataclasses.replace(cfg, scheme="fe-petrov").validate()
+
+
+@pytest.mark.parametrize("pid,key", CELLS)
+def test_run_study_labels_each_record_with_the_table_variant(pid, key):
+    cfg = StudyConfig(
+        problems=(pid,), n_values=(8,), eval_points=32, checkpoint_count=2, **_selectors(key)
+    )
+    (record,) = run_study(cfg)
+    assert (record.scheme, record.variant) == key
+    problem = make_problem(pid)
+    assert record.h_x == _h_x(problem, SCHEMES[key](problem, 8))
+
+
+@pytest.mark.parametrize("pid,key", CELLS)
+def test_mesh_size_is_the_interval_per_degree_of_freedom(pid, key):
+    # h_x is length / n for the compact schemes and length / (2n + 1) on the
+    # ring, where 2n + 1 samples carry the modes -n..n
+    problem = make_problem(pid)
+    for n in (8, 16, 32, 64, 128, 256):
+        intervals = 2 * n + 1 if key[0] == "spectral-galerkin" else n
+        assert _h_x(problem, SCHEMES[key](problem, n)) == problem.interval.length / intervals

@@ -10,7 +10,6 @@ from neuralfield.problems import (
     exact_time_derivative,
     make_problem,
     modulation_integral,
-    zero_kernel_problem,
 )
 from neuralfield.quadrature import clenshaw_curtis, trapezium_rule
 
@@ -70,9 +69,6 @@ class TestModulationIntegral:
         # 4 * integral of cos^3 over a quarter period = 4 * 2/3
         assert modulation_integral("P9p") == pytest.approx(8.0 / 3.0, rel=1e-12)
 
-    def test_problem_carries_the_value(self, p1):
-        assert p1.modulation_integral == pytest.approx(modulation_integral("P1"), rel=1e-15)
-
 
 class TestExactTimeDerivative:
     def test_matches_central_difference(self, p1):
@@ -103,7 +99,7 @@ class TestContinuumResidual:
         ref = trapezium_rule(p7p.interval, 4096)
         assert abs(continuum_residual(p7p, 1.0, 0.25, ref)) <= 1e-10
 
-    def test_zero_kernel_residual_is_exactly_zero(self):
+    def test_zero_kernel_residual_is_exactly_zero(self, zero_kernel_problem):
         problem = zero_kernel_problem()
         ref = clenshaw_curtis(64)
         for x, t in [(0.0, 0.0), (0.5, 0.3), (-0.9, 1.0)]:
@@ -132,14 +128,14 @@ class TestForcing:
     @pytest.mark.parametrize("pid", PROBLEM_IDS)
     def test_matches_the_checked_inverse_bitwise(self, pid):
         problem = make_problem(pid)
-        firing = problem.firing
+        firing, integral = problem.firing, modulation_integral(pid)
         xs = eval_grid(problem.interval, 2048)
         for t in default_checkpoints(0.0, 1.0, 51):
             env = problem.amplitude * np.exp(-problem.decay * t - problem.envelope_exponent(xs))
             checked = (
                 problem.decay / (firing.gain * (1.0 - env))
                 + firing.inverse(env)
-                - problem.modulation_integral * env
+                - integral * env
             )
             assert np.array_equal(problem.forcing(xs, t), checked)
 
@@ -175,11 +171,11 @@ class TestHelpers:
         assert np.all(problem.kernel(xs[:, None], xs[None, :]) == 0.0)
         assert np.all(problem.forcing(xs, 0.3) == 0.0)
 
-    def test_zero_kernel_keeps_manufactured_solution(self, p1):
+    def test_zero_kernel_keeps_manufactured_solution(self, p1, zero_kernel_problem):
         problem = zero_kernel_problem()
         xs = np.linspace(-1.0, 1.0, 5)
         assert np.allclose(problem.exact(xs, 0.5), p1.exact(xs, 0.5))
-        assert problem.modulation_integral == 0.0
+        assert np.all(problem.kernel(xs[:, None], xs[None, :]) == 0.0)
 
     def test_cross_check_guard_fires_on_rough_integrand(self):
         # a modulation the reference rule cannot resolve must be rejected,

@@ -7,6 +7,7 @@ from neuralfield.problems import exact_time_derivative, make_problem
 from neuralfield.projection import ChebyshevBasis, dft_backward, dft_forward
 from neuralfield.quadrature import clenshaw_curtis, gauss_legendre_2, trapezium_rule
 from neuralfield.schemes import (
+    SCHEMES,
     _two_tap,
     build_cheb_collocation,
     build_fe_collocation,
@@ -16,13 +17,10 @@ from neuralfield.schemes import (
 )
 from neuralfield.timestep import rk54_integrate
 
+# every (scheme, variant) of the table, with whether it runs on the ring
 ALL_BUILDERS = [
-    (lambda p, n: build_fe_collocation(p, n), False),
-    (lambda p, n: build_cheb_collocation(p, n, quadrature="cc"), False),
-    (lambda p, n: build_cheb_collocation(p, n, quadrature="trapezium"), False),
-    (lambda p, n: build_fe_galerkin(p, n, variant="lumped"), False),
-    (lambda p, n: build_fe_galerkin(p, n, variant="gauss2"), False),
-    (lambda p, n: build_spectral_galerkin(p, n), True),
+    pytest.param(builder, scheme == "spectral-galerkin", id=f"{scheme}/{variant}")
+    for (scheme, variant), builder in SCHEMES.items()
 ]
 
 
@@ -251,9 +249,15 @@ class TestPlumbing:
 
 # the tent schemes index nodal values, so a stack reproduces the rows bitwise;
 # the dense maps of the global bases may sum in another order in one product
+STACK_BITWISE = {
+    "fe-collocation": True,
+    "cheb-collocation": False,
+    "fe-galerkin": True,
+    "spectral-galerkin": False,
+}
 STACK_CASES = [
-    (builder, periodic, bitwise)
-    for (builder, periodic), bitwise in zip(ALL_BUILDERS, (True, False, False, True, True, False))
+    pytest.param(builder, scheme == "spectral-galerkin", STACK_BITWISE[scheme], id=f"{scheme}/{variant}")
+    for (scheme, variant), builder in SCHEMES.items()
 ]
 
 
@@ -311,7 +315,7 @@ def _same(values):
     return values
 
 
-def _parent_form(label, problem, n):
+def _parent_form(key, problem, n):
     """Nodes X, weight W, pre and post of the unfolded formula
     post(forcing(X, t) + W @ firing(pre(a))) - a, assembled independently."""
     iv = problem.interval
@@ -319,22 +323,23 @@ def _parent_form(label, problem, n):
     def kernel(rows, cols):
         return problem.kernel(rows[:, None], cols[None, :])
 
-    if label == "spectral-galerkin":
+    if key == ("spectral-galerkin", "fft"):
         m = 2 * n + 1
         x = 2.0 * np.pi * np.arange(m) / m
         return x, (2.0 * np.pi / m) * kernel(x, x), dft_backward, dft_forward
-    if label in ("fe-collocation", "fe-galerkin/lumped"):
+    if key in (("fe-collocation", "trapezium"), ("fe-galerkin", "lumped")):
         rule = trapezium_rule(iv, n)
         return rule.nodes, kernel(rule.nodes, rule.nodes) * rule.weights, _same, _same
     x = ChebyshevGrid(n).nodes
-    if label == "cheb-collocation/cc":
+    if key == ("cheb-collocation", "cc"):
         return x, kernel(x, x) * clenshaw_curtis(n).weights, _same, _same
-    if label == "cheb-collocation/trapezium":
+    if key == ("cheb-collocation", "trapezium"):
         rule = trapezium_rule(iv, n)
         onto = ChebyshevBasis(ChebyshevGrid(n)).interpolation_matrix(rule.nodes)
         return x, kernel(x, rule.nodes) * rule.weights, (lambda a: onto @ a), _same
     # fe-galerkin/gauss2: the dense Gauss-point interpolation and the mass
     # matrix solved densely
+    assert key == ("fe-galerkin", "gauss2"), key
     h = iv.length / n
     local, points = _gauss2_interpolation(n)
     mass = np.diag(np.full(n + 1, 2.0 * h / 3.0)) + np.diag(np.full(n, h / 6.0), 1) + np.diag(
@@ -345,24 +350,21 @@ def _parent_form(label, problem, n):
     return points, (h / 2.0) * kernel(points, points), (lambda a: local @ a), (lambda v: projector @ v)
 
 
-FOLD_CASES = [
-    ("fe-collocation", lambda p, n: build_fe_collocation(p, n)),
-    ("cheb-collocation/cc", lambda p, n: build_cheb_collocation(p, n, quadrature="cc")),
-    ("cheb-collocation/trapezium", lambda p, n: build_cheb_collocation(p, n, quadrature="trapezium")),
-    ("fe-galerkin/lumped", lambda p, n: build_fe_galerkin(p, n, variant="lumped")),
-    ("fe-galerkin/gauss2", lambda p, n: build_fe_galerkin(p, n, variant="gauss2")),
-    ("spectral-galerkin", lambda p, n: build_spectral_galerkin(p, n)),
-]
+FOLD_CASES = [pytest.param(key, builder, id="/".join(key)) for key, builder in SCHEMES.items()]
+
+
+def _fold_problem(key):
+    return make_problem("P7p" if key[0] == "spectral-galerkin" else "P1")
 
 
 @pytest.mark.parametrize("n", [8, 64, 256])
-@pytest.mark.parametrize("label,builder", FOLD_CASES, ids=[label for label, _ in FOLD_CASES])
-def test_folded_rhs_matches_the_unfolded_formula(label, builder, n, rng):
+@pytest.mark.parametrize("key,builder", FOLD_CASES)
+def test_folded_rhs_matches_the_unfolded_formula(key, builder, n, rng):
     # the right-hand side folds the logistic's constant half into the forcing
     # and its slope into post(-W/2); unfolded, it is the parent formula
-    problem = make_problem("P7p" if label == "spectral-galerkin" else "P1")
+    problem = _fold_problem(key)
     system = builder(problem, n)
-    nodes, weight, pre, post = _parent_form(label, problem, n)
+    nodes, weight, pre, post = _parent_form(key, problem, n)
     states = [system.initial, rng.standard_normal(system.dim), 0.3 * rng.standard_normal(system.dim)]
     for t, a in zip((0.0, 0.37, 0.91), states):
         oracle = post(problem.forcing(nodes, t) + weight @ problem.firing(pre(a))) - a
@@ -380,14 +382,16 @@ def test_gauss2_stencil_matches_the_dense_interpolation(n, rng):
         assert np.max(np.abs(stencil - local @ a)) <= np.finfo(float).eps * np.max(np.abs(a))
 
 
-@pytest.mark.parametrize("label,builder", FOLD_CASES, ids=[label for label, _ in FOLD_CASES])
-def test_weight_infnorm_matches_the_unfolded_operator(label, builder):
-    # ||W_n|| is the row-sum norm of W, and of gauss2's nodal operator P W L
-    problem = make_problem("P7p" if label == "spectral-galerkin" else "P1")
+@pytest.mark.parametrize("key,builder", FOLD_CASES)
+def test_weight_infnorm_matches_the_unfolded_operator(key, builder):
+    # ||W_n|| is the row-sum norm of the nodal operator post W pre where the
+    # state is mapped onto other quadrature nodes (cheb/trapezium's W B, with B
+    # the interpolation onto the panel nodes, and gauss2's P W L), and of W
+    # itself elsewhere
+    problem = _fold_problem(key)
     system = builder(problem, 64)
-    _, weight, pre, post = _parent_form(label, problem, 64)
-    if label == "fe-galerkin/gauss2":
-        local, _ = _gauss2_interpolation(64)
-        weight = post(weight) @ local
+    _, weight, pre, post = _parent_form(key, problem, 64)
+    if key in (("cheb-collocation", "trapezium"), ("fe-galerkin", "gauss2")):
+        weight = post(weight) @ pre(np.eye(system.dim))
     oracle = np.max(np.sum(np.abs(weight), axis=1))
     assert abs(system.diagnostics.weight_infnorm - oracle) <= 1e-13 * oracle
