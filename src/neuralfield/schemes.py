@@ -26,10 +26,10 @@ computed once at build. Per scheme (nodes X; weight W; pre; post; K):
 - cheb-collocation/trapezium: m + 1 uniform panel nodes; trapezium
   weights; barycentric interpolation onto the panel nodes; identity;
   -W/2, (n + 1) x (m + 1).
-- fe-galerkin/gauss2: two Gauss points per element; element-scaled
-  kernel; tents at the Gauss points, a two-tap stencil per element; the
-  mass-matrix solve of the Gauss-rule load vector, P = M^-1 L,
-  precomputed as one dense matrix; -P W / 2, (n + 1) x 2n.
+- fe-galerkin/gauss2: two Gauss points per element; element-scaled kernel;
+  tents at the Gauss points, a two-tap stencil per element; P = M^-1 L,
+  the Gauss-rule load map L solved against the same rule's (exact) Gram
+  matrix M of the tents, as one dense matrix; -P W / 2, (n + 1) x 2n.
 - spectral-galerkin: the 2n + 1 uniform ring nodes; trapezium weights;
   inverse real DFT of the packed coefficients; forward real DFT; the
   forward DFT of the columns of -W/2, (2n + 1) x (2n + 1).
@@ -49,7 +49,6 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .model import ChebyshevGrid, UniformGrid
 from .problems import TestProblem
@@ -259,13 +258,13 @@ def build_fe_galerkin(problem: TestProblem, n: int, variant: str = "gauss2") -> 
     assembled through that identical path (no inner-product integration at
     run time).
 
-    variant="gauss2" keeps the exact tridiagonal mass matrix (h/3 at the two
-    corner diagonal entries, 2h/3 inside, h/6 off the diagonal) and builds
-    the load vector by 2-point Gauss per element, both for the forcing inner
-    products and for the double kernel integral. The mass solve of the load
-    map is done once at build time, and so is its product with the kernel,
-    so a right-hand side evaluation is a two-tap stencil onto the Gauss
-    points and two (n + 1) x 2n products.
+    variant="gauss2" builds the load vector, for the forcing and for the
+    double kernel integral, by 2-point Gauss per element, and its mass matrix
+    as the same rule's Gram matrix of the tents: exact, as their products are
+    quadratic per element (h/3 at the two corner diagonal entries, 2h/3
+    inside, h/6 off the diagonal). The mass solve of the load map and its
+    product with the kernel are done once at build time, so a right-hand
+    side evaluation is a two-tap stencil and two (n + 1) x 2n products.
     """
     _require_compact(problem, "fe-galerkin")
     if n < 2:
@@ -289,12 +288,7 @@ def build_fe_galerkin(problem: TestProblem, n: int, variant: str = "gauss2") -> 
         local_interp[rows + q, np.arange(n)] = hat_left[q]
         local_interp[rows + q, np.arange(n) + 1] = hat_right[q]
     load_map = (h / 2.0) * local_interp.T  # integrates Gauss-point values against each hat
-
-    band = np.zeros((2, n + 1))
-    band[0, 1:] = h / 6.0
-    band[1, :] = 2.0 * h / 3.0
-    band[1, 0] = band[1, n] = h / 3.0
-    projector = cho_solve_banded((cholesky_banded(band), False), load_map)
+    projector = np.linalg.solve(load_map @ local_interp, load_map)  # M^-1 L, M the Gram matrix
 
     weight = (h / 2.0) * _kernel_matrix(problem, gauss_points, gauss_points)
     return _projected(

@@ -77,8 +77,11 @@ def euler_integrate(system, t0: float, duration: float, ht: float, checkpoints) 
         raise ValueError("step size must be positive and finite")
     cps = _validated_checkpoints(t0, duration, checkpoints)
     indices = []
-    for c in cps:
-        k = int(round((c - t0) / ht))
+    for c in cps.tolist():
+        steps = (c - t0) / ht
+        if not math.isfinite(steps):
+            raise ValueError(f"step {ht!r} is too small for the window [{t0!r}, {t0 + duration!r}]")
+        k = int(round(steps))
         if abs(t0 + k * ht - c) > 1e-8 * ht:
             raise ValueError(
                 f"checkpoint {c!r} is not a multiple of the step {ht!r} from t0={t0!r}; "

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -106,6 +111,8 @@ def test_check_quadrature_suite(capsys):
         RUN_P1 + ["--rtol", "inf"],
         RUN_P1 + ["--atol", "inf"],
         RUN_P1 + ["--stepper", "euler", "--ht", "inf"],
+        # a positive step whose step count over the window overflows
+        RUN_P1 + ["--stepper", "euler", "--ht", "1e-320"],
         # a finite start and length whose end overflows
         RUN_P1 + ["--t0", "1e308", "--T", "1e308"],
         # the trapezium panel count is the scheme's own, not a flag
@@ -116,8 +123,8 @@ def test_check_quadrature_suite(capsys):
         "T-past-the-representable-envelope", "converge-no-n", "converge-no-problems",
         "euler-no-spatial-n", "euler-spatial-n-decreasing", "euler-too-few-eval-points",
         "euler-one-checkpoint", "euler-one-ht", "euler-one-spatial-n", "euler-n-fixed-eval-points",
-        "T-inf", "t0-nan", "rtol-inf", "atol-inf", "euler-ht-inf", "window-end-overflows",
-        "trap-m",
+        "T-inf", "t0-nan", "rtol-inf", "atol-inf", "euler-ht-inf", "euler-ht-subnormal",
+        "window-end-overflows", "trap-m",
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
@@ -172,3 +179,17 @@ def test_unwritable_output_exits_3(capsys, tmp_path):
     code, _, err = _exit(RUN_P1 + ["--out", str(tmp_path / "missing" / "out.csv")], capsys)
     assert code == cli.EXIT_IO
     assert err.startswith("i/o failure:")
+
+
+def test_the_package_imports_no_scipy():
+    # numpy is the one runtime dependency; only the benchmark's machine record reads scipy
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys; import neuralfield, neuralfield.cli, neuralfield.checks; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

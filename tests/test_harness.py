@@ -132,6 +132,18 @@ def test_run_study_evaluates_the_closed_form_grid_once_per_problem():
     assert p1_calls == p3_calls == [(51, 1)]
 
 
+def test_a_later_start_integrates_from_the_closed_form_at_that_time():
+    # at t0 = 0.5 the state starts from u(., 0.5); u(., 0) would leave an O(1) error
+    def sweep(t0):
+        cfg = StudyConfig(problems=("P1",), scheme="fe-collocation", n_values=(16, 32), t0=t0)
+        return run_study(cfg)
+
+    at_zero, later = sweep(0.0), sweep(0.5)
+    for start, shifted in zip(at_zero, later):
+        assert shifted.error <= 2.0 * start.error
+    assert 1.8 <= later[1].observed_order <= 2.2
+
+
 def test_sandwich_check_evaluates_the_closed_form_grid_once():
     p1, calls = _counting_exact("P1")
     sandwich_check(p1, "fe-collocation", 16)

@@ -4,7 +4,7 @@ import pytest
 from neuralfield.checks import dft_backward_direct, dft_forward_direct
 from neuralfield.model import ChebyshevGrid, UniformGrid
 from neuralfield.problems import exact_time_derivative, make_problem
-from neuralfield.projection import ChebyshevBasis, dft_backward, dft_forward
+from neuralfield.projection import ChebyshevBasis, TentBasis, dft_backward, dft_forward
 from neuralfield.quadrature import clenshaw_curtis, gauss_legendre_2, trapezium_rule
 from neuralfield.schemes import (
     SCHEMES,
@@ -137,7 +137,7 @@ class TestChebCollocation:
 
 
 class TestFeGalerkin:
-    def test_gauss2_mass_matrix_matches_elementwise_assembly(self, p1):
+    def test_gauss2_mass_matrix_matches_elementwise_assembly(self, p1, rng):
         # oracle: assemble the hat-product Gram matrix element by element with
         # mapped 2-point Gauss, which is exact for the piecewise quadratics
         n, h = 4, 0.5
@@ -154,6 +154,14 @@ class TestFeGalerkin:
         expected_diag = np.array([h / 3, 2 * h / 3, 2 * h / 3, 2 * h / 3, h / 3])
         assert np.allclose(np.diag(mass), expected_diag, atol=1e-15)
         assert np.allclose(np.diag(mass, 1), h / 6, atol=1e-15)
+
+        # the scheme's projector M^-1 L with that exact mass matrix reproduces
+        # every function of the tent space; a lumped M would not
+        for n in (8, 64, 256):
+            tents = TentBasis(UniformGrid(p1.interval, n))
+            v = rng.standard_normal(n + 1)
+            encoded = build_fe_galerkin(p1, n).encode(lambda x: tents.interpolate(v, x))
+            assert np.max(np.abs(encoded - v)) <= 1e-13 * np.max(np.abs(v))
 
     def test_lumped_equals_collocation_trajectory(self, p1):
         cps = np.linspace(0.0, 1.0, 51)

@@ -120,7 +120,8 @@ class TestEuler:
         assert 0.95 <= slope <= 1.05
 
     def test_off_lattice_checkpoint_rejected(self):
-        with pytest.raises(ValueError, match="lattice"):
+        # the checkpoint prints as a plain float, not as np.float64(0.35)
+        with pytest.raises(ValueError, match=r"^checkpoint 0\.35 is not .* lattice$"):
             euler_integrate(scalar_decay_system(), 0.0, 1.0, 0.1, [0.0, 0.35])
 
     def test_checkpoint_validation(self):
@@ -131,6 +132,9 @@ class TestEuler:
             euler_integrate(system, 0.0, 1.0, 0.1, [0.0, 1.5])
         with pytest.raises(ValueError):
             euler_integrate(system, 0.0, 1.0, -0.1, [0.0, 0.5])
+        # a positive step whose step count overflows, rather than an OverflowError
+        with pytest.raises(ValueError, match=r"step 1e-320 is too small for the window \[0\.0, 1\.0\]"):
+            euler_integrate(system, 0.0, 1.0, 1e-320, [0.0, 0.5])
 
     def test_blowup_raises_at_the_first_non_finite_checkpoint(self):
         # u' = u^2 from u(0) = 1 blows up at t = 1; with ht = 0.01 the Euler
