@@ -238,12 +238,16 @@ def residual_suite() -> list[CheckResult]:
 
 
 def sandwich_suite() -> list[CheckResult]:
-    """Two-sided bound check on the compact problems for both collocation schemes."""
+    """Two-sided bound check on the compact problems for both collocation schemes.
+
+    Each problem is built once and shared by its six cells.
+    """
     out = []
     for pid in ("P1", "P2", "P3", "P4", "P5", "P6"):
+        problem = make_problem(pid)
         for scheme in ("fe-collocation", "cheb-collocation"):
             for n in (16, 32, 64):
-                result = sandwich_check(pid, scheme, n)
+                result = sandwich_check(problem, scheme, n)
                 tag = "" if result.conclusive else " (inconclusive: projector error at the temporal floor)"
                 out.append(
                     CheckResult(

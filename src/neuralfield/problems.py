@@ -159,20 +159,22 @@ def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) 
         return DECAY / (GAIN * (1.0 - env)) + firing._inverse_unchecked(env) - mod_integral * env
 
     def forcing_at(nodes):
-        # env = e^rate * A e^-q(X), and the log-odds inverse splits into
-        # log(1 - env) / GAIN - rate / GAIN plus THRESHOLD - log(A e^-q(X)) / GAIN
+        # env = e^rate * A e^-q(X); with d = e^-rate - A e^-q(X), 1 - env = e^rate * d.
+        # So DECAY / (GAIN (1 - env)) = (DECAY / GAIN) e^-rate / d, and the log-odds
+        # inverse log((1 - env) / env) / GAIN + THRESHOLD splits into log(d) / GAIN
+        # plus THRESHOLD - log(A e^-q(X)) / GAIN: 8 array operations per call.
+        # _checked_rate keeps e^-rate > A >= A e^-q(X), so d > 0, and e^-rate finite
         scale = AMPLITUDE * np.exp(-exponent(np.asarray(nodes, dtype=float)))
         shift = THRESHOLD - np.log(scale) / GAIN
         modulated = mod_integral * scale
 
         def at(t):
             rate = _checked_rate(t)
-            growth = math.exp(rate)
-            complement = 1.0 - growth * scale
+            shrink = math.exp(-rate)
+            d = shrink - scale
             return (
-                (DECAY / GAIN) / complement
-                + ((np.log(complement) - rate) / GAIN + shift)
-                - growth * modulated
+                ((DECAY / GAIN) * shrink) / d + np.log(d) / GAIN + shift
+                - math.exp(rate) * modulated
             )
 
         return at

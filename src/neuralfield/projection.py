@@ -2,8 +2,12 @@
 
 Piecewise-linear tents on a uniform grid, the Chebyshev-Lagrange basis
 evaluated with the second barycentric formula, and real trigonometric
-polynomials of odd length 2n + 1, stored as packed real Fourier
-coefficients with a forward/backward transform pair to samples.
+polynomials of odd length m = 2n + 1, stored as packed real Fourier
+coefficients with a forward/backward transform pair to samples. The packed
+vector [Re c_0, Re c_1, Im c_1, ..., Re c_n, Im c_n] is numpy's complex
+layout of c_0..c_n viewed as floats, less the zero Im c_0, so the
+transforms and the evaluation work on complex views of it. The forward
+transform carries the 1/m (numpy's "forward" norm), the backward one none.
 """
 
 from __future__ import annotations
@@ -99,31 +103,49 @@ class ChebyshevBasis:
     def size(self) -> int:
         return self.grid.n + 1
 
+    def _ratios(self, x):
+        """R[p, j] = w_j / (x_p - x_j), formed in place, with its row sums, the
+        points whose row sum is not finite and, for each, the node it hits.
+
+        A point that coincides with a node divides by zero there, so its row
+        sum is infinite; so is that of a point a subnormal distance away, for
+        which the nodal value is the interpolant to machine precision.
+        """
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        ratio = np.subtract.outer(xs, self.grid.nodes)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.divide(self.barycentric_weights, ratio, out=ratio)
+            sums = ratio.sum(axis=1)
+        hits = np.flatnonzero(~np.isfinite(sums))
+        return ratio, sums, hits, np.abs(ratio[hits]).argmax(axis=1)
+
     def interpolation_matrix(self, x) -> np.ndarray:
         """Matrix mapping nodal values to interpolant values at the points x.
 
         A point that coincides exactly with a node gets a unit row, so nodal
         data is reproduced bitwise.
         """
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        diff = xs[:, None] - self.grid.nodes[None, :]
-        hit_row, hit_col = np.nonzero(diff == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = self.barycentric_weights / diff
-            mat = ratio / ratio.sum(axis=1, keepdims=True)
-        mat[hit_row, :] = 0.0
-        mat[hit_row, hit_col] = 1.0
-        return mat
+        ratio, sums, hits, nodes = self._ratios(x)
+        with np.errstate(invalid="ignore"):
+            ratio /= sums[:, None]
+        ratio[hits] = 0.0
+        ratio[hits, nodes] = 1.0
+        return ratio
 
     def interpolate(self, values, x):
         """Barycentric interpolant of nodal values at the points x.
 
         ``values`` is one state of shape (size,) or a stack of shape
-        (k, size); the interpolation matrix is built once and applied to
-        every state in one product.
+        (k, size). The second barycentric formula is applied to every state
+        in one product, (values @ R.T) / R.sum(axis=1), with no normalised
+        matrix; a point that hits a node takes that node's value exactly.
         """
         values = _states(values, self.size)
-        out = values @ self.interpolation_matrix(x).T
+        ratio, sums, hits, nodes = self._ratios(x)
+        with np.errstate(invalid="ignore"):
+            out = values @ ratio.T
+            out /= sums
+        out[..., hits] = values[..., nodes]
         return out[..., 0][()] if np.ndim(x) == 0 else out
 
 
@@ -138,44 +160,77 @@ def dft_forward(samples) -> np.ndarray:
     """Packed real coefficients [Re c_0, Re c_1, Im c_1, ..., Re c_n, Im c_n].
 
     c_j = (1/m) sum_l v_l exp(-i j x_l) for real samples v_l on
-    x_l = 2*pi*l/m with m = 2n + 1 odd; the 1/m factor sits here so the
-    coefficients approximate the continuous Fourier coefficients directly.
-    Real samples give c_{-j} = conj(c_j) and Im c_0 = 0, so those are not
-    stored and the packed vector has m entries. ``samples`` is one vector
-    of length m or a stack of columns of shape (m, k), each column
-    transformed into one packed column, so that a linear map on samples can
-    be carried into coefficient space.
+    x_l = 2*pi*l/m with m = 2n + 1 odd: numpy's "forward" norm, which puts
+    the 1/m here so the coefficients approximate the continuous Fourier
+    coefficients directly. Real samples give c_{-j} = conj(c_j) and
+    Im c_0 = 0, so the packed vector is numpy's complex layout of c_0..c_n
+    viewed as floats, [Re c_0, Im c_0, Re c_1, Im c_1, ...], without the
+    zero Im c_0: m entries. ``samples`` is one vector of length m or a
+    stack of columns of shape (m, k), each column transformed into one
+    packed column, so that a linear map on samples can be carried into
+    coefficient space.
     """
     v = np.asarray(samples, dtype=float)
     _odd_length(v, axis=0)
-    c = np.fft.rfft(v, axis=0, norm="forward")
-    out = np.empty(v.shape)
-    out[0] = c[0].real
-    out[1::2] = c[1:].real
-    out[2::2] = c[1:].imag
-    return out
+    # a stack's transform comes back column-major from numpy >= 2, and a
+    # float view needs the complex axis contiguous
+    packed = np.ascontiguousarray(np.fft.rfft(v.T, norm="forward")).view(float)
+    packed[..., 1] = packed[..., 0]  # Re c_0 over the zero Im c_0, then drop the first slot
+    return np.ascontiguousarray(packed[..., 1:].T)
 
 
 def dft_backward(coeffs) -> np.ndarray:
-    """Inverse of :func:`dft_forward`: samples v_l = sum_j c_j exp(i j x_l)."""
+    """Inverse of :func:`dft_forward`: samples v_l = sum_j c_j exp(i j x_l).
+
+    The zero Im c_0 goes back in, and the packed vector, viewed as complex,
+    is transformed with the unscaled ("forward" norm) inverse.
+    """
     a = np.asarray(coeffs, dtype=float)
     m = _odd_length(a)
-    c = np.concatenate(([a[0]], a[1::2] + 1j * a[2::2]))
-    return np.fft.irfft(c, m) * m
+    return np.fft.irfft(np.concatenate((a[:1], [0.0], a[1:])).view(complex), m, norm="forward")
+
+
+# points per e^(i j x) table in fourier_reconstruct: at n = 256 one table
+# takes 1 MiB where the 2048-point evaluation grid would take 8 MiB, and
+# the smaller table is as fast or faster from n = 8 to 256
+_POINT_BLOCK = 256
+
+
+def _unit_powers(xs: np.ndarray, n: int) -> np.ndarray:
+    """Table of e^(i j x) for j = 1..n (rows) and the points x (columns).
+
+    Built as powers of e^(i x): each pass multiplies the rows filled so far
+    by the last of them, doubling the filled rows with one complex multiply
+    per entry.
+    """
+    powers = np.empty((n, len(xs)), dtype=complex)
+    powers[:1] = np.exp(1j * xs)
+    filled = 1
+    while filled < n:
+        step = min(filled, n - filled)
+        np.multiply(powers[:step], powers[filled - 1], out=powers[filled : filled + step])
+        filled += step
+    return powers
 
 
 def fourier_reconstruct(coeffs, x):
-    """Trigonometric polynomial c_0 + 2 sum_j (Re c_j cos(j x) - Im c_j sin(j x))
-    of packed coefficients, evaluated at the points x.
+    """Trigonometric polynomial c_0 + 2 Re sum_j c_j e^(i j x) of packed
+    coefficients, evaluated at the points x.
 
-    ``coeffs`` is one packed vector of odd length m or a stack of shape
-    (k, m); cos(j x) and sin(j x) are built once and applied to every
-    vector in one product. For coefficients that came from real samples
-    this is the trigonometric interpolant through those samples.
+    ``coeffs`` is one packed vector of odd length m = 2n + 1 or a stack of
+    shape (k, m). For each block of up to 256 points the table of
+    e^(i j x) is built once and applied to every vector in one complex
+    product with c_1..c_n, a complex view of the packed coefficients, so
+    the table's size does not grow with the number of points. For
+    coefficients that came from real samples this is the trigonometric
+    interpolant through those samples.
     """
-    a = np.asarray(coeffs, dtype=float)
+    a = np.ascontiguousarray(coeffs, dtype=float)
     n = (_odd_length(a) - 1) // 2
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    phase = np.outer(xs, np.arange(1, n + 1))
-    out = a[..., :1] + 2.0 * (a[..., 1::2] @ np.cos(phase).T - a[..., 2::2] @ np.sin(phase).T)
+    modes = a[..., 1:].view(complex)
+    out = np.empty(a.shape[:-1] + xs.shape)
+    for start in range(0, len(xs), _POINT_BLOCK):
+        block = slice(start, start + _POINT_BLOCK)
+        out[..., block] = a[..., :1] + 2.0 * (modes @ _unit_powers(xs[block], n)).real
     return out[..., 0][()] if np.ndim(x) == 0 else out

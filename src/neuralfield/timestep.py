@@ -13,7 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StepStats", "Trajectory", "IntegrationError", "euler_integrate", "rk54_integrate"]
+__all__ = [
+    "MAX_EULER_STEPS",
+    "StepStats",
+    "Trajectory",
+    "IntegrationError",
+    "euler_integrate",
+    "rk54_integrate",
+]
+
+# The most fixed steps one euler_integrate call takes. 10^8 steps of a small
+# system already run for about 25 minutes (15 us per step on a 2-core Xeon),
+# so a step small enough to need more fails at once instead of for days.
+MAX_EULER_STEPS = 10**8
 
 
 class IntegrationError(RuntimeError):
@@ -70,8 +82,9 @@ def euler_integrate(system, t0: float, duration: float, ht: float, checkpoints) 
 
     Every checkpoint must be an exact multiple of ht away from t0 (within a
     1e-8 relative alignment tolerance); anything off the lattice is rejected
-    outright rather than silently interpolated. A non-finite state at a
-    checkpoint raises IntegrationError.
+    outright rather than silently interpolated, and so is a checkpoint more
+    than ``MAX_EULER_STEPS`` steps away. A non-finite state at a checkpoint
+    raises IntegrationError.
     """
     if not 0.0 < ht < math.inf:
         raise ValueError("step size must be positive and finite")
@@ -82,6 +95,11 @@ def euler_integrate(system, t0: float, duration: float, ht: float, checkpoints) 
         if not math.isfinite(steps):
             raise ValueError(f"step {ht!r} is too small for the window [{t0!r}, {t0 + duration!r}]")
         k = int(round(steps))
+        if k > MAX_EULER_STEPS:
+            raise ValueError(
+                f"checkpoint {c!r} is {k} steps of {ht!r} from t0={t0!r}, "
+                f"more than the maximum of {MAX_EULER_STEPS}"
+            )
         if abs(t0 + k * ht - c) > 1e-8 * ht:
             raise ValueError(
                 f"checkpoint {c!r} is not a multiple of the step {ht!r} from t0={t0!r}; "
@@ -132,14 +150,23 @@ def _dormand_prince_step(rhs, t, u, h, t_new, k1):
     clipped step ends at exactly. Returns the 5th-order proposal, the error
     vector and the last stage rhs(t_new, proposal), which is the first stage
     of the next attempt once the step is accepted ("first same as last").
+    The stage inputs share one buffer, so ``rhs`` must not keep its state
+    argument past the call.
     """
     stages = np.empty((7, len(u)))
     stages[0] = k1
+    state = np.empty(len(u))  # each stage's input u + h * (row @ stages), formed in place
     for i, row in enumerate(_DP_A):
-        stages[i + 1] = rhs(t + _DP_C[i + 1] * h, u + h * (row @ stages[: i + 1]))
-    proposal = u + h * (_DP_B5 @ stages[:6])
+        np.dot(row, stages[: i + 1], out=state)
+        state *= h
+        state += u
+        stages[i + 1] = rhs(t + _DP_C[i + 1] * h, state)
+    proposal = np.dot(_DP_B5, stages[:6])
+    proposal *= h
+    proposal += u
     stages[6] = rhs(t_new, proposal)
-    error = h * (_DP_ERR @ stages)
+    error = np.dot(_DP_ERR, stages, out=state)
+    error *= h
     return proposal, error, stages[6]
 
 
@@ -196,8 +223,13 @@ def rk54_integrate(
                 system.rhs, t, u, h_try, t_new, first_stage
             )
             evals += 6
-            denom = atol + rtol * np.maximum(np.abs(u), np.abs(proposal))
-            err = float(np.max(np.abs(error) / denom))
+            # |error| / (atol + rtol * max(|u|, |proposal|)), in place
+            scale = np.maximum(np.abs(u), np.abs(proposal))
+            scale *= rtol
+            scale += atol
+            np.abs(error, out=error)
+            error /= scale
+            err = float(error.max())
             if not np.isfinite(err):
                 raise IntegrationError(
                     f"non-finite right-hand side in the step attempted at t={t!r} (h={h_try!r})"

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from neuralfield import harness
+from neuralfield import checks, harness
 from neuralfield.harness import (
     StudyConfig,
     _h_x,
@@ -150,6 +150,21 @@ def test_sandwich_check_evaluates_the_closed_form_grid_once():
     assert calls == [(51, 1)]
 
 
+def test_the_sandwich_suite_builds_each_problem_once(monkeypatch):
+    built = []
+
+    def counting_make_problem(pid):
+        built.append(pid)
+        return make_problem(pid)
+
+    # sandwich_check would build a problem it is given by name through harness's binding
+    monkeypatch.setattr(checks, "make_problem", counting_make_problem)
+    monkeypatch.setattr(harness, "make_problem", counting_make_problem)
+    results = checks.sandwich_suite()
+    assert built == ["P1", "P2", "P3", "P4", "P5", "P6"]
+    assert len(results) == 36
+
+
 @pytest.mark.parametrize("pid,key", CELLS)
 def test_a_passed_grid_gives_the_same_bits(pid, key):
     problem = make_problem(pid)
@@ -182,12 +197,12 @@ P6,fe-collocation,trapezium,16,0.125,0.0039334493116099933,1.9488039429672301,1.
 P6,fe-collocation,trapezium,32,0.0625,0.00099282435599729046,1.9861845791821715,1.2610443683117403
 """,
     (("P7p", "P9p"), "spectral-galerkin"): """\
-P7p,spectral-galerkin,fft,8,0.36959913571644626,0.0022164686805541049,,8.4827515581815192
-P7p,spectral-galerkin,fft,16,0.19039955476301776,3.234226326159387e-05,6.0986985267438438,8.5359297559964542
-P7p,spectral-galerkin,fft,32,0.096664389341224399,1.1631193337841871e-08,11.441205802461891,8.5502834713904257
-P9p,spectral-galerkin,fft,8,0.36959913571644626,0.0022164686805541049,,7.5109370868022252
-P9p,spectral-galerkin,fft,16,0.19039955476301776,3.234226326159387e-05,6.0986985267438438,7.5580620552248359
-P9p,spectral-galerkin,fft,32,0.096664389341224399,4.341857018940396e-08,9.5408927070198093,7.5707742101005699
+P7p,spectral-galerkin,fft,8,0.36959913571644626,0.0022164686805541036,,8.4827515581815192
+P7p,spectral-galerkin,fft,16,0.19039955476301776,3.2342263261592637e-05,6.098698526743898,8.5359297559964542
+P7p,spectral-galerkin,fft,32,0.096664389341224399,1.1631193337589738e-08,11.44120580249311,8.5502834713904257
+P9p,spectral-galerkin,fft,8,0.36959913571644626,0.0022164686805541036,,7.5109370868022252
+P9p,spectral-galerkin,fft,16,0.19039955476301776,3.2342263261592637e-05,6.098698526743898,7.5580620552248359
+P9p,spectral-galerkin,fft,32,0.096664389341224399,4.3418570056451704e-08,9.54089271143744,7.5707742101005699
 """,
 }
 

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from neuralfield.checks import dft_backward_direct, dft_forward_direct
+from neuralfield.harness import eval_grid
 from neuralfield.model import ChebyshevGrid, Interval, UniformGrid
 from neuralfield.projection import (
     ChebyshevBasis,
@@ -13,6 +16,7 @@ from neuralfield.projection import (
 )
 
 BOX = Interval(-1.0, 1.0)
+RING = Interval(0.0, 2.0 * np.pi, periodic=True)
 
 
 def tent_basis(n):
@@ -133,6 +137,19 @@ class TestBarycentricInterp:
                 break
             assert fine / coarse < 0.1
 
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_matches_the_interpolation_matrix(self, n, rng):
+        # the formula applied without normalising, against the normalised matrix
+        basis = ChebyshevBasis(ChebyshevGrid(n))
+        xs = eval_grid(BOX, 2048)
+        values = rng.standard_normal((51, basis.size))
+        got = basis.interpolate(values, xs)
+        want = values @ basis.interpolation_matrix(xs).T
+        # x = -1 and x = 1 hit the last and first nodes; no other point hits one
+        assert np.array_equal(got[:, [0, -1]], values[:, [-1, 0]])
+        assert np.array_equal(got[:, [0, -1]], want[:, [0, -1]])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(values))
+
     def test_projector_idempotence(self, rng):
         basis = ChebyshevBasis(ChebyshevGrid(9))
         values = rng.standard_normal(basis.size)
@@ -156,11 +173,14 @@ class TestDft:
         assert c[4] == pytest.approx(-0.5, abs=1e-15)
         assert np.max(np.abs(np.delete(c, [1, 4]))) <= 1e-15
 
-    def test_matches_direct_summation(self, rng):
-        v = rng.standard_normal(9)
-        assert np.max(np.abs(dft_forward(v) - dft_forward_direct(v))) <= 1e-13
+    @pytest.mark.parametrize("m", [9, 17, 33, 257, 513])
+    def test_matches_direct_summation(self, m, rng):
+        # the oracles' phases j * x_l reach pi * m, so their own rounding grows with m
+        tolerance = 1e-14 * m
+        v = rng.standard_normal(m)
+        assert np.max(np.abs(dft_forward(v) - dft_forward_direct(v))) <= tolerance
         c = dft_forward(v)
-        assert np.max(np.abs(dft_backward(c) - dft_backward_direct(c))) <= 1e-13
+        assert np.max(np.abs(dft_backward(c) - dft_backward_direct(c))) <= tolerance
 
     @given(st.integers(min_value=1, max_value=24))
     @settings(max_examples=30, deadline=None)
@@ -207,12 +227,50 @@ class TestFourierReconstruct:
         xs = np.linspace(0.0, 2.0 * np.pi, 101)
         assert np.max(np.abs(fourier_reconstruct(c, xs) - np.sin(2.0 * xs))) <= 1e-12
 
-    def test_matches_direct_summation(self, rng):
-        # sum over j = -4..4 of the conjugate-symmetric complex modes
-        a = rng.standard_normal(9)
+    @pytest.mark.parametrize("n", [4, 256], ids=["n=4-random-points", "n=256-ring-grid"])
+    def test_matches_direct_summation(self, n, rng):
+        # sum over j = -n..n of the conjugate-symmetric complex modes
+        a = rng.standard_normal(2 * n + 1)
         half = a[1::2] + 1j * a[2::2]
         c = np.concatenate([np.conj(half[::-1]), [a[0]], half])
-        xs = rng.uniform(0.0, 2.0 * np.pi, size=17)
-        modes = np.arange(-4, 5)
+        xs = rng.uniform(0.0, 2.0 * np.pi, size=17) if n == 4 else eval_grid(RING, 2048)
+        modes = np.arange(-n, n + 1)
         direct = np.array([np.sum(c * np.exp(1j * modes * x)).real for x in xs])
-        assert np.max(np.abs(fourier_reconstruct(a, xs) - direct)) <= 1e-12
+        tolerance = 1e-13 * np.sum(np.abs(c))
+        assert np.max(np.abs(fourier_reconstruct(a, xs) - direct)) <= tolerance
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced allocation of one call, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# n = 256 with 51 checkpoint states on 2048 points, as in the spectral sweeps
+N_BIG, STATES, POINTS = 256, 51, 2048
+# numpy's iterator buffers for broadcast operands (128 KiB), the length-POINTS
+# vectors and array headers; any further n x POINTS table would add 4 MiB
+SLACK = 256 * 1024
+
+
+def test_fourier_reconstruct_peak_stays_within_the_trig_table_evaluation(rng):
+    # the cos/sin evaluation over all points at once held its phase table and
+    # one trig table (16 n N bytes) with its two float products (16 k N)
+    coeffs = rng.standard_normal((STATES, 2 * N_BIG + 1))
+    xs = eval_grid(RING, POINTS)
+    peak = _peak_bytes(lambda: fourier_reconstruct(coeffs, xs))
+    assert peak <= 16 * N_BIG * POINTS + 16 * STATES * POINTS + SLACK
+
+
+def test_barycentric_peak_stays_within_one_ratio_table_and_the_output(rng):
+    # one (points, n + 1) table of w_j / (x - x_j), formed in place, and the output
+    basis = ChebyshevBasis(ChebyshevGrid(N_BIG))
+    values = rng.standard_normal((STATES, basis.size))
+    xs = eval_grid(BOX, POINTS)
+    peak = _peak_bytes(lambda: basis.interpolate(values, xs))
+    assert peak <= 8 * POINTS * basis.size + 8 * STATES * POINTS + SLACK

@@ -6,6 +6,7 @@ import pytest
 from neuralfield.checks import scalar_decay_system
 from neuralfield.schemes import SchemeDiagnostics, SemiDiscreteSystem, build_fe_collocation
 from neuralfield.timestep import (
+    MAX_EULER_STEPS,
     IntegrationError,
     _dormand_prince_step,
     euler_integrate,
@@ -135,6 +136,19 @@ class TestEuler:
         # a positive step whose step count overflows, rather than an OverflowError
         with pytest.raises(ValueError, match=r"step 1e-320 is too small for the window \[0\.0, 1\.0\]"):
             euler_integrate(system, 0.0, 1.0, 1e-320, [0.0, 0.5])
+
+    def test_a_step_count_past_the_cap_is_rejected_before_any_step(self):
+        def rhs(t, a):  # without the cap the run would take 2^40 steps, so fail at once
+            raise AssertionError(f"right-hand side called at t={t}")
+
+        system = make_system(1, rhs, [1.0])
+        ht = 2.0**-40  # on the lattice of every checkpoint below, 2^40 steps to t = 1
+        message = rf"^checkpoint 1\.0 is {2**40} steps of .* more than the maximum of {MAX_EULER_STEPS}$"
+        with pytest.raises(ValueError, match=message):
+            euler_integrate(system, 0.0, 1.0, ht, [0.0, 1.0])
+        # one step past the cap is enough
+        with pytest.raises(ValueError, match=f"is {MAX_EULER_STEPS + 1} steps"):
+            euler_integrate(system, 0.0, 1.0, 1.0 / (MAX_EULER_STEPS + 1), [0.0, 1.0])
 
     def test_blowup_raises_at_the_first_non_finite_checkpoint(self):
         # u' = u^2 from u(0) = 1 blows up at t = 1; with ht = 0.01 the Euler
