@@ -240,7 +240,9 @@ def residual_suite() -> list[CheckResult]:
 def sandwich_suite() -> list[CheckResult]:
     """Two-sided bound check on the compact problems for both collocation schemes.
 
-    Each problem is built once and shared by its six cells.
+    Each problem is built once and shared by its six cells. A conclusive
+    cell's detail gives the ratio and its bounds; an inconclusive one gives
+    the scheme and projector errors instead, as their ratio is noise there.
     """
     out = []
     for pid in ("P1", "P2", "P3", "P4", "P5", "P6"):
@@ -248,14 +250,15 @@ def sandwich_suite() -> list[CheckResult]:
         for scheme in ("fe-collocation", "cheb-collocation"):
             for n in (16, 32, 64):
                 result = sandwich_check(problem, scheme, n)
-                tag = "" if result.conclusive else " (inconclusive: projector error at the temporal floor)"
-                out.append(
-                    CheckResult(
-                        f"sandwich {pid} {scheme} n={n}",
-                        result.passed,
-                        f"ratio={result.ratio:.3g} in [{result.lower:.3g}, {result.upper:.3g}]{tag}",
+                if result.conclusive:
+                    detail = f"ratio={result.ratio:.3g} in [{result.lower:.3g}, {result.upper:.3g}]"
+                else:
+                    detail = (
+                        f"scheme error={result.scheme_error:.3g}, "
+                        f"projector error={result.projector_error:.3g} "
+                        "(inconclusive: projector error at the temporal floor)"
                     )
-                )
+                out.append(CheckResult(f"sandwich {pid} {scheme} n={n}", result.passed, detail))
     return out
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .model import Interval
 from .problems import TestProblem, make_problem
+from .quadrature import trapezium_rule
 from .schemes import SCHEMES, SemiDiscreteSystem, reconstruct_on
 
 # not called here: the benchmark's tracer rebinds this name, so it stays importable
@@ -154,15 +155,6 @@ def eval_grid(interval: Interval, eval_points: int) -> np.ndarray:
     return np.linspace(interval.a, interval.b, eval_points)
 
 
-def _l2_weights(interval: Interval, eval_points: int) -> np.ndarray:
-    if interval.periodic:
-        return np.full(eval_points, interval.length / eval_points)
-    h = interval.length / (eval_points - 1)
-    w = np.full(eval_points, h)
-    w[0] = w[-1] = h / 2.0
-    return w
-
-
 def exact_grid(problem: TestProblem, checkpoints, eval_points: int) -> np.ndarray:
     """The closed form on the checkpoint x point grid, one row per checkpoint.
 
@@ -195,7 +187,10 @@ def _worst_error(
         exact = exact_grid(problem, checkpoints, eval_points)
     diff = reconstruct_on(system, states, xs) - exact
     if system.norm == "l2":
-        per_checkpoint = np.sqrt((diff * diff) @ _l2_weights(problem.interval, eval_points))
+        # the trapezium rule whose eval_points nodes are the evaluation grid
+        interval = problem.interval
+        panels = eval_points if interval.periodic else eval_points - 1
+        per_checkpoint = np.sqrt((diff * diff) @ trapezium_rule(interval, panels).weights)
     else:
         per_checkpoint = np.abs(diff).max(axis=1)
     return float(per_checkpoint.max())

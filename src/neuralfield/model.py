@@ -114,13 +114,8 @@ class FiringRate:
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0.0) or np.any(r >= 1.0):
             raise ValueError(INVERSE_DOMAIN_ERROR)
-        out = self._inverse_unchecked(r)
+        out = self.threshold + np.log((1.0 - r) / r) / self.gain
         return out if out.ndim else out[()]
-
-    def _inverse_unchecked(self, r):
-        """The log-odds formula of :meth:`inverse` without its domain check,
-        for callers that have already bounded r inside (0, 1)."""
-        return self.threshold + np.log((1.0 - r) / r) / self.gain
 
     @property
     def sup_derivative(self) -> float:

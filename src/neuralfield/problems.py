@@ -9,15 +9,17 @@ forcing accordingly makes u an exact solution. Measured solver error is
 then pure discretization error.
 
 The spatial profile q(x) is x^2 on the compact domain and cos(x)^2 on the
-ring; a single closure is shared by kernel, solution, and forcing so the
-three can never drift apart.
+ring; a single closure is shared by kernel, solution, time derivative and
+forcing so the four can never drift apart. Each quantity has one closed
+form: u and its time derivative pointwise, and the forcing bound to the
+nodes a scheme evaluates it at.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +32,6 @@ __all__ = [
     "canonical_id",
     "make_problem",
     "modulation_integral",
-    "exact_time_derivative",
     "continuum_residual",
 ]
 
@@ -68,25 +69,20 @@ PROBLEM_IDS = tuple(_MODULATIONS)
 class TestProblem:
     """One benchmark: a closed-form solution plus everything schemes assemble from.
 
-    ``forcing(x, t)`` is the pointwise closed form; ``forcing_at(X)`` binds
-    it to fixed nodes X and returns t -> forcing(X, t) with every factor
-    that depends on X alone computed once, for right-hand sides that
-    evaluate it at the same nodes many times. ``envelope_exponent`` is the
-    shared spatial profile q. The three optional fields are None for
-    problems built outside the manufactured family.
+    ``exact(x, t)`` is the solution u and ``time_derivative(x, t)`` its
+    closed-form time derivative, both pointwise. ``forcing_at(X)`` binds the
+    forcing to fixed nodes X and returns t -> F(X, t) with every factor that
+    depends on X alone computed once, for right-hand sides that evaluate it
+    at the same nodes many times; it is the forcing's only form.
     """
 
     id: str
     interval: Interval
     kernel: Callable
     firing: FiringRate
-    forcing: Callable
     forcing_at: Callable
-    initial: Callable
     exact: Callable
-    amplitude: Optional[float] = None
-    decay: Optional[float] = None
-    envelope_exponent: Optional[Callable] = None
+    time_derivative: Callable
 
 
 def canonical_id(token: str) -> str:
@@ -141,11 +137,12 @@ def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) 
     if periodic:
         interval = RING
         exponent = lambda x: np.cos(x) ** 2  # noqa: E731
-        kernel = lambda x, y: np.exp(-np.cos(x) ** 2 + np.cos(y) ** 2) * mod(y)  # noqa: E731
     else:
         interval = BOX
         exponent = lambda x: np.asarray(x) ** 2  # noqa: E731
-        kernel = lambda x, y: np.exp(-(x**2) + y**2) * mod(y)  # noqa: E731
+
+    def kernel(x, y):
+        return np.exp(-exponent(x) + exponent(y)) * mod(y)
 
     def envelope(x, t):
         return AMPLITUDE * np.exp(-DECAY * t - exponent(x))
@@ -153,12 +150,13 @@ def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) 
     def exact(x, t):
         return firing.inverse(envelope(x, t))
 
-    def forcing(x, t):
-        _checked_rate(t)
-        env = envelope(x, t)
-        return DECAY / (GAIN * (1.0 - env)) + firing._inverse_unchecked(env) - mod_integral * env
+    def time_derivative(x, t):
+        # the envelope g has dg/dt = -DECAY g and the inverse firing rate the
+        # slope -1 / (GAIN g (1 - g)), so the chain rule leaves DECAY / (GAIN (1 - g))
+        return DECAY / (GAIN * (1.0 - envelope(x, t)))
 
     def forcing_at(nodes):
+        # F = du/dt + u - mod_integral * env, for env = A e^(-DECAY t - q(X)).
         # env = e^rate * A e^-q(X); with d = e^-rate - A e^-q(X), 1 - env = e^rate * d.
         # So DECAY / (GAIN (1 - env)) = (DECAY / GAIN) e^-rate / d, and the log-odds
         # inverse log((1 - env) / env) / GAIN + THRESHOLD splits into log(d) / GAIN
@@ -179,21 +177,14 @@ def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) 
 
         return at
 
-    def initial(x):
-        return exact(x, 0.0)
-
     return TestProblem(
         id=pid,
         interval=interval,
         kernel=kernel,
         firing=firing,
-        forcing=forcing,
         forcing_at=forcing_at,
-        initial=initial,
         exact=exact,
-        amplitude=AMPLITUDE,
-        decay=DECAY,
-        envelope_exponent=exponent,
+        time_derivative=time_derivative,
     )
 
 
@@ -204,29 +195,16 @@ def make_problem(problem_id: str) -> TestProblem:
     return _manufactured(pid, mod, periodic, modulation_integral(pid))
 
 
-def exact_time_derivative(problem: TestProblem, x, t):
-    """Closed-form time derivative of the manufactured solution.
-
-    The envelope g = amplitude * exp(-decay*t - q(x)) satisfies
-    dg/dt = -decay * g, and the inverse firing rate has slope
-    -1 / (gain * g * (1 - g)), so the chain rule collapses to
-    decay / (gain * (1 - g)).
-    """
-    if problem.envelope_exponent is None:
-        raise ValueError(f"problem {problem.id!r} has no manufactured envelope")
-    env = problem.amplitude * np.exp(-problem.decay * t - problem.envelope_exponent(x))
-    return problem.decay / (problem.firing.gain * (1.0 - env))
-
-
 def continuum_residual(problem: TestProblem, x: float, t: float, ref_quad: QuadratureRule) -> float:
     """Defect of the closed form in the field equation at one point (x, t).
 
-    The nonlocal term is evaluated with the supplied high-resolution rule;
-    by construction the true residual is zero, so what comes back is the
-    rule's quadrature error on the kernel modulation.
+    The nonlocal term is evaluated with the supplied high-resolution rule
+    and the forcing is bound to the single node x; by construction the true
+    residual is zero, so what comes back is the rule's quadrature error on
+    the kernel modulation plus the bound forcing's rounding (a few ulp).
     """
     firing = problem.firing
     integral = ref_quad.integrate(lambda y: problem.kernel(x, y) * firing(problem.exact(y, t)))
     return float(
-        exact_time_derivative(problem, x, t) + problem.exact(x, t) - integral - problem.forcing(x, t)
+        problem.time_derivative(x, t) + problem.exact(x, t) - integral - problem.forcing_at(x)(t)
     )

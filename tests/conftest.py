@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 
 from neuralfield.model import FiringRate
-from neuralfield.problems import BOX, GAIN, RING, THRESHOLD, TestProblem, _manufactured, make_problem
+from neuralfield.problems import (
+    AMPLITUDE,
+    BOX,
+    DECAY,
+    GAIN,
+    RING,
+    THRESHOLD,
+    TestProblem,
+    _manufactured,
+    make_problem,
+    modulation_integral,
+)
 
 
 @pytest.fixture(scope="session")
@@ -33,18 +44,17 @@ def _pure_decay(periodic: bool = False) -> TestProblem:
     in which right-hand sides must equal -a exactly.
     """
 
-    def initial(x):
-        return 0.4 * np.ones(np.shape(x))
+    def exact(x, t):
+        return np.exp(-t) * (0.4 * np.ones(np.shape(x)))
 
     return TestProblem(
         id="pure-decay-ring" if periodic else "pure-decay",
         interval=RING if periodic else BOX,
         kernel=lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y))),
         firing=FiringRate(gain=GAIN, threshold=THRESHOLD),
-        forcing=lambda x, t: np.zeros(np.shape(x)),
         forcing_at=lambda nodes: (lambda t: np.zeros(np.shape(nodes))),
-        initial=initial,
-        exact=lambda x, t: np.exp(-t) * initial(x),
+        exact=exact,
+        time_derivative=lambda x, t: -exact(x, t),
     )
 
 
@@ -58,8 +68,8 @@ def _zero_kernel(periodic: bool = False) -> TestProblem:
     """Manufactured problem with the kernel switched off.
 
     The closed form still solves it exactly because the forcing drops the
-    integral term along with the kernel; the residual is zero with no
-    quadrature error at all.
+    integral term along with the kernel; the residual has no quadrature
+    error at all, only the rounding of the node-bound forcing.
     """
     pid = "zero-kernel-ring" if periodic else "zero-kernel"
     return _manufactured(pid, lambda y: np.asarray(y) * 0.0, periodic, 0.0)
@@ -69,3 +79,35 @@ def _zero_kernel(periodic: bool = False) -> TestProblem:
 def zero_kernel_problem():
     """Factory of the zero-kernel problem: call it with periodic=True for the ring."""
     return _zero_kernel
+
+
+def _closed_form_envelope(problem: TestProblem, x, t):
+    """The manufactured envelope A e^(-DECAY t - q(x)), with q written out
+    here: x^2 on the box and cos(x)^2 on the ring."""
+    q = np.cos(x) ** 2 if problem.interval.periodic else np.asarray(x) ** 2
+    return AMPLITUDE * np.exp(-DECAY * t - q)
+
+
+def _closed_form_forcing(problem: TestProblem, x, t):
+    """The pointwise forcing that makes the manufactured u exact:
+    du/dt + u - (integral of the modulation) * envelope, with
+    du/dt = DECAY / (GAIN (1 - envelope)) and u the checked inverse firing
+    rate of the envelope."""
+    env = _closed_form_envelope(problem, x, t)
+    return (
+        DECAY / (GAIN * (1.0 - env))
+        + problem.firing.inverse(env)
+        - modulation_integral(problem.id) * env
+    )
+
+
+@pytest.fixture(scope="session")
+def closed_form_envelope():
+    """The envelope oracle (problem, x, t) -> A e^(-DECAY t - q(x))."""
+    return _closed_form_envelope
+
+
+@pytest.fixture(scope="session")
+def closed_form_forcing():
+    """The pointwise forcing oracle (problem, x, t) -> F(x, t) of a benchmark."""
+    return _closed_form_forcing

@@ -3,7 +3,7 @@ import pytest
 
 from neuralfield.checks import dft_backward_direct, dft_forward_direct
 from neuralfield.model import ChebyshevGrid, UniformGrid
-from neuralfield.problems import exact_time_derivative, make_problem
+from neuralfield.problems import make_problem
 from neuralfield.projection import ChebyshevBasis, TentBasis, dft_backward, dft_forward
 from neuralfield.quadrature import clenshaw_curtis, gauss_legendre_2, trapezium_rule
 from neuralfield.schemes import (
@@ -59,7 +59,7 @@ class TestFeCollocation:
             x = UniformGrid(p1.interval, n).nodes
             state = system.encode(lambda xx: p1.exact(xx, 0.0))
             residuals[n] = np.max(
-                np.abs(system.rhs(0.0, state) - exact_time_derivative(p1, x, 0.0))
+                np.abs(system.rhs(0.0, state) - p1.time_derivative(x, 0.0))
             )
         ratio = residuals[128] / residuals[256]
         assert 3.2 <= ratio <= 4.8
@@ -91,7 +91,7 @@ class TestFeCollocation:
         errs = {}
         for n in (64, 128):
             system = build_fe_collocation(p1, n)
-            errs[n] = np.max(np.abs(reconstruct_on(system, system.initial, xs) - p1.initial(xs)))
+            errs[n] = np.max(np.abs(reconstruct_on(system, system.initial, xs) - p1.exact(xs, 0.0)))
         assert 3.2 <= errs[64] / errs[128] <= 4.8
 
 
@@ -100,7 +100,7 @@ class TestChebCollocation:
         system = build_cheb_collocation(p4, 32, quadrature="cc")
         x = np.cos(np.pi * np.arange(33) / 32)
         state = system.encode(lambda xx: p4.exact(xx, 0.0))
-        residual = np.max(np.abs(system.rhs(0.0, state) - exact_time_derivative(p4, x, 0.0)))
+        residual = np.max(np.abs(system.rhs(0.0, state) - p4.time_derivative(x, 0.0)))
         assert residual <= 1e-8
 
     def test_trapezium_quadrature_pollutes_at_second_order(self, p4):
@@ -110,7 +110,7 @@ class TestChebCollocation:
         for m in (32, 64, 128):
             system = build_cheb_collocation(p4, 32, quadrature="trapezium", m=m)
             state = system.encode(lambda xx: p4.exact(xx, 0.0))
-            res[m] = np.max(np.abs(system.rhs(0.0, state) - exact_time_derivative(p4, x, 0.0)))
+            res[m] = np.max(np.abs(system.rhs(0.0, state) - p4.time_derivative(x, 0.0)))
         assert 3.2 <= res[32] / res[64] <= 4.8
         assert 3.2 <= res[64] / res[128] <= 4.8
 
@@ -125,7 +125,7 @@ class TestChebCollocation:
         errs = []
         for n in range(12, 40, 4):
             system = build_cheb_collocation(p1, n)
-            errs.append(np.max(np.abs(reconstruct_on(system, system.initial, xs) - p1.initial(xs))))
+            errs.append(np.max(np.abs(reconstruct_on(system, system.initial, xs) - p1.exact(xs, 0.0))))
         ratios = np.array(errs[1:]) / np.array(errs[:-1])
         assert np.all(ratios <= rho**-4), ratios
 
@@ -183,7 +183,7 @@ class TestFeGalerkin:
             system = build_fe_galerkin(p1, n, variant="gauss2")
             x = UniformGrid(p1.interval, n).nodes
             state = system.encode(lambda xx: p1.exact(xx, 0.0))
-            res[n] = np.max(np.abs(system.rhs(0.0, state) - exact_time_derivative(p1, x, 0.0)))
+            res[n] = np.max(np.abs(system.rhs(0.0, state) - p1.time_derivative(x, 0.0)))
         assert 3.0 <= res[64] / res[128] <= 5.5
 
     def test_rejects_unknown_variant(self, p1):
@@ -201,17 +201,17 @@ class TestSpectralGalerkin:
         system = build_spectral_galerkin(p7p, 16)
         m = 33
         x = 2.0 * np.pi * np.arange(m) / m
-        state = system.encode(p7p.initial)
-        target = dft_forward(exact_time_derivative(p7p, x, 0.0))
+        state = system.encode(lambda xx: p7p.exact(xx, 0.0))
+        target = dft_forward(p7p.time_derivative(x, 0.0))
         assert np.max(np.abs(system.rhs(0.0, state) - target)) <= 1e-6
 
-    def test_rhs_matches_direct_summation_oracle(self, p7p, rng):
+    def test_rhs_matches_direct_summation_oracle(self, p7p, rng, closed_form_forcing):
         system = build_spectral_galerkin(p7p, 10)
         m = 21
         x = 2.0 * np.pi * np.arange(m) / m
         weight = (2.0 * np.pi / m) * p7p.kernel(x[:, None], x[None, :])
         a = rng.standard_normal(system.dim)
-        samples = p7p.forcing(x, 0.25) + weight @ p7p.firing(dft_backward_direct(a))
+        samples = closed_form_forcing(p7p, x, 0.25) + weight @ p7p.firing(dft_backward_direct(a))
         oracle = -a + dft_forward_direct(samples)
         assert np.max(np.abs(system.rhs(0.25, a) - oracle)) <= 1e-12
 
@@ -224,7 +224,7 @@ class TestSpectralGalerkin:
         errs = []
         for n in range(8, 40, 4):
             system = build_spectral_galerkin(p7p, n)
-            errs.append(np.max(np.abs(reconstruct_on(system, system.initial, xs) - p7p.initial(xs))))
+            errs.append(np.max(np.abs(reconstruct_on(system, system.initial, xs) - p7p.exact(xs, 0.0))))
         ratios = np.array(errs[1:]) / np.array(errs[:-1])
         assert np.all(ratios <= np.exp(-4.0 * strip)), ratios
 
@@ -367,7 +367,7 @@ def _fold_problem(key):
 
 @pytest.mark.parametrize("n", [8, 64, 256])
 @pytest.mark.parametrize("key,builder", FOLD_CASES)
-def test_folded_rhs_matches_the_unfolded_formula(key, builder, n, rng):
+def test_folded_rhs_matches_the_unfolded_formula(key, builder, n, rng, closed_form_forcing):
     # the right-hand side folds the logistic's constant half into the forcing
     # and its slope into post(-W/2); unfolded, it is the parent formula
     problem = _fold_problem(key)
@@ -375,7 +375,7 @@ def test_folded_rhs_matches_the_unfolded_formula(key, builder, n, rng):
     nodes, weight, pre, post = _parent_form(key, problem, n)
     states = [system.initial, rng.standard_normal(system.dim), 0.3 * rng.standard_normal(system.dim)]
     for t, a in zip((0.0, 0.37, 0.91), states):
-        oracle = post(problem.forcing(nodes, t) + weight @ problem.firing(pre(a))) - a
+        oracle = post(closed_form_forcing(problem, nodes, t) + weight @ problem.firing(pre(a))) - a
         rhs = system.rhs(t, a)
         assert np.max(np.abs(rhs - oracle)) <= 1e-14 * np.max(np.abs(rhs))
 
