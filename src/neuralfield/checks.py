@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import eval_grid, sandwich_check
+from .harness import StudyConfig, default_checkpoints, eval_grid, exact_grid, sandwich_check
 from .model import ChebyshevGrid, Interval, UniformGrid
 from .problems import PROBLEM_IDS, continuum_residual, make_problem
 from .projection import ChebyshevBasis, TentBasis, dft_backward, dft_forward
@@ -240,16 +240,21 @@ def residual_suite() -> list[CheckResult]:
 def sandwich_suite() -> list[CheckResult]:
     """Two-sided bound check on the compact problems for both collocation schemes.
 
-    Each problem is built once and shared by its six cells. A conclusive
+    Each problem is built once, and its closed form evaluated once on the
+    checkpoint x point grid, and both are shared by its six cells. A conclusive
     cell's detail gives the ratio and its bounds; an inconclusive one gives
     the scheme and projector errors instead, as their ratio is noise there.
     """
+    # sandwich_check runs every cell on the StudyConfig defaults
+    defaults = StudyConfig(problems=(), scheme="fe-collocation", n_values=())
+    cps = default_checkpoints(defaults.t0, defaults.duration, defaults.checkpoint_count)
     out = []
     for pid in ("P1", "P2", "P3", "P4", "P5", "P6"):
         problem = make_problem(pid)
+        exact = exact_grid(problem, cps, defaults.eval_points)
         for scheme in ("fe-collocation", "cheb-collocation"):
             for n in (16, 32, 64):
-                result = sandwich_check(problem, scheme, n)
+                result = sandwich_check(problem, scheme, n, exact)
                 if result.conclusive:
                     detail = f"ratio={result.ratio:.3g} in [{result.lower:.3g}, {result.upper:.3g}]"
                 else:

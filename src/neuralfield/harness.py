@@ -329,7 +329,9 @@ class SandwichResult:
 SANDWICH_SLACK = 0.1
 
 
-def sandwich_check(problem: Union[str, TestProblem], scheme: str, n: int) -> SandwichResult:
+def sandwich_check(
+    problem: Union[str, TestProblem], scheme: str, n: int, exact: Optional[np.ndarray] = None
+) -> SandwichResult:
     """Check that the integrated scheme error sits inside the two-sided bound
     [projector_error / (1 + beta_n), projector_error * exp(beta_n)].
 
@@ -339,13 +341,16 @@ def sandwich_check(problem: Union[str, TestProblem], scheme: str, n: int) -> San
     absorb temporal error. When the projector error has sunk below ten times
     the temporal-error scale (rtol * sup|u| + atol) the comparison says
     nothing about the bound; such cells are flagged inconclusive and count
-    as not-failed.
+    as not-failed. ``exact`` is the :func:`exact_grid` of the default
+    checkpoints and evaluation grid, evaluated here when None; it depends on
+    the problem alone, so the cells of one problem can share it.
     """
     prob = make_problem(problem) if isinstance(problem, str) else problem
     cfg = StudyConfig(problems=(prob,), scheme=scheme, n_values=(n,))
     cfg.validate()
     cps = default_checkpoints(cfg.t0, cfg.duration, cfg.checkpoint_count)
-    exact = exact_grid(prob, cps, cfg.eval_points)
+    if exact is None:
+        exact = exact_grid(prob, cps, cfg.eval_points)
     system, _, scheme_err, _ = _cell(prob, cfg, n, cps, exact)
     proj_err = projector_error(system, prob, cps, cfg.eval_points, exact)
     beta = system.diagnostics.beta_n(cfg.duration)

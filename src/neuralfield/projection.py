@@ -167,8 +167,7 @@ def dft_forward(samples) -> np.ndarray:
     viewed as floats, [Re c_0, Im c_0, Re c_1, Im c_1, ...], without the
     zero Im c_0: m entries. ``samples`` is one vector of length m or a
     stack of columns of shape (m, k), each column transformed into one
-    packed column, so that a linear map on samples can be carried into
-    coefficient space.
+    packed column by the same FFT call.
     """
     v = np.asarray(samples, dtype=float)
     _odd_length(v, axis=0)

@@ -31,8 +31,9 @@ computed once at build. Per scheme (nodes X; weight W; pre; post; K):
   the Gauss-rule load map L solved against the same rule's (exact) Gram
   matrix M of the tents, as one dense matrix; -P W / 2, (n + 1) x 2n.
 - spectral-galerkin: the 2n + 1 uniform ring nodes; trapezium weights;
-  inverse real DFT of the packed coefficients; forward real DFT; the
-  forward DFT of the columns of -W/2, (2n + 1) x (2n + 1).
+  identity; identity; -W/2, (2n + 1) x (2n + 1). The state holds the
+  samples at the nodes, and the Fourier coefficients are formed only to
+  reconstruct (see :func:`build_spectral_galerkin`).
 
 ``SCHEMES`` is the one list of these six (scheme, variant) pairs: it maps
 each to a builder (problem, n) -> system, and the harness and the CLI read
@@ -52,7 +53,7 @@ import numpy as np
 
 from .model import ChebyshevGrid, UniformGrid
 from .problems import TestProblem
-from .projection import ChebyshevBasis, TentBasis, dft_backward, dft_forward, fourier_reconstruct
+from .projection import ChebyshevBasis, TentBasis, dft_forward, fourier_reconstruct
 from .quadrature import clenshaw_curtis, gauss_legendre_2, trapezium_rule
 
 __all__ = [
@@ -95,11 +96,10 @@ class SemiDiscreteSystem:
     ``rhs(t, a)`` is pure; ``reconstruct(a, xs)`` maps a state of shape
     (dim,), or a stack of states of shape (k, dim), and evaluation points
     to function values, one row per state; ``encode(fn)`` maps a spatial
-    function to the state representing it (nodal samples, a Galerkin
-    projection, or packed real Fourier coefficients depending on the
-    scheme). ``norm`` names the scheme's ambient space, "sup" for
-    collocation and "l2" for Galerkin, and controls how errors are measured
-    downstream.
+    function to the state representing it: its values at the scheme's
+    nodes, or, for fe-galerkin/gauss2, its Galerkin projection onto the
+    tents. ``norm`` names the scheme's ambient space, "sup" for collocation
+    and "l2" for Galerkin, and controls how errors are measured downstream.
     """
 
     rhs: Callable
@@ -155,6 +155,10 @@ def _projected(
     weight @ 1 / 2, which joins the forcing in G(t), and the slope
     -weight / 2, which ``post`` maps once into K = post(-weight / 2). So
     ``post`` must be linear and accept a matrix, acting on its columns.
+    Only fe-galerkin/gauss2 has a ``post``, its projector; gauss2 and
+    cheb-collocation/trapezium have a ``pre``, the map of the nodal state
+    onto their quadrature nodes. Every other scheme integrates its values at
+    the quadrature nodes themselves.
 
     ``weight_infnorm(K)`` gives the ||W_n|| entering beta_n; by default it
     is the row-sum norm of ``weight`` itself. cheb-collocation/trapezium and
@@ -310,16 +314,32 @@ def build_fe_galerkin(problem: TestProblem, n: int, variant: str = "gauss2") -> 
     )
 
 
-def build_spectral_galerkin(problem: TestProblem, n: int) -> SemiDiscreteSystem:
-    """Fourier-Galerkin scheme on the ring with pseudospectral evaluation.
+def _ring_interpolate(samples, x):
+    """Trigonometric interpolant through samples at the 2n + 1 ring nodes,
+    one state of shape (m,) or a stack of shape (k, m), evaluated at x: one
+    forward FFT of the whole stack, then :func:`fourier_reconstruct`."""
+    return fourier_reconstruct(dft_forward(np.asarray(samples, dtype=float).T).T, x)
 
-    The state holds the 2n + 1 real numbers [Re c_0, Re c_1, Im c_1, ...,
-    Re c_n, Im c_n] of the modes j = -n..n, the negative modes being the
-    conjugates of the positive ones. Each evaluation transforms the state
-    back to the m = 2n + 1 sample grid x_l = 2*pi*l/m, applies the firing
-    rate pointwise, multiplies by the kernel matrix scaled with the uniform
-    trapezium weight 2*pi/m, adds the forcing samples, and transforms
-    forward again.
+
+def build_spectral_galerkin(problem: TestProblem, n: int) -> SemiDiscreteSystem:
+    """Fourier-Galerkin scheme on the ring, integrated in nodal values.
+
+    The Galerkin state is the 2n + 1 packed real Fourier coefficients
+    a = D u of the modes j = -n..n, D the real DFT (:func:`dft_forward`) of
+    the samples u at x_l = 2*pi*l/m, m = 2n + 1, and its integrals use the
+    trapezium rule on those samples, with the uniform weight 2*pi/m. That
+    rule is tied to the projector: on m samples D is square and invertible,
+    so the Galerkin system a' = -a + D(F(X, t) + W f(D^-1 a)) is, exactly,
+    the nodal system u' = -u + F(X, t) + W f(u) in the coordinates a = D u
+    (the pseudospectral Galerkin-collocation identity; Boyd, Chebyshev and
+    Fourier Spectral Methods, 2nd ed., ch. 4). The scheme integrates the
+    nodal form, which needs no transform in the right-hand side; a state is
+    carried into coefficients only to reconstruct it.
+
+    So the rk54 controller weighs the error of each nodal value against
+    atol + rtol * max(|u_l|, |u_new_l|), as for every collocation scheme,
+    not that of each coefficient. On P7p and P9p the two forms take the same
+    steps, and their trajectories agree to roundoff after D.
     """
     if not problem.interval.periodic:
         raise ValueError("spectral-galerkin needs a periodic domain (ring)")
@@ -327,9 +347,7 @@ def build_spectral_galerkin(problem: TestProblem, n: int) -> SemiDiscreteSystem:
         raise ValueError("spectral-galerkin needs n >= 1")
     grid = UniformGrid(problem.interval, 2 * n + 1)
     weight = grid.h * _kernel_matrix(problem, grid.nodes, grid.nodes)
-    return _projected(
-        problem, grid.nodes, weight, fourier_reconstruct, "l2", pre=dft_backward, post=dft_forward
-    )
+    return _projected(problem, grid.nodes, weight, _ring_interpolate, "l2")
 
 
 # (scheme, variant) -> builder (problem, n) -> system; the variant is the

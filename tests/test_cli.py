@@ -8,6 +8,7 @@ import pytest
 
 from neuralfield import cli, harness
 from neuralfield.schemes import SchemeDiagnostics, SemiDiscreteSystem
+from test_harness import GOLDEN
 
 RUN_P1 = ["run", "--problem", "P1", "--n", "8", "--scheme", "fe-collocation"]
 
@@ -45,6 +46,16 @@ def test_converge_writes_csv(capsys, tmp_path):
     assert code == cli.EXIT_OK
     assert "wrote 4 records" in out
     assert len(path.read_text().splitlines()) == 5
+
+
+def test_converge_spectral_galerkin_prints_the_golden_rows(capsys):
+    argv = ["converge", "--scheme", "spectral-galerkin", "--problems", "P7p,P9p", "--n", "8,16,32"]
+    code, out, _ = _exit(argv, capsys)
+    assert code == cli.EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == harness.CSV_HEADER
+    rows = [line.rsplit(",", 1)[0] for line in lines[1:]]
+    assert rows == GOLDEN[("P7p", "P9p"), "spectral-galerkin"].splitlines()
 
 
 EULER_P1 = ["euler", "--problem", "P1", "--ht", "0.02,0.01", "--spatial-n", "8,16",

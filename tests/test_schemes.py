@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from neuralfield.checks import dft_backward_direct, dft_forward_direct
 from neuralfield.model import ChebyshevGrid, UniformGrid
 from neuralfield.problems import make_problem
-from neuralfield.projection import ChebyshevBasis, TentBasis, dft_backward, dft_forward
+from neuralfield.projection import ChebyshevBasis, TentBasis, dft_forward, fourier_reconstruct
 from neuralfield.quadrature import clenshaw_curtis, gauss_legendre_2, trapezium_rule
 from neuralfield.schemes import (
     SCHEMES,
+    SchemeDiagnostics,
+    SemiDiscreteSystem,
     _two_tap,
     build_cheb_collocation,
     build_fe_collocation,
@@ -192,7 +196,7 @@ class TestFeGalerkin:
 
 
 class TestSpectralGalerkin:
-    def test_dim_is_packed_real(self, p7p):
+    def test_dim_is_the_ring_node_count(self, p7p):
         system = build_spectral_galerkin(p7p, 16)
         assert system.dim == 33
         assert system.initial.dtype == np.float64
@@ -203,9 +207,11 @@ class TestSpectralGalerkin:
         x = 2.0 * np.pi * np.arange(m) / m
         state = system.encode(lambda xx: p7p.exact(xx, 0.0))
         target = dft_forward(p7p.time_derivative(x, 0.0))
-        assert np.max(np.abs(system.rhs(0.0, state) - target)) <= 1e-6
+        assert np.max(np.abs(dft_forward(system.rhs(0.0, state)) - target)) <= 1e-6
 
     def test_rhs_matches_direct_summation_oracle(self, p7p, rng, closed_form_forcing):
+        # the coefficient form a' = -a + D(F + W f(D^-1 a)), with the direct
+        # transforms, against the nodal right-hand side conjugated by them
         system = build_spectral_galerkin(p7p, 10)
         m = 21
         x = 2.0 * np.pi * np.arange(m) / m
@@ -213,7 +219,38 @@ class TestSpectralGalerkin:
         a = rng.standard_normal(system.dim)
         samples = closed_form_forcing(p7p, x, 0.25) + weight @ p7p.firing(dft_backward_direct(a))
         oracle = -a + dft_forward_direct(samples)
-        assert np.max(np.abs(system.rhs(0.25, a) - oracle)) <= 1e-12
+        rhs = dft_forward_direct(system.rhs(0.25, dft_backward_direct(a)))
+        assert np.max(np.abs(rhs - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("pid", ["P7p", "P9p"])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_trajectory_matches_the_coefficient_form(self, pid, n):
+        # rk54 on the packed-coefficient Galerkin system, built here from the
+        # direct transforms, takes the same steps as on the nodal system, and
+        # its checkpoint states are the nodal ones carried into coefficients
+        problem = make_problem(pid)
+        nodal = build_spectral_galerkin(problem, n)
+        coefficients = _coefficient_form(problem, n)
+        cps = np.linspace(0.0, 1.0, 51)
+        expected = rk54_integrate(coefficients, 0.0, 1.0, 1e-6, 1e-9, cps)
+        got = rk54_integrate(nodal, 0.0, 1.0, 1e-6, 1e-9, cps)
+        assert got.stats == expected.stats
+        gap = np.max(np.abs(dft_forward(got.states.T).T - expected.states))
+        assert gap <= 1e-13 * np.max(np.abs(expected.states))
+
+    def test_build_peak_is_three_ring_matrices(self):
+        # the kernel matrix, W and K = -W/2, each m x m; transforming the
+        # columns of K into coefficients added a fourth
+        problem = make_problem("P7p")
+        build_spectral_galerkin(problem, 256)
+        tracemalloc.start()
+        try:
+            build_spectral_galerkin(problem, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = 513
+        assert peak <= 3.1 * 8 * m * m
 
     def test_initial_reconstruction_is_spectral(self, p7p):
         # inverse(0.8 exp(-cos(z)^2)) is singular where cos(z)^2 = -log(1.25),
@@ -231,6 +268,31 @@ class TestSpectralGalerkin:
     def test_rejects_compact_problem(self, p1):
         with pytest.raises(ValueError):
             build_spectral_galerkin(p1, 8)
+
+
+def _coefficient_form(problem, n):
+    """The spectral Galerkin system in packed Fourier coefficients,
+    a' = -a + D(F(X, t) + W f(D^-1 a)), with D the direct real DFT on the
+    2n + 1 ring nodes and W the kernel under the trapezium weight 2 pi / m."""
+    m = 2 * n + 1
+    x = 2.0 * np.pi * np.arange(m) / m
+    weight = (2.0 * np.pi / m) * problem.kernel(x[:, None], x[None, :])
+    forcing = problem.forcing_at(x)
+
+    def rhs(t, a):
+        return dft_forward_direct(forcing(t) + weight @ problem.firing(dft_backward_direct(a))) - a
+
+    def encode(fn):
+        return dft_forward_direct(fn(x))
+
+    return SemiDiscreteSystem(
+        rhs=rhs,
+        initial=encode(lambda xx: problem.exact(xx, 0.0)),
+        reconstruct=fourier_reconstruct,
+        diagnostics=SchemeDiagnostics(0.0, 0.0),
+        norm="l2",
+        encode=encode,
+    )
 
 
 class TestPlumbing:
@@ -332,9 +394,11 @@ def _parent_form(key, problem, n):
         return problem.kernel(rows[:, None], cols[None, :])
 
     if key == ("spectral-galerkin", "fft"):
+        # the nodal form of the coefficient system: pre = D^-1 and post = D
+        # cancel, D the real DFT on the ring nodes
         m = 2 * n + 1
         x = 2.0 * np.pi * np.arange(m) / m
-        return x, (2.0 * np.pi / m) * kernel(x, x), dft_backward, dft_forward
+        return x, (2.0 * np.pi / m) * kernel(x, x), _same, _same
     if key in (("fe-collocation", "trapezium"), ("fe-galerkin", "lumped")):
         rule = trapezium_rule(iv, n)
         return rule.nodes, kernel(rule.nodes, rule.nodes) * rule.weights, _same, _same
