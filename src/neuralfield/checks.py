@@ -15,7 +15,7 @@ import numpy as np
 from .harness import StudyConfig, default_checkpoints, eval_grid, exact_grid, sandwich_check
 from .model import ChebyshevGrid, Interval, UniformGrid
 from .problems import PROBLEM_IDS, continuum_residual, make_problem
-from .projection import ChebyshevBasis, TentBasis, dft_backward, dft_forward
+from .projection import ChebyshevBasis, TentBasis, dft_forward, fourier_reconstruct
 from .quadrature import QuadratureRule, clenshaw_curtis, gauss_legendre_2, trapezium_rule
 from .schemes import SchemeDiagnostics, SemiDiscreteSystem
 from .timestep import euler_integrate, rk54_integrate
@@ -66,29 +66,28 @@ def clenshaw_curtis_direct(n: int) -> QuadratureRule:
     return QuadratureRule(ChebyshevGrid(n).nodes, weights, _BOX)
 
 
-def _dft_phases(m: int) -> np.ndarray:
-    """Phases j * x_l for the modes j = 1..n and the samples x_l = 2*pi*l/m."""
+def dft_forward_direct(samples) -> np.ndarray:
+    """O(m^2) exponential-sum oracle for :func:`dft_forward`: the complex
+    c_j = (1/m) sum_l v_l exp(-i j x_l), x_l = 2*pi*l/m, for j = 0..n and
+    m = 2n + 1, of one vector of samples or of each row of a stack."""
+    v = np.asarray(samples, dtype=float)
+    m = v.shape[-1]
     if m % 2 == 0:
         raise ValueError(f"transform length must be odd, got {m}")
-    return np.outer(np.arange(1, (m - 1) // 2 + 1), 2.0 * np.pi * np.arange(m) / m)
-
-
-def dft_forward_direct(samples) -> np.ndarray:
-    """O(m^2) cosine/sine-sum oracle for :func:`dft_forward`'s packed layout."""
-    v = np.asarray(samples, dtype=float)
-    phase = _dft_phases(len(v))
-    out = np.empty(len(v))
-    out[0] = v.sum()
-    out[1::2] = np.cos(phase) @ v
-    out[2::2] = -np.sin(phase) @ v
-    return out / len(v)
+    x = 2.0 * np.pi * np.arange(m) / m
+    return v @ np.exp(-1j * np.outer(x, np.arange((m + 1) // 2))) / m
 
 
 def dft_backward_direct(coeffs) -> np.ndarray:
-    """O(m^2) cosine/sine-sum oracle for :func:`dft_backward`."""
-    a = np.asarray(coeffs, dtype=float)
-    phase = _dft_phases(len(a))
-    return a[0] + 2.0 * (a[1::2] @ np.cos(phase) - a[2::2] @ np.sin(phase))
+    """O(m^2) exponential-sum oracle for the inverse of :func:`dft_forward`:
+    the samples v_l = sum_{j=-n..n} c_j exp(i j x_l), c_{-j} = conj(c_j), at
+    the m = 2n + 1 ring nodes x_l = 2*pi*l/m of the complex coefficients
+    c_0..c_n, which :func:`fourier_reconstruct` evaluates there."""
+    c = np.asarray(coeffs, dtype=complex)
+    n = c.shape[-1] - 1
+    x = 2.0 * np.pi * np.arange(2 * n + 1) / (2 * n + 1)
+    modes = np.concatenate((np.conj(c[..., :0:-1]), c), axis=-1)  # c_-n..c_n
+    return (modes @ np.exp(1j * np.outer(np.arange(-n, n + 1), x))).real
 
 
 def scalar_decay_system() -> SemiDiscreteSystem:
@@ -154,14 +153,11 @@ def quadrature_suite() -> list[CheckResult]:
 
     tent = TentBasis(UniformGrid(_BOX, 10))
     xs = np.linspace(-1.0, 1.0, 257)
-    unity = sum(tent.eval(i, xs) for i in range(tent.size))
+    # the interpolant of the i-th unit vector is tent i
+    unity = tent.interpolate(np.eye(tent.size), xs).sum(axis=0)
     check("tent partition of unity", np.allclose(unity, 1.0, atol=1e-14))
-    delta_ok = all(
-        abs(tent.eval(i, tent.grid.nodes[j]) - (1.0 if i == j else 0.0)) <= 1e-15
-        for i in range(tent.size)
-        for j in range(tent.size)
-    )
-    check("tent Lagrange delta property", delta_ok)
+    deltas = tent.interpolate(np.eye(tent.size), tent.grid.nodes)
+    check("tent Lagrange delta property", np.all(np.abs(deltas - np.eye(tent.size)) <= 1e-15))
     vals = 2.0 * tent.grid.nodes + 1.0
     check(
         "tent interpolation reproduces linears",
@@ -180,14 +176,15 @@ def quadrature_suite() -> list[CheckResult]:
     rng = np.random.default_rng(7)
     v = rng.standard_normal(9)
     c = dft_forward(v)
-    check("dft round trip", np.allclose(dft_backward(c), v, rtol=1e-13, atol=1e-14))
+    nodes = 2.0 * np.pi * np.arange(9) / 9
+    check("dft round trip", np.allclose(fourier_reconstruct(c, nodes), v, rtol=1e-13, atol=1e-14))
     check(
         "dft matches the direct summation",
         np.allclose(c, dft_forward_direct(v), atol=1e-13)
-        and np.allclose(dft_backward(c), dft_backward_direct(c), atol=1e-13),
+        and np.allclose(fourier_reconstruct(c, nodes), dft_backward_direct(c), atol=1e-13),
     )
-    # each packed entry past c_0 stands for a conjugate pair of modes
-    parseval = abs(np.sum(v**2) - 9 * (c[0] ** 2 + 2.0 * np.sum(c[1:] ** 2)))
+    # each c_j past c_0 stands for the conjugate pair of modes j and -j
+    parseval = abs(np.sum(v**2) - 9 * (abs(c[0]) ** 2 + 2.0 * np.sum(np.abs(c[1:]) ** 2)))
     check("dft Parseval identity", parseval <= 1e-11 * np.sum(v**2), f"gap={parseval:.2e}")
 
     scalar = scalar_decay_system()

@@ -41,18 +41,25 @@ def _problem_list(text: str) -> tuple[str, ...]:
     return tuple(canonical_id(tok) for tok in text.split(",") if tok)
 
 
+# each flag's default is the harness's own: the StudyConfig field's, or the
+# keyword's of euler_split_study
+_STUDY = harness.StudyConfig
+_EULER = harness.euler_split_study.__kwdefaults__
+
+
 def _add_window(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--t0", type=float, default=0.0, help="start time (default 0)")
-    parser.add_argument("--T", type=float, default=1.0, dest="duration", help="time window length (default 1)")
-    parser.add_argument("--eval-points", type=int, default=2048, dest="eval_points")
-    parser.add_argument("--checkpoints", type=int, default=51, dest="checkpoint_count")
+    parser.add_argument("--t0", type=float, default=_STUDY.t0, help="start time (default %(default)s)")
+    parser.add_argument("--T", type=float, default=_STUDY.duration, dest="duration",
+                        help="time window length (default %(default)s)")
+    parser.add_argument("--eval-points", type=int, default=_STUDY.eval_points, dest="eval_points")
+    parser.add_argument("--checkpoints", type=int, default=_STUDY.checkpoint_count, dest="checkpoint_count")
     parser.add_argument("--out", default=None, help="CSV output path (default: print to stdout)")
 
 
 def _add_stepper(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--stepper", choices=("rk54", "euler"), default="rk54")
-    parser.add_argument("--rtol", type=float, default=1e-6, help="rk54 relative tolerance")
-    parser.add_argument("--atol", type=float, default=1e-9, help="rk54 absolute tolerance")
+    parser.add_argument("--stepper", choices=("rk54", "euler"), default=_STUDY.stepper)
+    parser.add_argument("--rtol", type=float, default=_STUDY.rtol, help="rk54 relative tolerance")
+    parser.add_argument("--atol", type=float, default=_STUDY.atol, help="rk54 absolute tolerance")
     parser.add_argument("--ht", type=float, default=None, help="euler step size")
 
 
@@ -62,9 +69,9 @@ def _variants(scheme: str) -> tuple[str, ...]:
 
 def _add_scheme_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scheme", required=True, choices=tuple(dict.fromkeys(s for s, _ in SCHEMES)))
-    parser.add_argument("--quadrature", choices=_variants("cheb-collocation"), default="cc",
+    parser.add_argument("--quadrature", choices=_variants("cheb-collocation"), default=_STUDY.quadrature,
                         help="cheb-collocation quadrature")
-    parser.add_argument("--variant", choices=_variants("fe-galerkin"), default="gauss2",
+    parser.add_argument("--variant", choices=_variants("fe-galerkin"), default=_STUDY.variant,
                         help="fe-galerkin variant")
 
 
@@ -169,9 +176,9 @@ def _build_parser() -> _Parser:
     euler.add_argument("--problem", required=True)
     euler.add_argument("--n", type=int, required=True, help="fixed fine spatial resolution")
     euler.add_argument("--ht", required=True, help="comma-separated euler step sizes")
-    euler.add_argument("--spatial-n", default="16,32,64,128", dest="spatial_n",
-                       help="n values for the spatial sweep")
-    euler.add_argument("--spatial-ht", type=float, default=1e-4, dest="spatial_ht",
+    euler.add_argument("--spatial-n", default=",".join(map(str, _EULER["spatial_n_values"])),
+                       dest="spatial_n", help="n values for the spatial sweep")
+    euler.add_argument("--spatial-ht", type=float, default=_EULER["spatial_ht"], dest="spatial_ht",
                        help="fixed small step for the spatial sweep")
     _add_window(euler)
     euler.set_defaults(func=_cmd_euler)

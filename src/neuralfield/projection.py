@@ -2,12 +2,9 @@
 
 Piecewise-linear tents on a uniform grid, the Chebyshev-Lagrange basis
 evaluated with the second barycentric formula, and real trigonometric
-polynomials of odd length m = 2n + 1, stored as packed real Fourier
-coefficients with a forward/backward transform pair to samples. The packed
-vector [Re c_0, Re c_1, Im c_1, ..., Re c_n, Im c_n] is numpy's complex
-layout of c_0..c_n viewed as floats, less the zero Im c_0, so the
-transforms and the evaluation work on complex views of it. The forward
-transform carries the 1/m (numpy's "forward" norm), the backward one none.
+polynomials of odd length m = 2n + 1, held as numpy's complex half-spectrum
+c_0..c_n of their samples (c_{-j} = conj(c_j) for real samples). Every
+evaluator takes one state or a stack of states as rows.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ __all__ = [
     "TentBasis",
     "ChebyshevBasis",
     "dft_forward",
-    "dft_backward",
     "fourier_reconstruct",
 ]
 
@@ -53,13 +49,6 @@ class TentBasis:
     @property
     def size(self) -> int:
         return self.grid.n + 1
-
-    def eval(self, i: int, x):
-        if not 0 <= i <= self.grid.n:
-            raise IndexError(f"basis index {i} outside 0..{self.grid.n}")
-        x = np.asarray(x, dtype=float)
-        out = np.maximum(0.0, 1.0 - np.abs(x - self.grid.nodes[i]) / self.grid.h)
-        return out if out.ndim else out[()]
 
     def interpolate(self, values, x):
         """Continuous piecewise-linear interpolant of nodal values.
@@ -149,44 +138,21 @@ class ChebyshevBasis:
         return out[..., 0][()] if np.ndim(x) == 0 else out
 
 
-def _odd_length(values, axis: int = -1) -> int:
-    m = np.shape(values)[axis]
-    if m % 2 == 0:
-        raise ValueError(f"transform length must be odd, got {m}")
-    return m
-
-
 def dft_forward(samples) -> np.ndarray:
-    """Packed real coefficients [Re c_0, Re c_1, Im c_1, ..., Re c_n, Im c_n].
+    """Complex coefficients c_0..c_n of real samples, one row per state.
 
     c_j = (1/m) sum_l v_l exp(-i j x_l) for real samples v_l on
     x_l = 2*pi*l/m with m = 2n + 1 odd: numpy's "forward" norm, which puts
     the 1/m here so the coefficients approximate the continuous Fourier
-    coefficients directly. Real samples give c_{-j} = conj(c_j) and
-    Im c_0 = 0, so the packed vector is numpy's complex layout of c_0..c_n
-    viewed as floats, [Re c_0, Im c_0, Re c_1, Im c_1, ...], without the
-    zero Im c_0: m entries. ``samples`` is one vector of length m or a
-    stack of columns of shape (m, k), each column transformed into one
-    packed column by the same FFT call.
+    coefficients directly. Real samples give c_{-j} = conj(c_j) and a real
+    c_0, so c_0..c_n determine the transform. ``samples`` is one vector of
+    length m or a stack of shape (k, m), each row transformed by the same
+    FFT call into a row of n + 1 coefficients.
     """
     v = np.asarray(samples, dtype=float)
-    _odd_length(v, axis=0)
-    # a stack's transform comes back column-major from numpy >= 2, and a
-    # float view needs the complex axis contiguous
-    packed = np.ascontiguousarray(np.fft.rfft(v.T, norm="forward")).view(float)
-    packed[..., 1] = packed[..., 0]  # Re c_0 over the zero Im c_0, then drop the first slot
-    return np.ascontiguousarray(packed[..., 1:].T)
-
-
-def dft_backward(coeffs) -> np.ndarray:
-    """Inverse of :func:`dft_forward`: samples v_l = sum_j c_j exp(i j x_l).
-
-    The zero Im c_0 goes back in, and the packed vector, viewed as complex,
-    is transformed with the unscaled ("forward" norm) inverse.
-    """
-    a = np.asarray(coeffs, dtype=float)
-    m = _odd_length(a)
-    return np.fft.irfft(np.concatenate((a[:1], [0.0], a[1:])).view(complex), m, norm="forward")
+    if v.shape[-1] % 2 == 0:
+        raise ValueError(f"transform length must be odd, got {v.shape[-1]}")
+    return np.fft.rfft(v, norm="forward")
 
 
 # points per e^(i j x) table in fourier_reconstruct: at n = 256 one table
@@ -213,23 +179,21 @@ def _unit_powers(xs: np.ndarray, n: int) -> np.ndarray:
 
 
 def fourier_reconstruct(coeffs, x):
-    """Trigonometric polynomial c_0 + 2 Re sum_j c_j e^(i j x) of packed
-    coefficients, evaluated at the points x.
+    """Trigonometric polynomial c_0 + 2 Re sum_j c_j e^(i j x) of complex
+    coefficients c_0..c_n, evaluated at the points x.
 
-    ``coeffs`` is one packed vector of odd length m = 2n + 1 or a stack of
-    shape (k, m). For each block of up to 256 points the table of
-    e^(i j x) is built once and applied to every vector in one complex
-    product with c_1..c_n, a complex view of the packed coefficients, so
-    the table's size does not grow with the number of points. For
-    coefficients that came from real samples this is the trigonometric
-    interpolant through those samples.
+    ``coeffs`` is one vector of n + 1 coefficients or a stack of shape
+    (k, n + 1). For each block of up to 256 points the table of e^(i j x)
+    is built once and applied to every vector in one complex product with
+    c_1..c_n, so the table's size does not grow with the number of points.
+    For coefficients that came from real samples (:func:`dft_forward`) this
+    is the trigonometric interpolant through those samples.
     """
-    a = np.ascontiguousarray(coeffs, dtype=float)
-    n = (_odd_length(a) - 1) // 2
+    c = np.asarray(coeffs, dtype=complex)
+    n = c.shape[-1] - 1
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    modes = a[..., 1:].view(complex)
-    out = np.empty(a.shape[:-1] + xs.shape)
+    out = np.empty(c.shape[:-1] + xs.shape)
     for start in range(0, len(xs), _POINT_BLOCK):
         block = slice(start, start + _POINT_BLOCK)
-        out[..., block] = a[..., :1] + 2.0 * (modes @ _unit_powers(xs[block], n)).real
+        out[..., block] = c[..., :1].real + 2.0 * (c[..., 1:] @ _unit_powers(xs[block], n)).real
     return out[..., 0][()] if np.ndim(x) == 0 else out

@@ -32,8 +32,8 @@ computed once at build. Per scheme (nodes X; weight W; pre; post; K):
   matrix M of the tents, as one dense matrix; -P W / 2, (n + 1) x 2n.
 - spectral-galerkin: the 2n + 1 uniform ring nodes; trapezium weights;
   identity; identity; -W/2, (2n + 1) x (2n + 1). The state holds the
-  samples at the nodes, and the Fourier coefficients are formed only to
-  reconstruct (see :func:`build_spectral_galerkin`).
+  samples at the nodes, and their complex Fourier coefficients c_0..c_n
+  are formed only to reconstruct (see :func:`build_spectral_galerkin`).
 
 ``SCHEMES`` is the one list of these six (scheme, variant) pairs: it maps
 each to a builder (problem, n) -> system, and the harness and the CLI read
@@ -318,28 +318,31 @@ def _ring_interpolate(samples, x):
     """Trigonometric interpolant through samples at the 2n + 1 ring nodes,
     one state of shape (m,) or a stack of shape (k, m), evaluated at x: one
     forward FFT of the whole stack, then :func:`fourier_reconstruct`."""
-    return fourier_reconstruct(dft_forward(np.asarray(samples, dtype=float).T).T, x)
+    return fourier_reconstruct(dft_forward(samples), x)
 
 
 def build_spectral_galerkin(problem: TestProblem, n: int) -> SemiDiscreteSystem:
     """Fourier-Galerkin scheme on the ring, integrated in nodal values.
 
-    The Galerkin state is the 2n + 1 packed real Fourier coefficients
-    a = D u of the modes j = -n..n, D the real DFT (:func:`dft_forward`) of
-    the samples u at x_l = 2*pi*l/m, m = 2n + 1, and its integrals use the
-    trapezium rule on those samples, with the uniform weight 2*pi/m. That
-    rule is tied to the projector: on m samples D is square and invertible,
-    so the Galerkin system a' = -a + D(F(X, t) + W f(D^-1 a)) is, exactly,
-    the nodal system u' = -u + F(X, t) + W f(u) in the coordinates a = D u
-    (the pseudospectral Galerkin-collocation identity; Boyd, Chebyshev and
-    Fourier Spectral Methods, 2nd ed., ch. 4). The scheme integrates the
-    nodal form, which needs no transform in the right-hand side; a state is
-    carried into coefficients only to reconstruct it.
+    The Galerkin state is the Fourier coefficients c = D u of the modes
+    j = -n..n, D the DFT (:func:`dft_forward`) of the samples u at
+    x_l = 2*pi*l/m, m = 2n + 1; real samples give c_{-j} = conj(c_j), so
+    the 2n + 1 real numbers in c_0..c_n carry the state. Its integrals use
+    the trapezium rule on those samples, with the uniform weight 2*pi/m.
+    That rule is tied to the projector: on m samples D is square and
+    invertible, so the Galerkin system c' = -c + D(F(X, t) + W f(D^-1 c))
+    is, exactly, the nodal system u' = -u + F(X, t) + W f(u) in the
+    coordinates c = D u (the pseudospectral Galerkin-collocation identity;
+    Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 4). The
+    scheme integrates the nodal form, which needs no transform in the
+    right-hand side; a state is carried into coefficients only to
+    reconstruct it.
 
     So the rk54 controller weighs the error of each nodal value against
     atol + rtol * max(|u_l|, |u_new_l|), as for every collocation scheme,
-    not that of each coefficient. On P7p and P9p the two forms take the same
-    steps, and their trajectories agree to roundoff after D.
+    not that of each real or imaginary part of c_0..c_n. On P7p and P9p the
+    two forms take the same steps, and their trajectories agree to roundoff
+    after D.
     """
     if not problem.interval.periodic:
         raise ValueError("spectral-galerkin needs a periodic domain (ring)")

@@ -83,8 +83,8 @@ def euler_integrate(system, t0: float, duration: float, ht: float, checkpoints) 
     Every checkpoint must be an exact multiple of ht away from t0 (within a
     1e-8 relative alignment tolerance); anything off the lattice is rejected
     outright rather than silently interpolated, and so is a checkpoint more
-    than ``MAX_EULER_STEPS`` steps away. A non-finite state at a checkpoint
-    raises IntegrationError.
+    than ``MAX_EULER_STEPS`` steps away or on the same step as the one
+    before it. A non-finite state at a checkpoint raises IntegrationError.
     """
     if not 0.0 < ht < math.inf:
         raise ValueError("step size must be positive and finite")
@@ -105,7 +105,13 @@ def euler_integrate(system, t0: float, duration: float, ht: float, checkpoints) 
                 f"checkpoint {c!r} is not a multiple of the step {ht!r} from t0={t0!r}; "
                 "euler records states only on the step lattice"
             )
+        if indices and k == indices[-1]:
+            raise ValueError(
+                f"checkpoints {previous!r} and {c!r} both fall on step {k} of {ht!r} "
+                f"from t0={t0!r}; euler records one state per lattice step"
+            )
         indices.append(k)
+        previous = c
 
     u = np.array(system.initial, dtype=float)
     states = []

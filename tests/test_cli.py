@@ -126,6 +126,8 @@ def test_check_quadrature_suite(capsys):
         RUN_P1 + ["--stepper", "euler", "--ht", "1e-320"],
         # a step on the checkpoint lattice that needs 2^40 steps, past the cap
         RUN_P1 + ["--stepper", "euler", "--checkpoints", "2", "--ht", "9.094947017729282e-13"],
+        # a window so short that all 51 checkpoints fall on the first step
+        RUN_P1 + ["--stepper", "euler", "--ht", "0.01", "--T", "1e-300"],
         # a finite start and length whose end overflows
         RUN_P1 + ["--t0", "1e308", "--T", "1e308"],
         # the trapezium panel count is the scheme's own, not a flag
@@ -137,7 +139,7 @@ def test_check_quadrature_suite(capsys):
         "euler-no-spatial-n", "euler-spatial-n-decreasing", "euler-too-few-eval-points",
         "euler-one-checkpoint", "euler-one-ht", "euler-one-spatial-n", "euler-n-fixed-eval-points",
         "T-inf", "t0-nan", "rtol-inf", "atol-inf", "euler-ht-inf", "euler-ht-subnormal",
-        "euler-too-many-steps",
+        "euler-too-many-steps", "euler-checkpoints-on-one-step",
         "window-end-overflows", "trap-m",
     ],
 )

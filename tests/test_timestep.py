@@ -99,12 +99,14 @@ def seven_evaluation_rk54(system, t0, duration, rtol, atol, checkpoints):
 class TestEuler:
     def test_single_step_decay(self):
         traj = euler_integrate(scalar_decay_system(), 0.0, 0.1, 0.1, [0.0, 0.1])
+        assert len(traj.states) == len(traj.checkpoints) == 2
         assert traj.states[0][0] == 1.0
         assert traj.states[1][0] == pytest.approx(0.9, abs=1e-16)
 
     def test_zero_field_is_constant(self):
         system = make_system(3, lambda t, a: np.zeros(3), [1.0, -2.0, 0.5])
         traj = euler_integrate(system, 0.0, 1.0, 0.05, np.linspace(0.0, 1.0, 11))
+        assert len(traj.states) == len(traj.checkpoints) == 11
         assert np.all(traj.states == traj.states[0])
         assert traj.stats.rhs_evals == 20
 
@@ -150,6 +152,19 @@ class TestEuler:
         with pytest.raises(ValueError, match=f"is {MAX_EULER_STEPS + 1} steps"):
             euler_integrate(system, 0.0, 1.0, 1.0 / (MAX_EULER_STEPS + 1), [0.0, 1.0])
 
+    def test_two_checkpoints_on_one_step_are_rejected_before_any_step(self):
+        # both used to return fewer states than checkpoints: one state for
+        # all three below, and two for three with right-hand side calls
+        with pytest.raises(ValueError, match=r"^checkpoints 0\.0 and 5e-10 both fall on step 0 of 1\.0 "):
+            euler_integrate(scalar_decay_system(), 0, 1e-9, 1.0, [0, 5e-10, 1e-9])
+
+        def rhs(t, a):
+            raise AssertionError(f"right-hand side called at t={t}")
+
+        system = make_system(1, rhs, [1.0])
+        with pytest.raises(ValueError, match=r"^checkpoints 0\.5 and 0\.5000000001 both fall on step 5 of 0\.1 "):
+            euler_integrate(system, 0.0, 1.0, 0.1, [0.0, 0.5, 0.5 + 1e-10])
+
     def test_blowup_raises_at_the_first_non_finite_checkpoint(self):
         # u' = u^2 from u(0) = 1 blows up at t = 1; with ht = 0.01 the Euler
         # iterate is 30.4 at t = 1 and has overflowed by t = 1.5
@@ -161,6 +176,7 @@ class TestEuler:
     def test_vector_decay_matches_exponential(self, p1, pure_decay_problem):
         system = build_fe_collocation(pure_decay_problem(), 8)
         traj = euler_integrate(system, 0.0, 1.0, 1e-4, [0.0, 0.5, 1.0])
+        assert len(traj.states) == len(traj.checkpoints) == 3
         exact = 0.4 * np.exp(-np.asarray([0.0, 0.5, 1.0]))
         assert np.max(np.abs(traj.states[:, 0] - exact)) <= 1e-4
 
@@ -176,6 +192,7 @@ class TestDormandPrince:
         system = make_system(2, lambda t, a: np.zeros(2), [2.0, -1.0])
         cps = np.linspace(0.0, 1.0, 101)
         traj = rk54_integrate(system, 0.0, 1.0, 1e-6, 1e-10, cps)
+        assert len(traj.states) == len(traj.checkpoints) == 101
         assert traj.stats.accepted == 100
         assert traj.stats.rejected == 0
         assert np.all(traj.states == traj.states[0])
@@ -203,6 +220,7 @@ class TestDormandPrince:
         for system, cps, rejects in cases:
             system, calls = counted(system)
             traj = rk54_integrate(system, 0.0, 1.0, 1e-8, 1e-10, cps)
+            assert len(traj.states) == len(traj.checkpoints) == len(cps)
             attempts = traj.stats.accepted + traj.stats.rejected
             assert (traj.stats.rejected > 0) == rejects
             assert len(calls) == traj.stats.rhs_evals == 1 + 6 * attempts
@@ -272,5 +290,6 @@ class TestDormandPrince:
         system = scalar_decay_system()
         for rtol in (1e-6, 1e-8):
             traj = rk54_integrate(system, 0.0, 1.0, rtol, rtol * 1e-3, [0.0, 0.5, 1.0])
+            assert len(traj.states) == len(traj.checkpoints) == 3
             err = abs(traj.states[-1][0] - np.exp(-1.0))
             assert err <= 50.0 * rtol
