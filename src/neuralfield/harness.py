@@ -180,19 +180,28 @@ def _worst_error(
     per checkpoint) against the closed form, in the scheme's norm.
 
     The states are reconstructed in one call and compared with ``exact``,
-    the :func:`exact_grid` of the checkpoints, evaluated here when None.
+    the :func:`exact_grid` of the checkpoints, evaluated here when None; the
+    reconstruction is differenced, squared or made absolute in place. A
+    stack whose row count is not the number of checkpoints raises
+    ``ValueError``.
     """
+    if len(states) != len(checkpoints):
+        raise ValueError(
+            f"need one state per checkpoint, got {len(states)} for {len(checkpoints)} checkpoints"
+        )
     xs = eval_grid(problem.interval, eval_points)
     if exact is None:
         exact = exact_grid(problem, checkpoints, eval_points)
-    diff = reconstruct_on(system, states, xs) - exact
+    diff = reconstruct_on(system, states, xs)
+    diff -= exact
     if system.norm == "l2":
         # the trapezium rule whose eval_points nodes are the evaluation grid
         interval = problem.interval
         panels = eval_points if interval.periodic else eval_points - 1
-        per_checkpoint = np.sqrt((diff * diff) @ trapezium_rule(interval, panels).weights)
+        diff *= diff
+        per_checkpoint = np.sqrt(diff @ trapezium_rule(interval, panels).weights)
     else:
-        per_checkpoint = np.abs(diff).max(axis=1)
+        per_checkpoint = np.abs(diff, out=diff).max(axis=1)
     return float(per_checkpoint.max())
 
 

@@ -109,12 +109,18 @@ class FiringRate:
         """Exact functional inverse: the voltage u with r(u) = r.
 
         Only defined for activities strictly inside (0, 1); the manufactured
-        solutions keep their argument there by construction.
+        solutions keep their argument there by construction. The log-odds
+        threshold + log((1 - r) / r) / gain is evaluated into one array in
+        place.
         """
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0.0) or np.any(r >= 1.0):
             raise ValueError(INVERSE_DOMAIN_ERROR)
-        out = self.threshold + np.log((1.0 - r) / r) / self.gain
+        out = np.asarray(1.0 - r)
+        out /= r
+        np.log(out, out=out)
+        out /= self.gain
+        out += self.threshold
         return out if out.ndim else out[()]
 
     @property

@@ -141,11 +141,20 @@ def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) 
         interval = BOX
         exponent = lambda x: np.asarray(x) ** 2  # noqa: E731
 
+    # kernel and envelope evaluate into one array, exponentiated and scaled in
+    # place, and return a scalar for scalar input
+
     def kernel(x, y):
-        return np.exp(-exponent(x) + exponent(y)) * mod(y)
+        out = np.asarray(-exponent(x) + exponent(y), dtype=float)
+        np.exp(out, out=out)
+        out *= mod(y)
+        return out if out.ndim else out[()]
 
     def envelope(x, t):
-        return AMPLITUDE * np.exp(-DECAY * t - exponent(x))
+        out = np.asarray(-DECAY * t - exponent(x), dtype=float)
+        np.exp(out, out=out)
+        out *= AMPLITUDE
+        return out if out.ndim else out[()]
 
     def exact(x, t):
         return firing.inverse(envelope(x, t))

@@ -56,7 +56,8 @@ class TentBasis:
         ``values`` is one state of shape (size,) or a stack of shape
         (k, size); the result has one row per state. The element index
         comes from direct arithmetic on (x - a) / h, not from a search, so
-        evaluation is O(1) per point and state.
+        evaluation is O(1) per point and state. Both end values are weighted
+        in place, so at most one table besides the result is held.
         """
         values = _states(values, self.size)
         iv = self.grid.interval
@@ -65,7 +66,11 @@ class TentBasis:
             raise ValueError(f"evaluation point outside [{iv.a}, {iv.b}]")
         idx = np.clip((xs - iv.a) // self.grid.h, 0, self.grid.n - 1).astype(int)
         t = (xs - (iv.a + idx * self.grid.h)) / self.grid.h
-        out = values[..., idx] * (1.0 - t) + values[..., idx + 1] * t
+        out = values[..., idx]
+        out *= 1.0 - t
+        right = values[..., idx + 1]
+        right *= t
+        out += right
         return out if out.ndim else out[()]
 
 

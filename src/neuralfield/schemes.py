@@ -120,7 +120,9 @@ def _require_compact(problem: TestProblem, scheme: str) -> None:
 
 
 def _infnorm(matrix: np.ndarray) -> float:
-    return float(np.abs(matrix).sum(axis=1).max())
+    """Largest absolute row sum of a temporary ``matrix``, which is
+    overwritten with its absolute values."""
+    return float(np.abs(matrix, out=matrix).sum(axis=1).max())
 
 
 def _identity(values):
@@ -134,42 +136,69 @@ def _two_tap(a, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (a[:-1, None] * left + a[1:, None] * right).ravel()
 
 
-def _kernel_matrix(problem: TestProblem, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    return np.asarray(problem.kernel(rows[:, None], cols[None, :]), dtype=float)
+def _two_tap_infnorm(matrix: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
+    """||matrix @ L|| with L the (2n) x (n + 1) map of :func:`_two_tap`, from
+    the stencil on the columns of ``matrix``: column e of the product takes
+    element e's Gauss-point pair of columns against ``left``, and column
+    e + 1 the same pair against ``right``."""
+    rows = len(matrix)
+    pairs = matrix.reshape(-1, 2)  # one element's Gauss-point pair per row
+    product = np.zeros((rows, matrix.shape[1] // 2 + 1))
+    product[:, :-1] = (pairs @ left).reshape(rows, -1)
+    product[:, 1:] += (pairs @ right).reshape(rows, -1)
+    return _infnorm(product)
 
 
 def _projected(
     problem: TestProblem,
     nodes: np.ndarray,
-    weight: np.ndarray,
+    columns: np.ndarray,
+    scale,
     reconstruct: Callable,
     norm: str,
     pre: Callable = _identity,
     post: Callable = _identity,
     weight_infnorm: Optional[Callable] = None,
 ) -> SemiDiscreteSystem:
-    """The system a' = -a + post(F(nodes, t) + weight @ f(pre(a))), evaluated as
+    """The system a' = -a + post(F(nodes, t) + W @ f(pre(a))), evaluated as
     a' = post(G(t)) + K tanh(kappa pre(a) - mu) - a.
 
-    f(u) = 1/2 - tanh(kappa u - mu) / 2 splits weight @ f into the constant
-    weight @ 1 / 2, which joins the forcing in G(t), and the slope
-    -weight / 2, which ``post`` maps once into K = post(-weight / 2). So
-    ``post`` must be linear and accept a matrix, acting on its columns.
-    Only fe-galerkin/gauss2 has a ``post``, its projector; gauss2 and
-    cheb-collocation/trapezium have a ``pre``, the map of the nodal state
-    onto their quadrature nodes. Every other scheme integrates its values at
-    the quadrature nodes themselves.
+    W[i, j] = w(nodes_i, columns_j) * scale is the kernel matrix on the
+    quadrature nodes ``columns``, scaled in place by the rule's weights (one
+    per column) or by a number.
+
+    f(u) = 1/2 - tanh(kappa u - mu) / 2 splits W @ f into the constant
+    W @ 1 / 2, which joins the forcing in G(t), and the slope -W / 2, which
+    ``post`` maps once into K = post(-W / 2). So ``post`` must be linear and
+    accept a matrix, acting on its columns. Only fe-galerkin/gauss2 has a
+    ``post``, its projector; gauss2 and cheb-collocation/trapezium have a
+    ``pre``, the map of the nodal state onto their quadrature nodes. Every
+    other scheme integrates its values at the quadrature nodes themselves.
+
+    W is formed here, so this function holds its only reference, and it is
+    consumed. Its row sums and, by default, its norm are taken first. Then
+    it is scaled in place by -1/2 into K, which is exact, so K keeps its
+    bits. For gauss2, ``post`` maps the scaled W into a new K, and W is
+    freed before the norm of K is taken. So assembly holds at most one
+    full-size temporary at a time.
 
     ``weight_infnorm(K)`` gives the ||W_n|| entering beta_n; by default it
-    is the row-sum norm of ``weight`` itself. cheb-collocation/trapezium and
-    gauss2 pass that of their nodal operator post @ weight @ pre = -2 K @ pre
-    instead, which reuses the product in K.
+    is the row-sum norm of W itself. cheb-collocation/trapezium and gauss2
+    pass that of their nodal operator post @ W @ pre = -2 K @ pre instead,
+    which reuses the product in K.
     """
     firing = problem.firing
     forcing = problem.forcing_at(nodes)
     kappa, mu = firing.tanh_form
+    weight = np.asarray(problem.kernel(nodes[:, None], columns[None, :]), dtype=float)
+    weight *= scale
     half_row_sums = 0.5 * weight.sum(axis=1)
-    slope = post(-0.5 * weight)
+    weight_norm = _infnorm(weight.copy()) if weight_infnorm is None else None
+    weight *= -0.5
+    slope = post(weight)
+    del weight  # where post made a new K (gauss2), W is freed before the norm of K
+    if weight_norm is None:
+        weight_norm = weight_infnorm(slope)
 
     def rhs(t, a):
         return post(forcing(t) + half_row_sums) + slope @ np.tanh(kappa * pre(a) - mu) - a
@@ -181,10 +210,7 @@ def _projected(
         rhs=rhs,
         initial=encode(lambda x: problem.exact(x, 0.0)),
         reconstruct=reconstruct,
-        diagnostics=SchemeDiagnostics(
-            _infnorm(weight) if weight_infnorm is None else weight_infnorm(slope),
-            firing.sup_derivative,
-        ),
+        diagnostics=SchemeDiagnostics(weight_norm, firing.sup_derivative),
         norm=norm,
         encode=encode,
     )
@@ -192,9 +218,8 @@ def _projected(
 
 def _fe_nodal(problem: TestProblem, n: int, norm: str) -> SemiDiscreteSystem:
     grid = UniformGrid(problem.interval, n)
-    rule = trapezium_rule(problem.interval, n)
-    weight = _kernel_matrix(problem, grid.nodes, grid.nodes) * rule.weights[None, :]
-    return _projected(problem, grid.nodes, weight, TentBasis(grid).interpolate, norm)
+    weights = trapezium_rule(problem.interval, n).weights
+    return _projected(problem, grid.nodes, grid.nodes, weights, TentBasis(grid).interpolate, norm)
 
 
 def build_fe_collocation(problem: TestProblem, n: int) -> SemiDiscreteSystem:
@@ -242,8 +267,7 @@ def build_cheb_collocation(
     x = basis.grid.nodes
 
     if quadrature == "cc":
-        weight = _kernel_matrix(problem, x, x) * clenshaw_curtis(n).weights[None, :]
-        return _projected(problem, x, weight, basis.interpolate, "sup")
+        return _projected(problem, x, x, clenshaw_curtis(n).weights, basis.interpolate, "sup")
     if quadrature != "trapezium":
         raise ValueError(f"unknown quadrature {quadrature!r}; use 'cc' or 'trapezium'")
     panels = n if m is None else int(m)
@@ -251,12 +275,32 @@ def build_cheb_collocation(
         raise ValueError("trapezium variant needs m >= 1 panels")
     rule = trapezium_rule(iv, panels)
     onto_quad = basis.interpolation_matrix(rule.nodes)
-    weight = _kernel_matrix(problem, x, rule.nodes) * rule.weights[None, :]
     return _projected(
-        problem, x, weight, basis.interpolate, "sup", pre=lambda a: onto_quad @ a,
+        problem, x, rule.nodes, rule.weights, basis.interpolate, "sup",
+        pre=lambda a: onto_quad @ a,
         # K = -W / 2 exactly, so 2 ||K B|| is ||W B|| to the bit
         weight_infnorm=lambda slope: 2.0 * _infnorm(slope @ onto_quad),
     )
+
+
+def _gauss2_projector(n: int, h: float, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """P = M^-1 L, (n + 1) x 2n: the Gauss-rule load map L solved against the
+    same rule's Gram matrix M of the tents.
+
+    L = (h / 2) T^T and M = L T, with T the dense 2n x (n + 1) interpolation
+    onto the Gauss points (``left`` and ``right``: the element's left and
+    right hats there). T, L, M and the solve's copies are all freed on
+    return, before the kernel matrix is built.
+    """
+    interp = np.zeros((2 * n, n + 1))
+    rows, elements = 2 * np.arange(n), np.arange(n)
+    for q in range(2):
+        interp[rows + q, elements] = left[q]
+        interp[rows + q, elements + 1] = right[q]
+    load_map = (h / 2.0) * interp.T  # integrates Gauss-point values against each hat
+    mass = load_map @ interp
+    del interp  # the solve copies M and L and returns a third matrix
+    return np.linalg.solve(mass, load_map)
 
 
 def build_fe_galerkin(problem: TestProblem, n: int, variant: str = "gauss2") -> SemiDiscreteSystem:
@@ -272,9 +316,13 @@ def build_fe_galerkin(problem: TestProblem, n: int, variant: str = "gauss2") -> 
     double kernel integral, by 2-point Gauss per element, and its mass matrix
     as the same rule's Gram matrix of the tents: exact, as their products are
     quadratic per element (h/3 at the two corner diagonal entries, 2h/3
-    inside, h/6 off the diagonal). The mass solve of the load map and its
-    product with the kernel are done once at build time, so a right-hand
-    side evaluation is a two-tap stencil and two (n + 1) x 2n products.
+    inside, h/6 off the diagonal). :func:`_gauss2_projector` forms the
+    projector P = M^-1 L once, from a dense interpolation matrix that it
+    frees before the kernel matrix is built, and P is multiplied into the
+    kernel once at build time, so a right-hand side evaluation is a two-tap
+    stencil and two (n + 1) x 2n products. ||P W L|| = 2 ||K L|| is taken
+    with the same two-tap stencil on the columns of K (see
+    :func:`_two_tap_infnorm`), with no dense L.
     """
     _require_compact(problem, "fe-galerkin")
     if n < 2:
@@ -292,25 +340,18 @@ def build_fe_galerkin(problem: TestProblem, n: int, variant: str = "gauss2") -> 
     gauss_points = (x[:-1, None] + (1.0 + ref[None, :]) * (h / 2.0)).ravel()
     hat_left = (1.0 - ref) / 2.0  # element's left hat at the two Gauss points
     hat_right = (1.0 + ref) / 2.0
-    local_interp = np.zeros((2 * n, n + 1))
-    rows = 2 * np.arange(n)
-    for q in range(2):
-        local_interp[rows + q, np.arange(n)] = hat_left[q]
-        local_interp[rows + q, np.arange(n) + 1] = hat_right[q]
-    load_map = (h / 2.0) * local_interp.T  # integrates Gauss-point values against each hat
-    projector = np.linalg.solve(load_map @ local_interp, load_map)  # M^-1 L, M the Gram matrix
-
-    weight = (h / 2.0) * _kernel_matrix(problem, gauss_points, gauss_points)
+    projector = _gauss2_projector(n, h, hat_left, hat_right)
     return _projected(
         problem,
         gauss_points,
-        weight,
+        gauss_points,
+        h / 2.0,
         TentBasis(grid).interpolate,
         "l2",
         pre=lambda a: _two_tap(a, hat_left, hat_right),
         post=lambda v: projector @ v,
-        # K = -P W / 2 exactly, so 2 ||K L|| is ||P W L|| to the bit
-        weight_infnorm=lambda slope: 2.0 * _infnorm(slope @ local_interp),
+        # K = -P W / 2 exactly, so 2 ||K L|| is ||P W L||
+        weight_infnorm=lambda slope: 2.0 * _two_tap_infnorm(slope, hat_left, hat_right),
     )
 
 
@@ -349,8 +390,7 @@ def build_spectral_galerkin(problem: TestProblem, n: int) -> SemiDiscreteSystem:
     if n < 1:
         raise ValueError("spectral-galerkin needs n >= 1")
     grid = UniformGrid(problem.interval, 2 * n + 1)
-    weight = grid.h * _kernel_matrix(problem, grid.nodes, grid.nodes)
-    return _projected(problem, grid.nodes, weight, _ring_interpolate, "l2")
+    return _projected(problem, grid.nodes, grid.nodes, grid.h, _ring_interpolate, "l2")
 
 
 # (scheme, variant) -> builder (problem, n) -> system; the variant is the

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,23 @@ def closed_form_envelope():
 def closed_form_forcing():
     """The pointwise forcing oracle (problem, x, t) -> F(x, t) of a benchmark."""
     return _closed_form_forcing
+
+
+def _peak_bytes(fn) -> tuple[int, int]:
+    """Peak traced allocation of one call, after a warm-up call, and the
+    bytes still traced when it returns, which its result holds."""
+    fn()
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+        del result  # kept alive until the held bytes were read
+        return peak, held
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def peak_bytes():
+    """The tracemalloc helper fn -> (peak, held) of one warmed-up call."""
+    return _peak_bytes

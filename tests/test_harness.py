@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,6 +66,41 @@ def _loop_oracle(system, problem, states, checkpoints, eval_points):
 
 def _agrees(measured, oracle):
     return abs(measured - oracle) <= max(1e-12 * oracle, 1e-15)
+
+
+def test_a_stack_with_the_wrong_state_count_is_rejected():
+    # one state for 51 checkpoints broadcast over them all: an Euler run with
+    # --T 1e-300 once printed the t = 0 error 0.012833... for it
+    problem = make_problem("P1")
+    system = SCHEMES["fe-collocation", "trapezium"](problem, 8)
+    stub = SimpleNamespace(
+        checkpoints=default_checkpoints(0.0, 1e-300, 51), states=system.initial[None, :]
+    )
+    with pytest.raises(ValueError, match="got 1 for 51 checkpoints"):
+        trajectory_error(system, stub, problem)
+
+
+# one (checkpoints x points) float table of the sweeps: 51 states on 2048 points
+TABLE_BYTES = 8 * 51 * 2048
+# numpy's iterator buffers, the point-length vectors and array headers; a
+# third table would add 0.8 MiB
+MEASURE_SLACK = 256 * 1024
+
+
+@pytest.mark.parametrize(
+    "key", [("fe-collocation", "trapezium"), ("fe-galerkin", "gauss2")], ids="/".join
+)
+def test_measuring_tent_states_holds_two_tables(key, rng, peak_bytes):
+    # the reconstruction and one weighted end value of it; the difference,
+    # square and absolute value are taken in place (2.6 MB before, in the sup
+    # and the L2 norm alike)
+    problem = make_problem("P1")
+    cps = default_checkpoints(0.0, 1.0, 51)
+    exact = exact_grid(problem, cps, 2048)
+    system = SCHEMES[key](problem, 256)
+    traj = SimpleNamespace(checkpoints=cps, states=rng.standard_normal((51, system.dim)))
+    peak, _ = peak_bytes(lambda: trajectory_error(system, traj, problem, 2048, exact))
+    assert peak <= 2 * TABLE_BYTES + MEASURE_SLACK
 
 
 @pytest.mark.parametrize("pid,key", CELLS)

@@ -147,6 +147,14 @@ class TestFiringRate:
         fd = (FR(1.0 + eps) - FR(1.0 - eps)) / (2.0 * eps)
         assert derivative(FR, 1.0) == pytest.approx(fd, abs=1e-7)
 
+    def test_in_place_inverse_matches_the_one_expression_form_bitwise(self):
+        # a (checkpoints x points) grid of activities, as the closed form sees
+        t, x = np.linspace(0.0, 1.0, 51)[:, None], np.linspace(-1.0, 1.0, 2048)
+        r = 0.8 * np.exp(-0.5 * t - x**2)
+        oracle = FR.threshold + np.log((1.0 - r) / r) / FR.gain
+        assert np.array_equal(FR.inverse(r).view(np.int64), oracle.view(np.int64))
+        assert isinstance(FR.inverse(0.8), float)
+
     def test_inverse_at_half_is_threshold(self):
         assert FR.inverse(0.5) == pytest.approx(0.3, abs=1e-16)
 
@@ -184,3 +192,9 @@ class TestKernel:
     def test_p7p_kernel_at_origin(self, p7p):
         # exp(-1 + 1) * cos(0)^2 = 1 by cancellation
         assert p7p.kernel(0.0, 0.0) == pytest.approx(1.0, rel=1e-15)
+
+    def test_in_place_kernel_matches_the_one_expression_form_bitwise(self, p1):
+        x, y = np.linspace(-1.0, 1.0, 51)[:, None], np.linspace(-1.0, 1.0, 2048)
+        oracle = np.exp(-(x**2) + y**2) * (np.exp(y) * np.cos(y))
+        assert np.array_equal(p1.kernel(x, y).view(np.int64), oracle.view(np.int64))
+        assert isinstance(p1.kernel(0.5, -0.25), float)

@@ -7,7 +7,9 @@ from neuralfield.model import FiringRate
 from neuralfield.problems import (
     AMPLITUDE,
     DECAY,
+    GAIN,
     PROBLEM_IDS,
+    THRESHOLD,
     canonical_id,
     continuum_residual,
     make_problem,
@@ -44,6 +46,18 @@ class TestParameters:
     def test_exact_at_origin(self, p1):
         # the inverse firing rate of 0.8; frozen from the bisection oracle
         assert p1.exact(0.0, 0.0) == pytest.approx(0.02274112777602183, rel=1e-14)
+
+    @pytest.mark.parametrize("pid", ["P1", "P7p"])
+    def test_in_place_exact_matches_the_one_expression_form_bitwise(
+        self, pid, closed_form_envelope
+    ):
+        # the closed form on the (checkpoints x points) grid of the sweeps
+        problem = make_problem(pid)
+        x, t = eval_grid(problem.interval, 2048), default_checkpoints(0.0, 1.0, 51)[:, None]
+        env = closed_form_envelope(problem, x, t)
+        oracle = THRESHOLD + np.log((1.0 - env) / env) / GAIN
+        assert np.array_equal(problem.exact(x, t).view(np.int64), oracle.view(np.int64))
+        assert isinstance(problem.exact(0.5, 0.25), float)
 
     def test_initial_is_exact_at_time_zero(self, p1, p7p):
         # a built scheme starts from the encoded closed form at t = 0

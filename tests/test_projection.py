@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,17 +228,6 @@ class TestFourierReconstruct:
         assert np.max(np.abs(fourier_reconstruct(half, xs) - direct)) <= tolerance
 
 
-def _peak_bytes(fn) -> int:
-    """Peak traced allocation of one call, after a warm-up call."""
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # n = 256 with 51 checkpoint states on 2048 points, as in the spectral sweeps
 N_BIG, STATES, POINTS = 256, 51, 2048
 # numpy's iterator buffers for broadcast operands (128 KiB), the length-POINTS
@@ -248,19 +235,19 @@ N_BIG, STATES, POINTS = 256, 51, 2048
 SLACK = 256 * 1024
 
 
-def test_fourier_reconstruct_peak_stays_within_the_trig_table_evaluation(rng):
+def test_fourier_reconstruct_peak_stays_within_the_trig_table_evaluation(rng, peak_bytes):
     # the cos/sin evaluation over all points at once held its phase table and
     # one trig table (16 n N bytes) with its two float products (16 k N)
     coeffs = rng.standard_normal((STATES, N_BIG + 1)) + 1j * rng.standard_normal((STATES, N_BIG + 1))
     xs = eval_grid(RING, POINTS)
-    peak = _peak_bytes(lambda: fourier_reconstruct(coeffs, xs))
+    peak, _ = peak_bytes(lambda: fourier_reconstruct(coeffs, xs))
     assert peak <= 16 * N_BIG * POINTS + 16 * STATES * POINTS + SLACK
 
 
-def test_barycentric_peak_stays_within_one_ratio_table_and_the_output(rng):
+def test_barycentric_peak_stays_within_one_ratio_table_and_the_output(rng, peak_bytes):
     # one (points, n + 1) table of w_j / (x - x_j), formed in place, and the output
     basis = ChebyshevBasis(ChebyshevGrid(N_BIG))
     values = rng.standard_normal((STATES, basis.size))
     xs = eval_grid(BOX, POINTS)
-    peak = _peak_bytes(lambda: basis.interpolate(values, xs))
+    peak, _ = peak_bytes(lambda: basis.interpolate(values, xs))
     assert peak <= 8 * POINTS * basis.size + 8 * STATES * POINTS + SLACK
