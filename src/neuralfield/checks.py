@@ -17,7 +17,6 @@ from .model import ChebyshevGrid, Interval, UniformGrid
 from .problems import PROBLEM_IDS, continuum_residual, make_problem
 from .projection import ChebyshevBasis, TentBasis, dft_forward, fourier_reconstruct
 from .quadrature import QuadratureRule, clenshaw_curtis, gauss_legendre_2, trapezium_rule
-from .schemes import SchemeDiagnostics, SemiDiscreteSystem
 from .timestep import euler_integrate, rk54_integrate
 
 __all__ = [
@@ -88,18 +87,6 @@ def dft_backward_direct(coeffs) -> np.ndarray:
     x = 2.0 * np.pi * np.arange(2 * n + 1) / (2 * n + 1)
     modes = np.concatenate((np.conj(c[..., :0:-1]), c), axis=-1)  # c_-n..c_n
     return (modes @ np.exp(1j * np.outer(np.arange(-n, n + 1), x))).real
-
-
-def scalar_decay_system() -> SemiDiscreteSystem:
-    """One-component system a' = -a with a(0) = 1, for stepper checks."""
-    return SemiDiscreteSystem(
-        rhs=lambda t, a: -a,
-        initial=np.array([1.0]),
-        reconstruct=lambda a, xs: a[..., :1] * np.ones(np.shape(xs)),
-        diagnostics=SchemeDiagnostics(0.0, 0.0),
-        norm="sup",
-        encode=lambda fn: np.array([float(fn(0.0))]),
-    )
 
 
 def quadrature_suite() -> list[CheckResult]:
@@ -187,19 +174,19 @@ def quadrature_suite() -> list[CheckResult]:
     parseval = abs(np.sum(v**2) - 9 * (abs(c[0]) ** 2 + 2.0 * np.sum(np.abs(c[1:]) ** 2)))
     check("dft Parseval identity", parseval <= 1e-11 * np.sum(v**2), f"gap={parseval:.2e}")
 
-    scalar = scalar_decay_system()
-    one = euler_integrate(scalar, 0.0, 0.1, 0.1, [0.0, 0.1])
+    decay = lambda t, a: -a  # noqa: E731  (from a(0) = 1, a = e^-t)
+    one = euler_integrate(decay, [1.0], 0.0, 0.1, 0.1, [0.0, 0.1])
     check("euler single step 1 -> 0.9", abs(one.states[-1][0] - 0.9) <= 1e-15)
     hs = np.array([1e-2, 5e-3, 2.5e-3, 1.25e-3])
     errs = np.array(
         [
-            abs(euler_integrate(scalar, 0.0, 1.0, h, [0.0, 1.0]).states[-1][0] - np.exp(-1.0))
+            abs(euler_integrate(decay, [1.0], 0.0, 1.0, h, [0.0, 1.0]).states[-1][0] - np.exp(-1.0))
             for h in hs
         ]
     )
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     check("euler first-order slope on the decay problem", 0.95 <= slope <= 1.05, f"slope={slope:.3f}")
-    tight = rk54_integrate(scalar, 0.0, 1.0, 1e-8, 1e-10, [0.0, 1.0])
+    tight = rk54_integrate(decay, [1.0], 0.0, 1.0, 1e-8, 1e-10, [0.0, 1.0])
     check(
         "rk54 decay accuracy at rtol=1e-8",
         abs(tight.states[-1][0] - np.exp(-1.0)) <= 1e-7,

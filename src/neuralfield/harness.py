@@ -252,10 +252,10 @@ def observed_order(e1: float, e2: float, n1: int, n2: int) -> Optional[float]:
     return float(np.log(e1 / e2) / np.log(n2 / n1))
 
 
-def _integrate(system, cfg: StudyConfig, checkpoints) -> Trajectory:
+def _integrate(rhs, u0, cfg: StudyConfig, checkpoints) -> Trajectory:
     if cfg.stepper == "rk54":
-        return rk54_integrate(system, cfg.t0, cfg.duration, cfg.rtol, cfg.atol, checkpoints)
-    return euler_integrate(system, cfg.t0, cfg.duration, cfg.ht, checkpoints)
+        return rk54_integrate(rhs, u0, cfg.t0, cfg.duration, cfg.rtol, cfg.atol, checkpoints)
+    return euler_integrate(rhs, u0, cfg.t0, cfg.duration, cfg.ht, checkpoints)
 
 
 def _h_x(problem: TestProblem, system: SemiDiscreteSystem) -> float:
@@ -270,15 +270,15 @@ def _cell(
 ):
     """Build, integrate and measure one (problem, n) cell of ``cfg``.
 
-    Returns the system, started from the closed form at ``cfg.t0``, its
-    trajectory, the worst checkpoint error and the wall time of build plus
+    Returns the system, its trajectory from the encoded closed form at
+    ``cfg.t0``, the worst checkpoint error and the wall time of build plus
     integration (monotonic clock; the error measurement is excluded).
     ``exact`` is passed on to :func:`trajectory_error`.
     """
     start = time.perf_counter()
     system = build_system(problem, cfg.scheme, n, quadrature=cfg.quadrature, variant=cfg.variant)
-    system = replace(system, initial=system.encode(lambda x: problem.exact(x, cfg.t0)))
-    traj = _integrate(system, cfg, checkpoints)
+    u0 = system.encode(lambda x: problem.exact(x, cfg.t0))
+    traj = _integrate(system.rhs, u0, cfg, checkpoints)
     wall = time.perf_counter() - start
     return system, traj, trajectory_error(system, traj, problem, cfg.eval_points, exact), wall
 
@@ -403,7 +403,8 @@ def euler_split_study(
 
     Three sweeps on the fe-collocation scheme: (1) step sizes at the fixed
     large n, measured per checkpoint against a tight rk54 reference cell of
-    the same semi-discrete system, isolating the temporal error; (2)
+    the same semi-discrete system from the same start state (the reference's
+    first checkpoint state, encoded at t0), isolating the temporal error; (2)
     ``run_study`` over n at the fixed small step, recovering the spatial
     order; (3) ``run_study`` over n at each step size, the ht-major (ht, n)
     grid, least-squares fitted to err ~ a*ht + b*hx^2. Sweeps (2) and (3)
@@ -441,7 +442,7 @@ def euler_split_study(
     temporal: list[ConvergenceRecord] = []
     for ht in hts:
         start = time.perf_counter()
-        traj = euler_integrate(fixed, t0, duration, ht, cps)
+        traj = euler_integrate(fixed.rhs, reference.states[0], t0, duration, ht, cps)
         wall = time.perf_counter() - start
         err = float(np.max(np.abs(traj.states - reference.states)))
         temporal.append(

@@ -23,9 +23,9 @@ computed once at build. Per scheme (nodes X; weight W; pre; post; K):
   trapezium weights; identity; identity; -W/2, (n + 1) x (n + 1).
 - cheb-collocation/cc: the n + 1 Chebyshev nodes; Clenshaw-Curtis weights;
   identity; identity; -W/2, (n + 1) x (n + 1).
-- cheb-collocation/trapezium: m + 1 uniform panel nodes; trapezium
+- cheb-collocation/trapezium: n + 1 uniform panel nodes; trapezium
   weights; barycentric interpolation onto the panel nodes; identity;
-  -W/2, (n + 1) x (m + 1).
+  -W/2, (n + 1) x (n + 1).
 - fe-galerkin/gauss2: two Gauss points per element; element-scaled kernel;
   tents at the Gauss points, a two-tap stencil per element; P = M^-1 L,
   the Gauss-rule load map L solved against the same rule's (exact) Gram
@@ -100,18 +100,16 @@ class SemiDiscreteSystem:
     nodes, or, for fe-galerkin/gauss2, its Galerkin projection onto the
     tents. ``norm`` names the scheme's ambient space, "sup" for collocation
     and "l2" for Galerkin, and controls how errors are measured downstream.
+    ``dim`` is the length of a state; a study starts ``rhs`` from ``encode``
+    of the closed form at its t0.
     """
 
     rhs: Callable
-    initial: np.ndarray
+    dim: int
     reconstruct: Callable
     diagnostics: SchemeDiagnostics
     norm: str
     encode: Callable
-
-    @property
-    def dim(self) -> int:
-        return len(self.initial)
 
 
 def _require_compact(problem: TestProblem, scheme: str) -> None:
@@ -120,9 +118,11 @@ def _require_compact(problem: TestProblem, scheme: str) -> None:
 
 
 def _infnorm(matrix: np.ndarray) -> float:
-    """Largest absolute row sum of a temporary ``matrix``, which is
-    overwritten with its absolute values."""
-    return float(np.abs(matrix, out=matrix).sum(axis=1).max())
+    """Largest absolute row sum of ``matrix``, with |.| taken over blocks of
+    32 rows so that no full-size copy is made; each row is still summed
+    whole, so the row sums are bitwise those of np.abs(matrix).sum(axis=1)."""
+    blocks = range(0, len(matrix), 32)
+    return float(np.max([np.abs(matrix[i : i + 32]).sum(axis=1).max() for i in blocks]))
 
 
 def _identity(values):
@@ -176,11 +176,11 @@ def _projected(
     other scheme integrates its values at the quadrature nodes themselves.
 
     W is formed here, so this function holds its only reference, and it is
-    consumed. Its row sums and, by default, its norm are taken first. Then
-    it is scaled in place by -1/2 into K, which is exact, so K keeps its
-    bits. For gauss2, ``post`` maps the scaled W into a new K, and W is
-    freed before the norm of K is taken. So assembly holds at most one
-    full-size temporary at a time.
+    consumed. Its row sums and, by default, its norm are taken first, the
+    norm without a copy of W. Then it is scaled in place by -1/2 into K,
+    which is exact, so K keeps its bits. For gauss2, ``post`` maps the
+    scaled W into a new K, and W is freed before the norm of K is taken. So
+    assembly holds at most one full-size temporary at a time.
 
     ``weight_infnorm(K)`` gives the ||W_n|| entering beta_n; by default it
     is the row-sum norm of W itself. cheb-collocation/trapezium and gauss2
@@ -193,7 +193,7 @@ def _projected(
     weight = np.asarray(problem.kernel(nodes[:, None], columns[None, :]), dtype=float)
     weight *= scale
     half_row_sums = 0.5 * weight.sum(axis=1)
-    weight_norm = _infnorm(weight.copy()) if weight_infnorm is None else None
+    weight_norm = _infnorm(weight) if weight_infnorm is None else None
     weight *= -0.5
     slope = post(weight)
     del weight  # where post made a new K (gauss2), W is freed before the norm of K
@@ -208,7 +208,7 @@ def _projected(
 
     return SemiDiscreteSystem(
         rhs=rhs,
-        initial=encode(lambda x: problem.exact(x, 0.0)),
+        dim=len(slope),
         reconstruct=reconstruct,
         diagnostics=SchemeDiagnostics(weight_norm, firing.sup_derivative),
         norm=norm,
@@ -236,25 +236,22 @@ def build_fe_collocation(problem: TestProblem, n: int) -> SemiDiscreteSystem:
 
 
 def build_cheb_collocation(
-    problem: TestProblem,
-    n: int,
-    quadrature: str = "cc",
-    m: Optional[int] = None,
+    problem: TestProblem, n: int, quadrature: str = "cc"
 ) -> SemiDiscreteSystem:
     """Chebyshev-Lagrange collocation on [-1, 1].
 
     quadrature="cc" pairs the spectral basis with Clenshaw-Curtis weights on
     the collocation nodes themselves, so the fired state enters directly.
-    quadrature="trapezium" deliberately mismatches the basis with an m-panel
-    composite trapezium rule on separate evenly spaced nodes (m defaults to
-    n): the state is interpolated barycentrically onto those nodes first,
-    and the rule's second order caps the observable convergence rate however
-    accurate the projector is.
+    quadrature="trapezium" deliberately mismatches the basis with an n-panel
+    composite trapezium rule on separate evenly spaced nodes: the state is
+    interpolated barycentrically onto those nodes first, and the rule's
+    second order caps the observable convergence rate however accurate the
+    projector is.
 
     The trapezium variant's ||W B||, and so its beta_n, does not settle as n
-    grows (with m = n): the n-panel rule cannot integrate the kernel against
-    degree-n Lagrange polynomials, and the interpolation's aliasing shows in
-    the norm. On P2 it runs 0.418, 0.346, 0.292, 0.306, 0.347, 0.333 at
+    grows: the n-panel rule cannot integrate the kernel against degree-n
+    Lagrange polynomials, and the interpolation's aliasing shows in the
+    norm. On P2 it runs 0.418, 0.346, 0.292, 0.306, 0.347, 0.333 at
     n = 16, 32, 64, 128, 256, 512, where every other scheme's ||W_n|| settles.
     """
     _require_compact(problem, "cheb-collocation")
@@ -270,10 +267,7 @@ def build_cheb_collocation(
         return _projected(problem, x, x, clenshaw_curtis(n).weights, basis.interpolate, "sup")
     if quadrature != "trapezium":
         raise ValueError(f"unknown quadrature {quadrature!r}; use 'cc' or 'trapezium'")
-    panels = n if m is None else int(m)
-    if panels < 1:
-        raise ValueError("trapezium variant needs m >= 1 panels")
-    rule = trapezium_rule(iv, panels)
+    rule = trapezium_rule(iv, n)
     onto_quad = basis.interpolation_matrix(rule.nodes)
     return _projected(
         problem, x, rule.nodes, rule.weights, basis.interpolate, "sup",

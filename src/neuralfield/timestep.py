@@ -1,9 +1,10 @@
 """Time integrators: fixed-step forward Euler and adaptive Dormand-Prince 5(4).
 
-Both integrators are deterministic functions of their inputs and record
-states only at the requested checkpoints, landing on them exactly (Euler by
-requiring checkpoints to sit on the step lattice, the Runge-Kutta pair by
-clipping steps). There is no dense output.
+Like ``solve_ivp(fun, t_span, y0)``, both integrate a' = rhs(t, a) from the
+state u0 that the caller passes for t0. They are deterministic functions of
+their inputs and record states only at the requested checkpoints, landing on
+them exactly (Euler by requiring checkpoints to sit on the step lattice, the
+Runge-Kutta pair by clipping steps). There is no dense output.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ class StepStats:
 class Trajectory:
     """States recorded at strictly increasing checkpoint times.
 
-    When the first checkpoint is the initial time, states[0] is the
-    system's initial state verbatim.
+    When the first checkpoint is the initial time, states[0] is u0 verbatim.
     """
 
     checkpoints: np.ndarray
@@ -77,8 +77,8 @@ def _finish(checkpoints, states, accepted, rejected, evals) -> Trajectory:
     return Trajectory(checkpoints, stacked, StepStats(accepted, rejected, evals))
 
 
-def euler_integrate(system, t0: float, duration: float, ht: float, checkpoints) -> Trajectory:
-    """Fixed-step explicit Euler over [t0, t0 + duration].
+def euler_integrate(rhs, u0, t0: float, duration: float, ht: float, checkpoints) -> Trajectory:
+    """Fixed-step explicit Euler from a(t0) = u0 over [t0, t0 + duration].
 
     Every checkpoint must be an exact multiple of ht away from t0 (within a
     1e-8 relative alignment tolerance); anything off the lattice is rejected
@@ -113,7 +113,7 @@ def euler_integrate(system, t0: float, duration: float, ht: float, checkpoints) 
         indices.append(k)
         previous = c
 
-    u = np.array(system.initial, dtype=float)
+    u = np.array(u0, dtype=float)
     states = []
     evals = 0
     next_rec = 0
@@ -127,7 +127,7 @@ def euler_integrate(system, t0: float, duration: float, ht: float, checkpoints) 
             states.append(u.copy())
             next_rec += 1
         if k < last:
-            u = u + ht * system.rhs(t0 + k * ht, u)
+            u = u + ht * rhs(t0 + k * ht, u)
             evals += 1
     return _finish(cps, states, accepted=last, rejected=0, evals=evals)
 
@@ -177,9 +177,9 @@ def _dormand_prince_step(rhs, t, u, h, t_new, k1):
 
 
 def rk54_integrate(
-    system, t0: float, duration: float, rtol: float, atol: float, checkpoints
+    rhs, u0, t0: float, duration: float, rtol: float, atol: float, checkpoints
 ) -> Trajectory:
-    """Adaptive Dormand-Prince 5(4) over [t0, t0 + duration].
+    """Adaptive Dormand-Prince 5(4) from a(t0) = u0 over [t0, t0 + duration].
 
     Error-per-step control with err = max_i |e_i| / (atol + rtol * max(|u_i|,
     |u_new_i|)); a step is accepted when err <= 1 and the next step is
@@ -195,11 +195,11 @@ def rk54_integrate(
     if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
         raise ValueError("rtol and atol must be positive and finite")
     cps = _validated_checkpoints(t0, duration, checkpoints)
-    u = np.array(system.initial, dtype=float)
+    u = np.array(u0, dtype=float)
     t = t0
     accepted = rejected = 0
 
-    probe = np.asarray(system.rhs(t0, u), dtype=float)
+    probe = np.asarray(rhs(t0, u), dtype=float)
     evals = 1
     if not np.all(np.isfinite(probe)):
         raise IntegrationError(f"non-finite right-hand side at t={t0}")
@@ -225,9 +225,7 @@ def rk54_integrate(
                     f"{accepted} accepted / {rejected} rejected steps so far"
                 )
             t_new = target if clipped else t + h_try
-            proposal, error, last_stage = _dormand_prince_step(
-                system.rhs, t, u, h_try, t_new, first_stage
-            )
+            proposal, error, last_stage = _dormand_prince_step(rhs, t, u, h_try, t_new, first_stage)
             evals += 6
             # |error| / (atol + rtol * max(|u|, |proposal|)), in place
             scale = np.maximum(np.abs(u), np.abs(proposal))

@@ -178,7 +178,7 @@ def test_memory_error_is_one_line(message, capsys, monkeypatch):
 def test_euler_blowup_exits_2(capsys, monkeypatch):
     blowup = SemiDiscreteSystem(
         rhs=lambda t, a: a * a,
-        initial=np.array([1.0]),
+        dim=1,
         reconstruct=lambda a, xs: a[..., :1] * np.ones(np.shape(xs)),
         diagnostics=SchemeDiagnostics(0.0, 0.0),
         norm="sup",

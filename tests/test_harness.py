@@ -74,7 +74,7 @@ def test_a_stack_with_the_wrong_state_count_is_rejected():
     problem = make_problem("P1")
     system = SCHEMES["fe-collocation", "trapezium"](problem, 8)
     stub = SimpleNamespace(
-        checkpoints=default_checkpoints(0.0, 1e-300, 51), states=system.initial[None, :]
+        checkpoints=default_checkpoints(0.0, 1e-300, 51), states=system.encode(lambda x: problem.exact(x, 0.0))[None, :]
     )
     with pytest.raises(ValueError, match="got 1 for 51 checkpoints"):
         trajectory_error(system, stub, problem)
@@ -108,7 +108,8 @@ def test_errors_match_the_per_checkpoint_loop(pid, key):
     problem = make_problem(pid)
     system = SCHEMES[key](problem, 16)
     cps = default_checkpoints(0.0, 1.0, 11)
-    traj = rk54_integrate(system, 0.0, 1.0, 1e-6, 1e-9, cps)
+    u0 = system.encode(lambda x: problem.exact(x, 0.0))
+    traj = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps)
     assert _agrees(
         trajectory_error(system, traj, problem, 1024),
         _loop_oracle(system, problem, traj.states, cps, 1024),
@@ -220,7 +221,8 @@ def test_a_passed_grid_gives_the_same_bits(pid, key):
     problem = make_problem(pid)
     system = SCHEMES[key](problem, 16)
     cps = default_checkpoints(0.0, 1.0, 11)
-    traj = rk54_integrate(system, 0.0, 1.0, 1e-6, 1e-9, cps)
+    u0 = system.encode(lambda x: problem.exact(x, 0.0))
+    traj = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps)
     exact = exact_grid(problem, cps, 1024)
     assert trajectory_error(system, traj, problem, 1024, exact) == trajectory_error(
         system, traj, problem, 1024

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from neuralfield import problems
-from neuralfield.harness import default_checkpoints, eval_grid
+from neuralfield.harness import StudyConfig, _cell, default_checkpoints, eval_grid
 from neuralfield.model import FiringRate
 from neuralfield.problems import (
     AMPLITUDE,
@@ -16,7 +16,6 @@ from neuralfield.problems import (
     modulation_integral,
 )
 from neuralfield.quadrature import clenshaw_curtis, trapezium_rule
-from neuralfield.schemes import build_fe_collocation, build_spectral_galerkin
 
 
 class TestIds:
@@ -60,10 +59,12 @@ class TestParameters:
         assert isinstance(problem.exact(0.5, 0.25), float)
 
     def test_initial_is_exact_at_time_zero(self, p1, p7p):
-        # a built scheme starts from the encoded closed form at t = 0
-        for problem, build in ((p1, build_fe_collocation), (p7p, build_spectral_galerkin)):
-            system = build(problem, 16)
-            assert np.array_equal(system.initial, system.encode(lambda x: problem.exact(x, 0.0)))
+        # a study cell starts from the encoded closed form at its t0 = 0
+        for problem, scheme in ((p1, "fe-collocation"), (p7p, "spectral-galerkin")):
+            cfg = StudyConfig(problems=(problem,), scheme=scheme, n_values=(16,))
+            cps = default_checkpoints(cfg.t0, cfg.duration, cfg.checkpoint_count)
+            system, traj, _, _ = _cell(problem, cfg, 16, cps)
+            assert np.array_equal(traj.states[0], system.encode(lambda x: problem.exact(x, 0.0)))
 
 
 class TestModulationIntegral:

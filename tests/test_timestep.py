@@ -1,10 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from neuralfield.checks import scalar_decay_system
-from neuralfield.schemes import SchemeDiagnostics, SemiDiscreteSystem, build_fe_collocation
+from neuralfield.harness import default_checkpoints, trajectory_error
+from neuralfield.schemes import build_fe_collocation
 from neuralfield.timestep import (
     MAX_EULER_STEPS,
     IntegrationError,
@@ -14,33 +12,31 @@ from neuralfield.timestep import (
 )
 
 
-def make_system(dim, rhs, initial):
-    assert len(initial) == dim
-    return SemiDiscreteSystem(
-        rhs=rhs,
-        initial=np.asarray(initial, dtype=float),
-        reconstruct=lambda a, xs: a[..., :1] * np.ones(np.shape(xs)),
-        diagnostics=SchemeDiagnostics(0.0, 0.0),
-        norm="sup",
-        encode=lambda fn: np.asarray(initial, dtype=float),
-    )
+def decay(t, a):
+    """a' = -a; from a(0) = 1 the solution is exp(-t)."""
+    return -a
 
 
-def counted(system):
-    """The system with its right-hand side wrapped to record each call's time."""
+def counted(rhs):
+    """``rhs`` wrapped to record each call's time."""
     calls = []
 
-    def rhs(t, a):
+    def recorded(t, a):
         calls.append(t)
-        return system.rhs(t, a)
+        return rhs(t, a)
 
-    return dataclasses.replace(system, rhs=rhs), calls
+    return recorded, calls
 
 
-def stiff_decay_system():
-    """a' = -50 a: the controller grows the step into the stability limit
-    and has attempts rejected."""
-    return make_system(2, lambda t, a: -50.0 * a, [1.0, 2.0])
+def stiff_decay(t, a):
+    """a' = -50 a: from (1, 2) the controller grows the step into the
+    stability limit and has attempts rejected."""
+    return -50.0 * a
+
+
+def encoded_at(system, problem, t):
+    """The closed form of ``problem`` at time t in the state space of ``system``."""
+    return system.encode(lambda x: problem.exact(x, t))
 
 
 # Dormand-Prince 5(4) in its classic seven-stage form (Hairer, Norsett & Wanner,
@@ -58,7 +54,7 @@ _B = _A[6].copy()
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
-def seven_evaluation_rk54(system, t0, duration, rtol, atol, checkpoints):
+def seven_evaluation_rk54(rhs, u0, t0, duration, rtol, atol, checkpoints):
     """Reference for rk54_integrate that evaluates all seven stages of every
     attempt afresh, the first at (t, u) and the last at the landing time.
 
@@ -66,9 +62,9 @@ def seven_evaluation_rk54(system, t0, duration, rtol, atol, checkpoints):
     recorded states and the accepted and rejected counts.
     """
     cps = np.asarray(checkpoints, dtype=float)
-    u = np.array(system.initial, dtype=float)
+    u = np.array(u0, dtype=float)
     t = t0
-    probe = system.rhs(t0, u)
+    probe = rhs(t0, u)
     h = min(duration / 100.0, 0.1 * (atol / max(float(np.max(np.abs(probe))), 1e-12)) ** 0.2)
     states = [u.copy()] if cps[0] == t0 else []
     accepted = rejected = 0
@@ -78,10 +74,10 @@ def seven_evaluation_rk54(system, t0, duration, rtol, atol, checkpoints):
             h_try = target - t if clipped else h
             t_new = target if clipped else t + h_try
             k = np.empty((7, len(u)))
-            k[0] = system.rhs(t, u)
+            k[0] = rhs(t, u)
             for i in range(1, 7):
                 time_i = t_new if i == 6 else t + _C[i] * h_try
-                k[i] = system.rhs(time_i, u + h_try * (_A[i, :i] @ k[:i]))
+                k[i] = rhs(time_i, u + h_try * (_A[i, :i] @ k[:i]))
             proposal = u + h_try * (_B @ k)
             error = h_try * (_E @ k)
             err = float(np.max(np.abs(error) / (atol + rtol * np.maximum(np.abs(u), np.abs(proposal)))))
@@ -98,24 +94,24 @@ def seven_evaluation_rk54(system, t0, duration, rtol, atol, checkpoints):
 
 class TestEuler:
     def test_single_step_decay(self):
-        traj = euler_integrate(scalar_decay_system(), 0.0, 0.1, 0.1, [0.0, 0.1])
+        traj = euler_integrate(decay, [1.0], 0.0, 0.1, 0.1, [0.0, 0.1])
         assert len(traj.states) == len(traj.checkpoints) == 2
         assert traj.states[0][0] == 1.0
         assert traj.states[1][0] == pytest.approx(0.9, abs=1e-16)
 
     def test_zero_field_is_constant(self):
-        system = make_system(3, lambda t, a: np.zeros(3), [1.0, -2.0, 0.5])
-        traj = euler_integrate(system, 0.0, 1.0, 0.05, np.linspace(0.0, 1.0, 11))
+        traj = euler_integrate(
+            lambda t, a: np.zeros(3), [1.0, -2.0, 0.5], 0.0, 1.0, 0.05, np.linspace(0.0, 1.0, 11)
+        )
         assert len(traj.states) == len(traj.checkpoints) == 11
         assert np.all(traj.states == traj.states[0])
         assert traj.stats.rhs_evals == 20
 
     def test_first_order_convergence(self):
-        system = scalar_decay_system()
         hs = np.array([1e-2, 5e-3, 2.5e-3, 1.25e-3])
         errs = np.array(
             [
-                abs(euler_integrate(system, 0.0, 1.0, h, [0.0, 1.0]).states[-1][0] - np.exp(-1.0))
+                abs(euler_integrate(decay, [1.0], 0.0, 1.0, h, [0.0, 1.0]).states[-1][0] - np.exp(-1.0))
                 for h in hs
             ]
         )
@@ -125,57 +121,55 @@ class TestEuler:
     def test_off_lattice_checkpoint_rejected(self):
         # the checkpoint prints as a plain float, not as np.float64(0.35)
         with pytest.raises(ValueError, match=r"^checkpoint 0\.35 is not .* lattice$"):
-            euler_integrate(scalar_decay_system(), 0.0, 1.0, 0.1, [0.0, 0.35])
+            euler_integrate(decay, [1.0], 0.0, 1.0, 0.1, [0.0, 0.35])
 
     def test_checkpoint_validation(self):
-        system = scalar_decay_system()
         with pytest.raises(ValueError):
-            euler_integrate(system, 0.0, 1.0, 0.1, [0.5, 0.2])
+            euler_integrate(decay, [1.0], 0.0, 1.0, 0.1, [0.5, 0.2])
         with pytest.raises(ValueError):
-            euler_integrate(system, 0.0, 1.0, 0.1, [0.0, 1.5])
+            euler_integrate(decay, [1.0], 0.0, 1.0, 0.1, [0.0, 1.5])
         with pytest.raises(ValueError):
-            euler_integrate(system, 0.0, 1.0, -0.1, [0.0, 0.5])
+            euler_integrate(decay, [1.0], 0.0, 1.0, -0.1, [0.0, 0.5])
         # a positive step whose step count overflows, rather than an OverflowError
         with pytest.raises(ValueError, match=r"step 1e-320 is too small for the window \[0\.0, 1\.0\]"):
-            euler_integrate(system, 0.0, 1.0, 1e-320, [0.0, 0.5])
+            euler_integrate(decay, [1.0], 0.0, 1.0, 1e-320, [0.0, 0.5])
 
     def test_a_step_count_past_the_cap_is_rejected_before_any_step(self):
         def rhs(t, a):  # without the cap the run would take 2^40 steps, so fail at once
             raise AssertionError(f"right-hand side called at t={t}")
 
-        system = make_system(1, rhs, [1.0])
         ht = 2.0**-40  # on the lattice of every checkpoint below, 2^40 steps to t = 1
         message = rf"^checkpoint 1\.0 is {2**40} steps of .* more than the maximum of {MAX_EULER_STEPS}$"
         with pytest.raises(ValueError, match=message):
-            euler_integrate(system, 0.0, 1.0, ht, [0.0, 1.0])
+            euler_integrate(rhs, [1.0], 0.0, 1.0, ht, [0.0, 1.0])
         # one step past the cap is enough
         with pytest.raises(ValueError, match=f"is {MAX_EULER_STEPS + 1} steps"):
-            euler_integrate(system, 0.0, 1.0, 1.0 / (MAX_EULER_STEPS + 1), [0.0, 1.0])
+            euler_integrate(rhs, [1.0], 0.0, 1.0, 1.0 / (MAX_EULER_STEPS + 1), [0.0, 1.0])
 
     def test_two_checkpoints_on_one_step_are_rejected_before_any_step(self):
         # both used to return fewer states than checkpoints: one state for
         # all three below, and two for three with right-hand side calls
         with pytest.raises(ValueError, match=r"^checkpoints 0\.0 and 5e-10 both fall on step 0 of 1\.0 "):
-            euler_integrate(scalar_decay_system(), 0, 1e-9, 1.0, [0, 5e-10, 1e-9])
+            euler_integrate(decay, [1.0], 0, 1e-9, 1.0, [0, 5e-10, 1e-9])
 
         def rhs(t, a):
             raise AssertionError(f"right-hand side called at t={t}")
 
-        system = make_system(1, rhs, [1.0])
         with pytest.raises(ValueError, match=r"^checkpoints 0\.5 and 0\.5000000001 both fall on step 5 of 0\.1 "):
-            euler_integrate(system, 0.0, 1.0, 0.1, [0.0, 0.5, 0.5 + 1e-10])
+            euler_integrate(rhs, [1.0], 0.0, 1.0, 0.1, [0.0, 0.5, 0.5 + 1e-10])
 
     def test_blowup_raises_at_the_first_non_finite_checkpoint(self):
         # u' = u^2 from u(0) = 1 blows up at t = 1; with ht = 0.01 the Euler
         # iterate is 30.4 at t = 1 and has overflowed by t = 1.5
-        system = make_system(1, lambda t, a: a * a, [1.0])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError, match="non-finite state at checkpoint t=1.5"):
-                euler_integrate(system, 0.0, 2.0, 0.01, [0.0, 0.5, 1.0, 1.5, 2.0])
+                euler_integrate(lambda t, a: a * a, [1.0], 0.0, 2.0, 0.01, [0.0, 0.5, 1.0, 1.5, 2.0])
 
-    def test_vector_decay_matches_exponential(self, p1, pure_decay_problem):
-        system = build_fe_collocation(pure_decay_problem(), 8)
-        traj = euler_integrate(system, 0.0, 1.0, 1e-4, [0.0, 0.5, 1.0])
+    def test_vector_decay_matches_exponential(self, pure_decay_problem):
+        problem = pure_decay_problem()
+        system = build_fe_collocation(problem, 8)
+        u0 = encoded_at(system, problem, 0.0)
+        traj = euler_integrate(system.rhs, u0, 0.0, 1.0, 1e-4, [0.0, 0.5, 1.0])
         assert len(traj.states) == len(traj.checkpoints) == 3
         exact = 0.4 * np.exp(-np.asarray([0.0, 0.5, 1.0]))
         assert np.max(np.abs(traj.states[:, 0] - exact)) <= 1e-4
@@ -183,15 +177,14 @@ class TestEuler:
 
 class TestDormandPrince:
     def test_scalar_decay_accuracy(self):
-        traj = rk54_integrate(scalar_decay_system(), 0.0, 1.0, 1e-8, 1e-10, [0.0, 1.0])
+        traj = rk54_integrate(decay, [1.0], 0.0, 1.0, 1e-8, 1e-10, [0.0, 1.0])
         assert abs(traj.states[-1][0] - np.exp(-1.0)) <= 1e-7
 
     def test_zero_field_one_step_per_gap(self):
         # gaps equal the deterministic initial step T/100, so each gap costs
         # exactly one accepted (clipped) step and nothing is ever rejected
-        system = make_system(2, lambda t, a: np.zeros(2), [2.0, -1.0])
         cps = np.linspace(0.0, 1.0, 101)
-        traj = rk54_integrate(system, 0.0, 1.0, 1e-6, 1e-10, cps)
+        traj = rk54_integrate(lambda t, a: np.zeros(2), [2.0, -1.0], 0.0, 1.0, 1e-6, 1e-10, cps)
         assert len(traj.states) == len(traj.checkpoints) == 101
         assert traj.stats.accepted == 100
         assert traj.stats.rejected == 0
@@ -214,12 +207,12 @@ class TestDormandPrince:
         # the probe is the first attempt's first stage, and every accepted step
         # hands its last stage on as the next first stage
         cases = (
-            (scalar_decay_system(), np.linspace(0.0, 1.0, 6), False),
-            (stiff_decay_system(), [0.0, 0.5, 1.0], True),
+            (decay, [1.0], np.linspace(0.0, 1.0, 6), False),
+            (stiff_decay, [1.0, 2.0], [0.0, 0.5, 1.0], True),
         )
-        for system, cps, rejects in cases:
-            system, calls = counted(system)
-            traj = rk54_integrate(system, 0.0, 1.0, 1e-8, 1e-10, cps)
+        for rhs, u0, cps, rejects in cases:
+            rhs, calls = counted(rhs)
+            traj = rk54_integrate(rhs, u0, 0.0, 1.0, 1e-8, 1e-10, cps)
             assert len(traj.states) == len(traj.checkpoints) == len(cps)
             attempts = traj.stats.accepted + traj.stats.rejected
             assert (traj.stats.rejected > 0) == rejects
@@ -229,67 +222,86 @@ class TestDormandPrince:
     @pytest.mark.parametrize("case", ["p1-fe-collocation-n16", "stiff-with-rejections"])
     def test_fsal_matches_the_seven_evaluation_reference_bitwise(self, case, p1):
         if case == "stiff-with-rejections":
-            system, cps = stiff_decay_system(), [0.0, 0.5, 1.0]
+            rhs, u0, cps = stiff_decay, np.array([1.0, 2.0]), [0.0, 0.5, 1.0]
         else:
-            system, cps = build_fe_collocation(p1, 16), np.linspace(0.0, 1.0, 51)
-        states, accepted, rejected = seven_evaluation_rk54(system, 0.0, 1.0, 1e-6, 1e-9, cps)
+            system = build_fe_collocation(p1, 16)
+            rhs, u0, cps = system.rhs, encoded_at(system, p1, 0.0), np.linspace(0.0, 1.0, 51)
+        states, accepted, rejected = seven_evaluation_rk54(rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps)
         assert (rejected > 0) == (case == "stiff-with-rejections")
-        system, calls = counted(system)
-        traj = rk54_integrate(system, 0.0, 1.0, 1e-6, 1e-9, cps)
+        rhs, calls = counted(rhs)
+        traj = rk54_integrate(rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps)
         assert np.array_equal(traj.states, states)
         assert (traj.stats.accepted, traj.stats.rejected) == (accepted, rejected)
         assert len(calls) == 1 + 6 * (accepted + rejected)
 
     def test_determinism_bitwise(self, p1):
         system = build_fe_collocation(p1, 16)
+        u0 = encoded_at(system, p1, 0.0)
         cps = np.linspace(0.0, 1.0, 11)
-        a = rk54_integrate(system, 0.0, 1.0, 1e-6, 1e-9, cps)
-        b = rk54_integrate(system, 0.0, 1.0, 1e-6, 1e-9, cps)
+        a = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps)
+        b = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps)
         assert np.array_equal(a.states, b.states)
         assert a.stats == b.stats
 
     def test_blowup_raises_underflow(self):
         # u' = u^2 with u(0) = 3 blows up at t = 1/3; the controller must
         # shrink past the floor and raise instead of looping forever
-        system = make_system(1, lambda t, a: a * a, [3.0])
         with pytest.raises(IntegrationError, match="underflow"):
-            rk54_integrate(system, 0.0, 1.0, 1e-6, 1e-9, [0.0, 1.0])
+            rk54_integrate(lambda t, a: a * a, [3.0], 0.0, 1.0, 1e-6, 1e-9, [0.0, 1.0])
 
     def test_nonfinite_rhs_raises(self):
-        system = make_system(1, lambda t, a: a * np.nan, [1.0])
         with pytest.raises(IntegrationError, match="non-finite"):
-            rk54_integrate(system, 0.0, 1.0, 1e-6, 1e-9, [0.0, 1.0])
+            rk54_integrate(lambda t, a: a * np.nan, [1.0], 0.0, 1.0, 1e-6, 1e-9, [0.0, 1.0])
 
     def test_non_finite_windows_and_tolerances_rejected(self):
-        system = scalar_decay_system()
         for t0, duration in ((np.nan, 1.0), (-np.inf, 1.0), (0.0, np.inf), (0.0, np.nan), (0.0, 0.0)):
             with pytest.raises(ValueError, match="t0 must be finite|duration must be positive"):
-                rk54_integrate(system, t0, duration, 1e-6, 1e-9, [0.0, 1.0])
+                rk54_integrate(decay, [1.0], t0, duration, 1e-6, 1e-9, [0.0, 1.0])
             with pytest.raises(ValueError, match="t0 must be finite|duration must be positive"):
-                euler_integrate(system, t0, duration, 0.1, [0.0, 1.0])
+                euler_integrate(decay, [1.0], t0, duration, 0.1, [0.0, 1.0])
         for rtol, atol in ((np.inf, 1e-9), (1e-6, np.inf), (np.nan, 1e-9)):
             with pytest.raises(ValueError, match="rtol and atol"):
-                rk54_integrate(system, 0.0, 1.0, rtol, atol, [0.0, 1.0])
+                rk54_integrate(decay, [1.0], 0.0, 1.0, rtol, atol, [0.0, 1.0])
         for ht in (np.inf, np.nan):
             with pytest.raises(ValueError, match="step size"):
-                euler_integrate(system, 0.0, 1.0, ht, [0.0, 1.0])
+                euler_integrate(decay, [1.0], 0.0, 1.0, ht, [0.0, 1.0])
 
     def test_an_overflowing_window_end_is_rejected(self):
-        system = scalar_decay_system()
         with pytest.raises(ValueError, match=r"t0 \+ duration must be finite"):
-            rk54_integrate(system, 1e308, 1e308, 1e-6, 1e-9, [1e308])
+            rk54_integrate(decay, [1.0], 1e308, 1e308, 1e-6, 1e-9, [1e308])
         with pytest.raises(ValueError, match=r"t0 \+ duration must be finite"):
-            euler_integrate(system, 1e308, 1e308, 1e307, [1e308])
+            euler_integrate(decay, [1.0], 1e308, 1e308, 1e307, [1e308])
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
-            rk54_integrate(scalar_decay_system(), 0.0, 1.0, -1e-6, 1e-9, [0.0, 1.0])
+            rk54_integrate(decay, [1.0], 0.0, 1.0, -1e-6, 1e-9, [0.0, 1.0])
 
     def test_checkpoint_error_tracks_tolerance(self):
         # heuristic tolerance proportionality on the scalar problem
-        system = scalar_decay_system()
         for rtol in (1e-6, 1e-8):
-            traj = rk54_integrate(system, 0.0, 1.0, rtol, rtol * 1e-3, [0.0, 0.5, 1.0])
+            traj = rk54_integrate(decay, [1.0], 0.0, 1.0, rtol, rtol * 1e-3, [0.0, 0.5, 1.0])
             assert len(traj.states) == len(traj.checkpoints) == 3
             err = abs(traj.states[-1][0] - np.exp(-1.0))
             assert err <= 50.0 * rtol
+
+
+@pytest.mark.parametrize("stepper", ["euler", "rk54"])
+def test_the_first_state_is_u0_verbatim(stepper, p1, rng):
+    system = build_fe_collocation(p1, 16)
+    u0 = rng.standard_normal(system.dim)
+    cps = np.linspace(0.25, 0.75, 6)
+    if stepper == "euler":
+        traj = euler_integrate(system.rhs, u0, 0.25, 0.5, 0.01, cps)
+    else:
+        traj = rk54_integrate(system.rhs, u0, 0.25, 0.5, 1e-6, 1e-9, cps)
+    assert np.array_equal(traj.states[0].view(np.int64), u0.view(np.int64))
+
+
+def test_a_window_starts_where_its_u0_was_encoded(p1):
+    # the steppers take the start state, so a window from t0 = 0.5 runs from
+    # u(., 0.5); when the system carried u(., 0) as its start, this direct
+    # call silently started there and measured 0.177 against 1.29e-4
+    system = build_fe_collocation(p1, 64)
+    cps = default_checkpoints(0.5, 1.0, 51)
+    traj = rk54_integrate(system.rhs, encoded_at(system, p1, 0.5), 0.5, 1.0, 1e-6, 1e-9, cps)
+    assert trajectory_error(system, traj, p1) <= 1e-3
