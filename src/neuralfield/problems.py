@@ -11,8 +11,10 @@ then pure discretization error.
 The spatial profile q(x) is x^2 on the compact domain and cos(x)^2 on the
 ring; a single closure is shared by kernel, solution, time derivative and
 forcing so the four can never drift apart. Each quantity has one closed
-form: u and its time derivative pointwise, and the forcing bound to the
-nodes a scheme evaluates it at.
+form: u and its time derivative pointwise, the forcing bound to the nodes
+a scheme evaluates it at, and the modulation's integral over the domain as
+an exact number (see :func:`modulation_integral`), so building a problem
+runs no quadrature.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .model import INVERSE_DOMAIN_ERROR, FiringRate, Interval
-from .quadrature import QuadratureRule, clenshaw_curtis, trapezium_rule
+from .quadrature import QuadratureRule
 
 __all__ = [
     "TestProblem",
@@ -49,17 +51,22 @@ THRESHOLD = 0.3
 _PEAK_RATE = -math.log(AMPLITUDE)  # peak < 1
 _TROUGH_RATE = math.log(np.finfo(float).tiny / AMPLITUDE)  # trough >= the least normal float
 
-_MODULATIONS: dict[str, tuple[Callable, bool]] = {
-    "P1": ((lambda y: np.exp(y) * np.cos(y)), False),
-    "P2": ((lambda y: y**20), False),
-    "P3": ((lambda y: 1.0 / (1.0 + 16.0 * y**2)), False),
-    "P4": ((lambda y: np.exp(-(y**2))), False),
-    "P5": ((lambda y: np.exp(-y)), False),
-    "P6": ((lambda y: np.abs(y) ** 3), False),
-    "P7p": ((lambda y: np.cos(y) ** 2), True),
-    "P8p": ((lambda y: 1.0 / (1.0 + 16.0 * np.cos(y) ** 2)), True),
-    "P9p": ((lambda y: np.abs(np.cos(y)) ** 3), True),
-    "P10p": ((lambda y: np.cos(y) ** 20), True),
+# id -> (kernel modulation, on the ring?, its integral over the domain)
+_MODULATIONS: dict[str, tuple[Callable, bool, float]] = {
+    "P1": (
+        (lambda y: np.exp(y) * np.cos(y)),
+        False,
+        math.sin(1.0) * math.cosh(1.0) + math.cos(1.0) * math.sinh(1.0),
+    ),
+    "P2": ((lambda y: y**20), False, 2.0 / 21.0),
+    "P3": ((lambda y: 1.0 / (1.0 + 16.0 * y**2)), False, math.atan(4.0) / 2.0),
+    "P4": ((lambda y: np.exp(-(y**2))), False, math.sqrt(math.pi) * math.erf(1.0)),
+    "P5": ((lambda y: np.exp(-y)), False, math.e - 1.0 / math.e),
+    "P6": ((lambda y: np.abs(y) ** 3), False, 0.5),
+    "P7p": ((lambda y: np.cos(y) ** 2), True, math.pi),
+    "P8p": ((lambda y: 1.0 / (1.0 + 16.0 * np.cos(y) ** 2)), True, 2.0 * math.pi / math.sqrt(17.0)),
+    "P9p": ((lambda y: np.abs(np.cos(y)) ** 3), True, 8.0 / 3.0),
+    "P10p": ((lambda y: np.cos(y) ** 20), True, 2.0 * math.pi * math.comb(20, 10) / 2.0**20),
 }
 
 PROBLEM_IDS = tuple(_MODULATIONS)
@@ -95,26 +102,17 @@ def canonical_id(token: str) -> str:
 
 
 def modulation_integral(problem_id: str) -> float:
-    """Reference value of the kernel modulation's integral over the domain.
+    """The kernel modulation's integral over the domain, in closed form.
 
-    Computed once per problem by a high-resolution rule (Clenshaw-Curtis
-    with 4096 panels on the box, 8192-point periodic trapezium on the ring)
-    and cross-checked against the doubled resolution to 1e-11 relative.
+    On the box they are elementary: P1's (e (sin 1 + cos 1) - e^-1 (cos 1 -
+    sin 1)) / 2 comes from the antiderivative e^y (sin y + cos y) / 2 and is
+    evaluated as sin 1 cosh 1 + cos 1 sinh 1, which rounds correctly; P4's is
+    sqrt(pi) erf(1). On the ring, P8p's is the integral of
+    d theta / (1 + 16 cos^2 theta) over a period, 2 pi / sqrt(1 * 17); P9p's
+    is four times that of cos^3 over [0, pi/2]; and P10p's, of cos^20, is
+    2 pi C(20, 10) / 2^20 by Wallis' formula.
     """
-    pid = canonical_id(problem_id)
-    mod, periodic = _MODULATIONS[pid]
-    if periodic:
-        base = trapezium_rule(RING, 8192).integrate(mod)
-        fine = trapezium_rule(RING, 16384).integrate(mod)
-    else:
-        base = clenshaw_curtis(4096).integrate(mod)
-        fine = clenshaw_curtis(8192).integrate(mod)
-    if abs(base - fine) > 1e-11 * max(1.0, abs(base)):
-        raise ArithmeticError(
-            f"{pid}: reference integral failed its doubled-resolution cross-check "
-            f"({base!r} vs {fine!r})"
-        )
-    return float(base)
+    return _MODULATIONS[canonical_id(problem_id)][2]
 
 
 def _checked_rate(t) -> float:
@@ -200,8 +198,7 @@ def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) 
 def make_problem(problem_id: str) -> TestProblem:
     """Build one of the ten benchmarks; ids are case-insensitive."""
     pid = canonical_id(problem_id)
-    mod, periodic = _MODULATIONS[pid]
-    return _manufactured(pid, mod, periodic, modulation_integral(pid))
+    return _manufactured(pid, *_MODULATIONS[pid])
 
 
 def continuum_residual(problem: TestProblem, x: float, t: float, ref_quad: QuadratureRule) -> float:

@@ -73,9 +73,8 @@ def test_a_stack_with_the_wrong_state_count_is_rejected():
     # --T 1e-300 once printed the t = 0 error 0.012833... for it
     problem = make_problem("P1")
     system = SCHEMES["fe-collocation", "trapezium"](problem, 8)
-    stub = SimpleNamespace(
-        checkpoints=default_checkpoints(0.0, 1e-300, 51), states=system.encode(lambda x: problem.exact(x, 0.0))[None, :]
-    )
+    start = system.encode(lambda x: problem.exact(x, 0.0))
+    stub = SimpleNamespace(checkpoints=default_checkpoints(0.0, 1e-300, 51), states=start[None, :])
     with pytest.raises(ValueError, match="got 1 for 51 checkpoints"):
         trajectory_error(system, stub, problem)
 
@@ -244,9 +243,9 @@ P1,fe-collocation,trapezium,32,0.0625,0.00096327397217380734,1.9429816584659902,
 P3,fe-collocation,trapezium,8,0.25,0.012833304598058912,,0.96531702752213799
 P3,fe-collocation,trapezium,16,0.125,0.0037037834432228425,1.7928210615886482,0.96168612336501491
 P3,fe-collocation,trapezium,32,0.0625,0.00096327397217380734,1.9429816584659902,0.96163358827717427
-P6,fe-collocation,trapezium,8,0.25,0.015185251897026408,,1.4229315629007546
-P6,fe-collocation,trapezium,16,0.125,0.0039334493116099933,1.9488039429672301,1.2939831684214189
-P6,fe-collocation,trapezium,32,0.0625,0.00099282435599729046,1.9861845791821715,1.2610443683117403
+P6,fe-collocation,trapezium,8,0.25,0.015185251897028018,,1.4229315629007546
+P6,fe-collocation,trapezium,16,0.125,0.0039334493116114921,1.9488039429668336,1.2939831684214189
+P6,fe-collocation,trapezium,32,0.0625,0.00099282435599881702,1.9861845791805028,1.2610443683117403
 """,
     (("P7p", "P9p"), "spectral-galerkin"): """\
 P7p,spectral-galerkin,fft,8,0.36959913571644626,0.0022164686805541036,,8.4827515581815192
@@ -254,7 +253,7 @@ P7p,spectral-galerkin,fft,16,0.19039955476301776,3.2342263261592637e-05,6.098698
 P7p,spectral-galerkin,fft,32,0.096664389341224399,1.1631193337589738e-08,11.44120580249311,8.5502834713904257
 P9p,spectral-galerkin,fft,8,0.36959913571644626,0.0022164686805541036,,7.5109370868022252
 P9p,spectral-galerkin,fft,16,0.19039955476301776,3.2342263261592637e-05,6.098698526743898,7.5580620552248359
-P9p,spectral-galerkin,fft,32,0.096664389341224399,4.3418569652989357e-08,9.5408927248435269,7.5707742101005699
+P9p,spectral-galerkin,fft,32,0.096664389341224399,4.3418566694429566e-08,9.5408928231493846,7.5707742101005699
 """,
 }
 

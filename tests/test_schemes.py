@@ -96,7 +96,8 @@ class TestFeCollocation:
         errs = {}
         for n in (64, 128):
             system = build_fe_collocation(p1, n)
-            errs[n] = np.max(np.abs(reconstruct_on(system, _encoded_start(system, p1), xs) - p1.exact(xs, 0.0)))
+            values = reconstruct_on(system, _encoded_start(system, p1), xs)
+            errs[n] = np.max(np.abs(values - p1.exact(xs, 0.0)))
         assert 3.2 <= errs[64] / errs[128] <= 4.8
 
 
@@ -133,7 +134,8 @@ class TestChebCollocation:
         errs = []
         for n in range(12, 40, 4):
             system = build_cheb_collocation(p1, n)
-            errs.append(np.max(np.abs(reconstruct_on(system, _encoded_start(system, p1), xs) - p1.exact(xs, 0.0))))
+            values = reconstruct_on(system, _encoded_start(system, p1), xs)
+            errs.append(np.max(np.abs(values - p1.exact(xs, 0.0))))
         ratios = np.array(errs[1:]) / np.array(errs[:-1])
         assert np.all(ratios <= rho**-4), ratios
 
@@ -203,8 +205,8 @@ class TestSpectralGalerkin:
     def test_dim_is_the_ring_node_count(self, p7p):
         system = build_spectral_galerkin(p7p, 16)
         assert system.dim == 33
-        assert _encoded_start(system, p7p).shape == (33,)
-        assert _encoded_start(system, p7p).dtype == np.float64
+        start = _encoded_start(system, p7p)
+        assert start.shape == (33,) and start.dtype == np.float64
 
     def test_consistency_with_exact_coefficients(self, p7p):
         system = build_spectral_galerkin(p7p, 16)
@@ -235,9 +237,9 @@ class TestSpectralGalerkin:
         # checkpoint states are the nodal ones carried into coefficients
         problem = make_problem(pid)
         nodal = build_spectral_galerkin(problem, n)
-        coefficients = _coefficient_form(problem, n)
+        coefficient_rhs, coefficient_start = _coefficient_form(problem, n)
         cps = np.linspace(0.0, 1.0, 51)
-        expected = rk54_integrate(*coefficients, 0.0, 1.0, 1e-6, 1e-9, cps)
+        expected = rk54_integrate(coefficient_rhs, coefficient_start, 0.0, 1.0, 1e-6, 1e-9, cps)
         got = rk54_integrate(nodal.rhs, _encoded_start(nodal, problem), 0.0, 1.0, 1e-6, 1e-9, cps)
         assert got.stats == expected.stats
         gap = np.max(np.abs(_real_parts(dft_forward(got.states)) - expected.states))
@@ -252,7 +254,8 @@ class TestSpectralGalerkin:
         errs = []
         for n in range(8, 40, 4):
             system = build_spectral_galerkin(p7p, n)
-            errs.append(np.max(np.abs(reconstruct_on(system, _encoded_start(system, p7p), xs) - p7p.exact(xs, 0.0))))
+            values = reconstruct_on(system, _encoded_start(system, p7p), xs)
+            errs.append(np.max(np.abs(values - p7p.exact(xs, 0.0))))
         ratios = np.array(errs[1:]) / np.array(errs[:-1])
         assert np.all(ratios <= np.exp(-4.0 * strip)), ratios
 
