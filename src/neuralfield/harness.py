@@ -155,15 +155,26 @@ def eval_grid(interval: Interval, eval_points: int) -> np.ndarray:
     return np.linspace(interval.a, interval.b, eval_points)
 
 
+# bytes of exact_grid rows evaluated at once (two rows at 2048 points): the
+# closed form's temporaries, its envelope and the inverse's output, span one
+# such block each
+_EXACT_BLOCK_BYTES = 32 * 1024
+
+
 def exact_grid(problem: TestProblem, checkpoints, eval_points: int) -> np.ndarray:
     """The closed form on the checkpoint x point grid, one row per checkpoint.
 
     It depends only on the problem, the checkpoints and the evaluation grid,
     so one evaluation serves every cell of a study; the array is read-only.
+    It is filled in blocks of checkpoint rows, so the closed form's own
+    temporaries span one block, not a second table.
     """
     xs = eval_grid(problem.interval, eval_points)
     ts = np.asarray(checkpoints, dtype=float)
-    grid = np.asarray(problem.exact(xs, ts[:, None]), dtype=float)
+    grid = np.empty((len(ts), len(xs)))
+    rows = max(1, _EXACT_BLOCK_BYTES // (8 * len(xs)))
+    for i in range(0, len(ts), rows):
+        grid[i : i + rows] = problem.exact(xs, ts[i : i + rows, None])
     grid.setflags(write=False)
     return grid
 
@@ -252,10 +263,13 @@ def observed_order(e1: float, e2: float, n1: int, n2: int) -> Optional[float]:
     return float(np.log(e1 / e2) / np.log(n2 / n1))
 
 
-def _integrate(rhs, u0, cfg: StudyConfig, checkpoints) -> Trajectory:
+def _integrate(system: SemiDiscreteSystem, u0, cfg: StudyConfig, checkpoints) -> Trajectory:
+    rhs, drive = system.rhs, system.drive
     if cfg.stepper == "rk54":
-        return rk54_integrate(rhs, u0, cfg.t0, cfg.duration, cfg.rtol, cfg.atol, checkpoints)
-    return euler_integrate(rhs, u0, cfg.t0, cfg.duration, cfg.ht, checkpoints)
+        return rk54_integrate(
+            rhs, u0, cfg.t0, cfg.duration, cfg.rtol, cfg.atol, checkpoints, drive=drive
+        )
+    return euler_integrate(rhs, u0, cfg.t0, cfg.duration, cfg.ht, checkpoints, drive=drive)
 
 
 def _h_x(problem: TestProblem, system: SemiDiscreteSystem) -> float:
@@ -278,7 +292,7 @@ def _cell(
     start = time.perf_counter()
     system = build_system(problem, cfg.scheme, n, quadrature=cfg.quadrature, variant=cfg.variant)
     u0 = system.encode(lambda x: problem.exact(x, cfg.t0))
-    traj = _integrate(system.rhs, u0, cfg, checkpoints)
+    traj = _integrate(system, u0, cfg, checkpoints)
     wall = time.perf_counter() - start
     return system, traj, trajectory_error(system, traj, problem, cfg.eval_points, exact), wall
 
@@ -442,7 +456,9 @@ def euler_split_study(
     temporal: list[ConvergenceRecord] = []
     for ht in hts:
         start = time.perf_counter()
-        traj = euler_integrate(fixed.rhs, reference.states[0], t0, duration, ht, cps)
+        traj = euler_integrate(
+            fixed.rhs, reference.states[0], t0, duration, ht, cps, drive=fixed.drive
+        )
         wall = time.perf_counter() - start
         err = float(np.max(np.abs(traj.states - reference.states)))
         temporal.append(

@@ -14,7 +14,9 @@ forcing so the four can never drift apart. Each quantity has one closed
 form: u and its time derivative pointwise, the forcing bound to the nodes
 a scheme evaluates it at, and the modulation's integral over the domain as
 an exact number (see :func:`modulation_integral`), so building a problem
-runs no quadrature.
+runs no quadrature. The bound forcing is the time-dependent part of each
+scheme's drive in a' = rhs(drive(t), a), and it takes a sequence of times
+as well as one, so a stepper evaluates it once for several stages or steps.
 """
 
 from __future__ import annotations
@@ -80,7 +82,10 @@ class TestProblem:
     closed-form time derivative, both pointwise. ``forcing_at(X)`` binds the
     forcing to fixed nodes X and returns t -> F(X, t) with every factor that
     depends on X alone computed once, for right-hand sides that evaluate it
-    at the same nodes many times; it is the forcing's only form.
+    at the same nodes many times; it is the forcing's only form. Given a 1-D
+    sequence of times it returns one row per time, each bitwise F(X, t) at
+    its time alone, and one time outside the envelope's domain fails the
+    whole sequence before any array work.
     """
 
     id: str
@@ -174,13 +179,18 @@ def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) 
         modulated = mod_integral * scale
 
         def at(t):
-            rate = _checked_rate(t)
-            shrink = math.exp(-rate)
+            # a sequence of times is checked whole before any array work, and
+            # its e^-rate and e^rate enter as columns: the same scalars across a
+            # row, so each row is bitwise the value at its time alone
+            if np.ndim(t):
+                rates = [_checked_rate(s) for s in t]
+                shrink = np.array([math.exp(-rate) for rate in rates])[:, None]
+                grow = np.array([math.exp(rate) for rate in rates])[:, None]
+            else:
+                rate = _checked_rate(t)
+                shrink, grow = math.exp(-rate), math.exp(rate)
             d = shrink - scale
-            return (
-                ((DECAY / GAIN) * shrink) / d + np.log(d) / GAIN + shift
-                - math.exp(rate) * modulated
-            )
+            return ((DECAY / GAIN) * shrink) / d + np.log(d) / GAIN + shift - grow * modulated
 
         return at
 

@@ -10,14 +10,18 @@ values at X back to the state space, so that ``encode(fn) = post(fn(X))``
 is the scheme's projector and the quadrature is enslaved to it. Everything
 but the state is therefore known when the scheme is built. The logistic's
 tanh form f(u) = 1/2 - tanh(kappa u - mu) / 2 and the linearity of
-``post`` fold W into a constant half and a slope, so a right-hand side
-evaluates
+``post`` fold W into a constant half and a slope, so the right-hand side
+splits into a drive that depends on t alone and a field of the state:
 
-    a' = post(G(t)) + K tanh(kappa pre(a) - mu) - a,
-    G(t) = F(X, t) + W 1 / 2,   K = post(-W / 2),
+    a' = rhs(drive(t), a),
+    drive(t) = post(G(t)),   G(t) = F(X, t) + W 1 / 2,
+    rhs(g, a) = g + K tanh(kappa pre(a) - mu) - a,   K = post(-W / 2),
 
 with K, W 1 / 2 and every factor of F(X, t) that depends on X alone
-computed once at build. Per scheme (nodes X; weight W; pre; post; K):
+computed once at build. ``drive`` also takes a 1-D sequence of times and
+returns one row per time, so the steppers evaluate it once per rk54
+attempt and once per block of Euler steps, not once per stage or step.
+Per scheme (nodes X; weight W; pre; post; K):
 
 - fe-collocation and fe-galerkin/lumped: the n + 1 uniform nodes;
   trapezium weights; identity; identity; -W/2, (n + 1) x (n + 1).
@@ -91,9 +95,15 @@ class SchemeDiagnostics:
 
 @dataclass(frozen=True, eq=False)
 class SemiDiscreteSystem:
-    """State-space form of one spatial discretization.
+    """State-space form of one spatial discretization, a' = rhs(drive(t), a).
 
-    ``rhs(t, a)`` is pure; ``reconstruct(a, xs)`` maps a state of shape
+    ``drive(t)`` is the part of the right-hand side that depends on time
+    alone, post(F(X, t) + W 1 / 2), of shape (dim,); given a 1-D sequence of
+    times it returns one row per time, each bitwise its time's value, so a
+    stepper evaluates it once for several steps or stages. ``rhs(g, a)`` is
+    the rest, g + K tanh(kappa pre(a) - mu) - a, for g a value of
+    ``drive``; it is pure and raises ``TypeError`` when g is not an array of
+    shape (dim,), such as a time. ``reconstruct(a, xs)`` maps a state of shape
     (dim,), or a stack of states of shape (k, dim), and evaluation points
     to function values, one row per state; ``encode(fn)`` maps a spatial
     function to the state representing it: its values at the scheme's
@@ -104,6 +114,7 @@ class SemiDiscreteSystem:
     of the closed form at its t0.
     """
 
+    drive: Callable
     rhs: Callable
     dim: int
     reconstruct: Callable
@@ -161,7 +172,8 @@ def _projected(
     weight_infnorm: Optional[Callable] = None,
 ) -> SemiDiscreteSystem:
     """The system a' = -a + post(F(nodes, t) + W @ f(pre(a))), evaluated as
-    a' = post(G(t)) + K tanh(kappa pre(a) - mu) - a.
+    a' = rhs(drive(t), a) with drive(t) = post(G(t)) and
+    rhs(g, a) = g + K tanh(kappa pre(a) - mu) - a.
 
     W[i, j] = w(nodes_i, columns_j) * scale is the kernel matrix on the
     quadrature nodes ``columns``, scaled in place by the rule's weights (one
@@ -200,13 +212,36 @@ def _projected(
     if weight_norm is None:
         weight_norm = weight_infnorm(slope)
 
-    def rhs(t, a):
-        return post(forcing(t) + half_row_sums) + slope @ np.tanh(kappa * pre(a) - mu) - a
+    shape = (len(slope),)
+
+    def drive(t):
+        values = forcing(t)
+        values += half_row_sums
+        if values.ndim == 1:
+            return post(values)
+        # one row per time; post maps each row alone, as for a single time
+        return values if post is _identity else np.stack([post(row) for row in values])
+
+    def rhs(g, a):
+        if getattr(g, "shape", None) != shape:
+            raise TypeError(
+                f"rhs(g, a) takes g = drive(t), the drive's value of shape {shape}, "
+                f"not {type(g).__name__} of shape {getattr(g, 'shape', ())}"
+            )
+        # g + K tanh(kappa pre(a) - mu) - a, with the sums in that order
+        fired = kappa * pre(a)
+        fired -= mu
+        np.tanh(fired, out=fired)
+        out = slope @ fired
+        out += g
+        out -= a
+        return out
 
     def encode(fn):
         return post(np.asarray(fn(nodes), dtype=float))
 
     return SemiDiscreteSystem(
+        drive=drive,
         rhs=rhs,
         dim=len(slope),
         reconstruct=reconstruct,

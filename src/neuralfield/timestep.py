@@ -1,9 +1,16 @@
 """Time integrators: fixed-step forward Euler and adaptive Dormand-Prince 5(4).
 
 Like ``solve_ivp(fun, t_span, y0)``, both integrate a' = rhs(t, a) from the
-state u0 that the caller passes for t0. They are deterministic functions of
-their inputs and record states only at the requested checkpoints, landing on
-them exactly (Euler by requiring checkpoints to sit on the step lattice, the
+state u0 that the caller passes for t0. Given a ``drive``, they integrate
+a' = rhs(drive(t), a) instead: the part of the right-hand side that depends
+on time alone is evaluated for several times in one call, once per rk54
+attempt at its six stage times and once per block of ``EULER_BLOCK`` Euler
+steps, and ``rhs`` receives each time's row (see
+:class:`schemes.SemiDiscreteSystem`). The two forms take the same steps
+and give the same states bit for bit when each row is bitwise the drive's
+value at its time alone. Both steppers are deterministic functions of their
+inputs and record states only at the requested checkpoints, landing on them
+exactly (Euler by requiring checkpoints to sit on the step lattice, the
 Runge-Kutta pair by clipping steps). There is no dense output.
 """
 
@@ -15,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "EULER_BLOCK",
     "MAX_EULER_STEPS",
     "StepStats",
     "Trajectory",
@@ -27,6 +35,10 @@ __all__ = [
 # system already run for about 25 minutes (15 us per step on a 2-core Xeon),
 # so a step small enough to need more fails at once instead of for days.
 MAX_EULER_STEPS = 10**8
+
+# Euler steps per drive call: large enough that the call's fixed cost is
+# spread thin, small enough that one block of drive rows stays small
+EULER_BLOCK = 64
 
 
 class IntegrationError(RuntimeError):
@@ -77,7 +89,9 @@ def _finish(checkpoints, states, accepted, rejected, evals) -> Trajectory:
     return Trajectory(checkpoints, stacked, StepStats(accepted, rejected, evals))
 
 
-def euler_integrate(rhs, u0, t0: float, duration: float, ht: float, checkpoints) -> Trajectory:
+def euler_integrate(
+    rhs, u0, t0: float, duration: float, ht: float, checkpoints, drive=None
+) -> Trajectory:
     """Fixed-step explicit Euler from a(t0) = u0 over [t0, t0 + duration].
 
     Every checkpoint must be an exact multiple of ht away from t0 (within a
@@ -85,6 +99,10 @@ def euler_integrate(rhs, u0, t0: float, duration: float, ht: float, checkpoints)
     outright rather than silently interpolated, and so is a checkpoint more
     than ``MAX_EULER_STEPS`` steps away or on the same step as the one
     before it. A non-finite state at a checkpoint raises IntegrationError.
+    Step k evaluates rhs(t0 + k * ht, a), or, given a ``drive``,
+    rhs(drive(ts)[j], a) with ts the lattice times of the ``EULER_BLOCK``
+    steps from k - j on: one drive call per block, and only one block of
+    rows held at a time.
     """
     if not 0.0 < ht < math.inf:
         raise ValueError("step size must be positive and finite")
@@ -127,7 +145,12 @@ def euler_integrate(rhs, u0, t0: float, duration: float, ht: float, checkpoints)
             states.append(u.copy())
             next_rec += 1
         if k < last:
-            u = u + ht * rhs(t0 + k * ht, u)
+            j = k % EULER_BLOCK
+            if j == 0:
+                values = None  # the last block's rows go before the next block's are made
+                times = [t0 + i * ht for i in range(k, min(k + EULER_BLOCK, last))]
+                values = times if drive is None else drive(times)
+            u = u + ht * rhs(values[j], u)
             evals += 1
     return _finish(cps, states, accepted=last, rejected=0, evals=evals)
 
@@ -149,35 +172,36 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
-def _dormand_prince_step(rhs, t, u, h, t_new, k1):
-    """One attempt from (t, u) with step h, given its first stage k1 = rhs(t, u).
+def _dormand_prince_step(rhs, values, u, h, stages, state):
+    """One attempt from u with step h, whose first stage is ``stages[0]``.
 
-    ``t_new`` is the time the step lands on: t + h, or the checkpoint a
-    clipped step ends at exactly. Returns the 5th-order proposal, the error
-    vector and the last stage rhs(t_new, proposal), which is the first stage
-    of the next attempt once the step is accepted ("first same as last").
-    The stage inputs share one buffer, so ``rhs`` must not keep its state
-    argument past the call.
+    ``values`` holds the first argument of ``rhs`` at the six stages the
+    attempt evaluates: the stage times t + c_i h and the time t_new that
+    the step lands on (t + h, or the checkpoint a clipped step ends at
+    exactly), or the drive's rows at those times. The stages are written
+    into ``stages``, the seventh being the right-hand side at the proposal
+    where it lands, which is the first stage of the next attempt once the
+    step is accepted ("first same as last"). Returns the 5th-order proposal
+    and the error vector, which is formed in ``state``. The stage inputs
+    share that buffer too, so ``rhs`` must not keep its state argument past
+    the call.
     """
-    stages = np.empty((7, len(u)))
-    stages[0] = k1
-    state = np.empty(len(u))  # each stage's input u + h * (row @ stages), formed in place
     for i, row in enumerate(_DP_A):
-        np.dot(row, stages[: i + 1], out=state)
+        np.dot(row, stages[: i + 1], out=state)  # the stage input u + h * (row @ stages)
         state *= h
         state += u
-        stages[i + 1] = rhs(t + _DP_C[i + 1] * h, state)
+        stages[i + 1] = rhs(values[i], state)
     proposal = np.dot(_DP_B5, stages[:6])
     proposal *= h
     proposal += u
-    stages[6] = rhs(t_new, proposal)
+    stages[6] = rhs(values[5], proposal)
     error = np.dot(_DP_ERR, stages, out=state)
     error *= h
-    return proposal, error, stages[6]
+    return proposal, error
 
 
 def rk54_integrate(
-    rhs, u0, t0: float, duration: float, rtol: float, atol: float, checkpoints
+    rhs, u0, t0: float, duration: float, rtol: float, atol: float, checkpoints, drive=None
 ) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) from a(t0) = u0 over [t0, t0 + duration].
 
@@ -190,7 +214,10 @@ def rk54_integrate(
     Every attempt then makes 6 evaluations: an accepted step hands its last
     stage, the right-hand side at the state it lands on, to the next attempt
     as its first stage (FSAL), and a rejected attempt's successor keeps the
-    rejected one's first stage. So rhs_evals is 1 + 6 * attempts.
+    rejected one's first stage. So rhs_evals is 1 + 6 * attempts. Given a
+    ``drive``, the right-hand side at time t is rhs(drive(t), a), and
+    ``drive`` is called 1 + attempts times: once for the probe, and once per
+    attempt with its six stage times.
     """
     if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
         raise ValueError("rtol and atol must be positive and finite")
@@ -199,13 +226,16 @@ def rk54_integrate(
     t = t0
     accepted = rejected = 0
 
-    probe = np.asarray(rhs(t0, u), dtype=float)
+    probe = np.asarray(rhs(t0 if drive is None else drive(t0), u), dtype=float)
     evals = 1
     if not np.all(np.isfinite(probe)):
         raise IntegrationError(f"non-finite right-hand side at t={t0}")
     scale = max(float(np.max(np.abs(probe))), 1e-12)
     h = min(duration / 100.0, 0.1 * (atol / scale) ** 0.2)
-    first_stage = probe
+    # row 0 holds the first stage of the next attempt; both buffers serve every attempt
+    stages = np.empty((7, len(u)))
+    stages[0] = probe
+    state = np.empty(len(u))
 
     states = []
     start = 0
@@ -225,7 +255,9 @@ def rk54_integrate(
                     f"{accepted} accepted / {rejected} rejected steps so far"
                 )
             t_new = target if clipped else t + h_try
-            proposal, error, last_stage = _dormand_prince_step(rhs, t, u, h_try, t_new, first_stage)
+            times = [*(t + _DP_C[1:] * h_try), t_new]
+            values = times if drive is None else drive(times)
+            proposal, error = _dormand_prince_step(rhs, values, u, h_try, stages, state)
             evals += 6
             # |error| / (atol + rtol * max(|u|, |proposal|)), in place
             scale = np.maximum(np.abs(u), np.abs(proposal))
@@ -234,14 +266,15 @@ def rk54_integrate(
             np.abs(error, out=error)
             error /= scale
             err = float(error.max())
-            if not np.isfinite(err):
+            if not math.isfinite(err):
                 raise IntegrationError(
                     f"non-finite right-hand side in the step attempted at t={t!r} (h={h_try!r})"
                 )
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             if err <= 1.0:
                 accepted += 1
-                t, u, first_stage = t_new, proposal, last_stage
+                t, u = t_new, proposal
+                stages[0] = stages[6]
             else:
                 rejected += 1
             h = h_try * factor

@@ -54,7 +54,8 @@ def _pure_decay(periodic: bool = False) -> TestProblem:
         interval=RING if periodic else BOX,
         kernel=lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y))),
         firing=FiringRate(gain=GAIN, threshold=THRESHOLD),
-        forcing_at=lambda nodes: (lambda t: np.zeros(np.shape(nodes))),
+        # one row per time for a sequence of times, as the manufactured forcing
+        forcing_at=lambda nodes: (lambda t: np.zeros(np.shape(t) + np.shape(nodes))),
         exact=exact,
         time_derivative=lambda x, t: -exact(x, t),
     )

@@ -177,7 +177,8 @@ def test_memory_error_is_one_line(message, capsys, monkeypatch):
 
 def test_euler_blowup_exits_2(capsys, monkeypatch):
     blowup = SemiDiscreteSystem(
-        rhs=lambda t, a: a * a,
+        drive=lambda ts: np.zeros(np.shape(ts) + (1,)),
+        rhs=lambda g, a: a * a,
         dim=1,
         reconstruct=lambda a, xs: a[..., :1] * np.ones(np.shape(xs)),
         diagnostics=SchemeDiagnostics(0.0, 0.0),

@@ -19,7 +19,7 @@ from neuralfield.harness import (
     sandwich_check,
     trajectory_error,
 )
-from neuralfield.problems import make_problem
+from neuralfield.problems import PROBLEM_IDS, make_problem
 from neuralfield.schemes import SCHEMES, reconstruct_on
 from neuralfield.timestep import rk54_integrate
 
@@ -108,7 +108,7 @@ def test_errors_match_the_per_checkpoint_loop(pid, key):
     system = SCHEMES[key](problem, 16)
     cps = default_checkpoints(0.0, 1.0, 11)
     u0 = system.encode(lambda x: problem.exact(x, 0.0))
-    traj = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps)
+    traj = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps, drive=system.drive)
     assert _agrees(
         trajectory_error(system, traj, problem, 1024),
         _loop_oracle(system, problem, traj.states, cps, 1024),
@@ -148,24 +148,51 @@ def test_euler_split_record_layout():
     assert fields(spatial) == fields(studied)
 
 
-def _counting_exact(pid):
-    """The problem with its closed form wrapped to count the checkpoint x point
-    grid evaluations (the calls with a 2-D time argument)."""
+@pytest.mark.parametrize("eval_points", [1000, 2048])
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_exact_grid_is_bitwise_the_one_expression_form(pid, eval_points):
     problem = make_problem(pid)
-    grid_calls = []
+    cps = default_checkpoints(0.0, 1.0, 51)
+    grid = exact_grid(problem, cps, eval_points)
+    assert not grid.flags.writeable
+    whole = problem.exact(eval_grid(problem.interval, eval_points), cps[:, None])
+    assert np.array_equal(grid, whole)
+
+
+@pytest.mark.parametrize("pid", ["P1", "P7p"])
+def test_exact_grid_peaks_at_one_table(pid, peak_bytes):
+    # the closed form evaluated whole kept its envelope table beside the
+    # inverse's output: 1.69 MB at its peak for the 0.84 MB it returned on P1
+    problem = make_problem(pid)
+    table = 8 * 51 * 2048
+    peak, held = peak_bytes(lambda: exact_grid(problem, default_checkpoints(0.0, 1.0, 51), 2048))
+    assert held >= table
+    assert peak <= table + 256 * 1024
+
+
+# the default checkpoints, one row each of the checkpoint x point grid
+GRID_ROWS = default_checkpoints(0.0, 1.0, 51).tolist()
+
+
+def _counting_exact(pid):
+    """The problem with its closed form wrapped to record the checkpoints of
+    the checkpoint x point grid rows it evaluates (the calls with a 2-D time
+    argument, one column of checkpoints in each block of rows)."""
+    problem = make_problem(pid)
+    grid_rows = []
 
     def exact(x, t):
         if np.ndim(t) == 2:
-            grid_calls.append(np.shape(t))
+            grid_rows.extend(np.ravel(t).tolist())
         return problem.exact(x, t)
 
-    return dataclasses.replace(problem, exact=exact), grid_calls
+    return dataclasses.replace(problem, exact=exact), grid_rows
 
 
 def test_run_study_evaluates_the_closed_form_grid_once_per_problem():
     (p1, p1_calls), (p3, p3_calls) = _counting_exact("P1"), _counting_exact("P3")
     run_study(StudyConfig(problems=(p1, p3), scheme="fe-collocation", n_values=(8, 16, 32)))
-    assert p1_calls == p3_calls == [(51, 1)]
+    assert p1_calls == p3_calls == GRID_ROWS
 
 
 def test_a_later_start_integrates_from_the_closed_form_at_that_time():
@@ -183,7 +210,7 @@ def test_a_later_start_integrates_from_the_closed_form_at_that_time():
 def test_sandwich_check_evaluates_the_closed_form_grid_once():
     p1, calls = _counting_exact("P1")
     sandwich_check(p1, "fe-collocation", 16)
-    assert calls == [(51, 1)]
+    assert calls == GRID_ROWS
 
 
 def test_the_sandwich_suite_builds_each_problem_once(monkeypatch):
@@ -205,7 +232,7 @@ def test_the_sandwich_suite_evaluates_each_closed_form_grid_once(monkeypatch):
     counted = {pid: _counting_exact(pid) for pid in ("P1", "P2", "P3", "P4", "P5", "P6")}
     monkeypatch.setattr(checks, "make_problem", lambda pid: counted[pid][0])
     checks.sandwich_suite()
-    assert all(calls == [(51, 1)] for _, calls in counted.values())
+    assert all(calls == GRID_ROWS for _, calls in counted.values())
 
 
 def test_a_passed_grid_gives_the_same_sandwich_result():
@@ -221,7 +248,7 @@ def test_a_passed_grid_gives_the_same_bits(pid, key):
     system = SCHEMES[key](problem, 16)
     cps = default_checkpoints(0.0, 1.0, 11)
     u0 = system.encode(lambda x: problem.exact(x, 0.0))
-    traj = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps)
+    traj = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps, drive=system.drive)
     exact = exact_grid(problem, cps, 1024)
     assert trajectory_error(system, traj, problem, 1024, exact) == trajectory_error(
         system, traj, problem, 1024

@@ -193,6 +193,30 @@ class TestForcing:
             with pytest.raises(ValueError, match="strictly inside"):
                 bound(t)
 
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    def test_a_batch_of_times_gives_each_times_values_bitwise(self, pid):
+        # one row per time: at the 51 checkpoints, and at the six times one
+        # rk54 attempt from t = 0.3 with h = 0.02 evaluates (its five inner
+        # stage times and the time it lands on); 257 nodes leave a ragged tail
+        problem = make_problem(pid)
+        xs = eval_grid(problem.interval, 257)
+        bound = problem.forcing_at(xs)
+        stages = [*(0.3 + np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0]) * 0.02), 0.32]
+        for ts in (default_checkpoints(0.0, 1.0, 51), stages):
+            rows = bound(ts)
+            assert rows.shape == (len(ts), len(xs))
+            for t, row in zip(ts, rows):
+                assert np.array_equal(row, bound(t))
+
+    def test_one_time_outside_the_domain_fails_the_batch(self, p1):
+        bound = p1.forcing_at(np.zeros(3))
+        for bad in (-2.0, 1600.0, float("nan")):
+            for where in range(3):
+                ts = [0.1, 0.2, 0.3]
+                ts[where] = bad
+                with pytest.raises(ValueError, match="strictly inside"):
+                    bound(ts)
+
 
 class TestHelpers:
     def test_pure_decay_exact_solution(self, pure_decay_problem):

@@ -15,7 +15,7 @@ from neuralfield.schemes import (
     build_spectral_galerkin,
     reconstruct_on,
 )
-from neuralfield.timestep import rk54_integrate
+from neuralfield.timestep import EULER_BLOCK, euler_integrate, rk54_integrate
 
 # every (scheme, variant) of the table, with whether it runs on the ring
 ALL_BUILDERS = [
@@ -36,14 +36,64 @@ class TestDecayReduction:
     ):
         system = builder(pure_decay_problem(periodic=periodic), 8)
         a = rng.standard_normal(system.dim)
-        assert np.array_equal(system.rhs(0.7, a), -a)
+        assert np.array_equal(system.rhs(system.drive(0.7), a), -a)
 
     @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
     def test_rhs_deterministic_bitwise(self, builder, periodic, rng):
         problem = make_problem("P7p" if periodic else "P1")
         system = builder(problem, 8)
         a = rng.standard_normal(system.dim)
-        assert np.array_equal(system.rhs(0.3, a), system.rhs(0.3, a))
+        assert np.array_equal(system.rhs(system.drive(0.3), a), system.rhs(system.drive(0.3), a))
+
+
+# times a drive is evaluated at in one call: the 51 checkpoints, one rk54
+# attempt's six (from t = 0.3 with h = 0.02) and one block of Euler steps
+DRIVE_BATCHES = (
+    np.linspace(0.0, 1.0, 51),
+    [*(0.3 + np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0]) * 0.02), 0.32],
+    [0.25 + k * 1e-3 for k in range(EULER_BLOCK)],
+)
+
+
+class TestDrive:
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
+    def test_each_row_is_bitwise_the_drive_at_its_time(self, builder, periodic, n):
+        system = builder(make_problem("P7p" if periodic else "P1"), n)
+        for ts in DRIVE_BATCHES:
+            rows = system.drive(ts)
+            assert rows.shape == (len(ts), system.dim)
+            for t, row in zip(ts, rows):
+                assert np.array_equal(row, system.drive(t))
+
+    @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
+    def test_rhs_refuses_anything_but_a_drive_value(self, builder, periodic, rng):
+        # a time in place of drive(t) used to broadcast into wrong numbers
+        system = builder(make_problem("P7p" if periodic else "P1"), 8)
+        a = rng.standard_normal(system.dim)
+        times = (0.3, np.float64(0.3), np.array(0.3))
+        for g in (*times, system.drive([0.3, 0.4]), np.zeros(system.dim + 1)):
+            with pytest.raises(TypeError, match="drive"):
+                system.rhs(g, a)
+
+    @pytest.mark.parametrize("stepper", ["rk54", "euler"])
+    @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
+    def test_integrating_with_the_drive_is_bitwise_the_per_time_form(self, builder, periodic, stepper):
+        problem = make_problem("P7p" if periodic else "P1")
+        system = builder(problem, 16)
+        u0 = _encoded_start(system, problem)
+        cps = np.linspace(0.0, 1.0, 11)
+
+        def run(rhs, drive):
+            if stepper == "rk54":
+                return rk54_integrate(rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps, drive=drive)
+            # 1000 steps: 15 full blocks and a ragged one
+            return euler_integrate(rhs, u0, 0.0, 1.0, 1e-3, cps, drive=drive)
+
+        batched = run(system.rhs, system.drive)
+        per_time = run(lambda t, a: system.rhs(system.drive(t), a), None)
+        assert np.array_equal(batched.states, per_time.states)
+        assert batched.stats == per_time.stats
 
 
 class TestFeCollocation:
@@ -64,7 +114,7 @@ class TestFeCollocation:
             x = UniformGrid(p1.interval, n).nodes
             state = system.encode(lambda xx: p1.exact(xx, 0.0))
             residuals[n] = np.max(
-                np.abs(system.rhs(0.0, state) - p1.time_derivative(x, 0.0))
+                np.abs(system.rhs(system.drive(0.0), state) - p1.time_derivative(x, 0.0))
             )
         ratio = residuals[128] / residuals[256]
         assert 3.2 <= ratio <= 4.8
@@ -106,7 +156,7 @@ class TestChebCollocation:
         system = build_cheb_collocation(p4, 32, quadrature="cc")
         x = np.cos(np.pi * np.arange(33) / 32)
         state = system.encode(lambda xx: p4.exact(xx, 0.0))
-        residual = np.max(np.abs(system.rhs(0.0, state) - p4.time_derivative(x, 0.0)))
+        residual = np.max(np.abs(system.rhs(system.drive(0.0), state) - p4.time_derivative(x, 0.0)))
         assert residual <= 1e-8
 
     def test_trapezium_quadrature_pollutes_at_second_order(self, p4):
@@ -118,7 +168,7 @@ class TestChebCollocation:
             system = build_cheb_collocation(p4, n, quadrature="trapezium")
             x = ChebyshevGrid(n).nodes
             state = system.encode(lambda xx: p4.exact(xx, 0.0))
-            res[n] = np.max(np.abs(system.rhs(0.0, state) - p4.time_derivative(x, 0.0)))
+            res[n] = np.max(np.abs(system.rhs(system.drive(0.0), state) - p4.time_derivative(x, 0.0)))
         assert 3.2 <= res[16] / res[32] <= 4.8
         assert 3.2 <= res[32] / res[64] <= 4.8
         assert 3.2 <= res[64] / res[128] <= 4.8
@@ -177,15 +227,17 @@ class TestFeGalerkin:
         cps = np.linspace(0.0, 1.0, 51)
         coll = build_fe_collocation(p1, 64)
         lump = build_fe_galerkin(p1, 64, variant="lumped")
-        traj_c = rk54_integrate(coll.rhs, _encoded_start(coll, p1), 0.0, 1.0, 1e-6, 1e-9, cps)
-        traj_l = rk54_integrate(lump.rhs, _encoded_start(lump, p1), 0.0, 1.0, 1e-6, 1e-9, cps)
+        traj_c, traj_l = (
+            rk54_integrate(s.rhs, _encoded_start(s, p1), 0.0, 1.0, 1e-6, 1e-9, cps, drive=s.drive)
+            for s in (coll, lump)
+        )
         assert np.max(np.abs(traj_c.states - traj_l.states)) <= 1e-12
 
     def test_lumped_rhs_equals_collocation_rhs(self, p1, rng):
         coll = build_fe_collocation(p1, 32)
         lump = build_fe_galerkin(p1, 32, variant="lumped")
         a = rng.standard_normal(33)
-        assert np.max(np.abs(coll.rhs(0.4, a) - lump.rhs(0.4, a))) <= 1e-14
+        assert np.max(np.abs(coll.rhs(coll.drive(0.4), a) - lump.rhs(lump.drive(0.4), a))) <= 1e-14
 
     def test_gauss2_consistency_residual_is_second_order(self, p1):
         res = {}
@@ -193,7 +245,7 @@ class TestFeGalerkin:
             system = build_fe_galerkin(p1, n, variant="gauss2")
             x = UniformGrid(p1.interval, n).nodes
             state = system.encode(lambda xx: p1.exact(xx, 0.0))
-            res[n] = np.max(np.abs(system.rhs(0.0, state) - p1.time_derivative(x, 0.0)))
+            res[n] = np.max(np.abs(system.rhs(system.drive(0.0), state) - p1.time_derivative(x, 0.0)))
         assert 3.0 <= res[64] / res[128] <= 5.5
 
     def test_rejects_unknown_variant(self, p1):
@@ -214,7 +266,7 @@ class TestSpectralGalerkin:
         x = 2.0 * np.pi * np.arange(m) / m
         state = system.encode(lambda xx: p7p.exact(xx, 0.0))
         target = dft_forward(p7p.time_derivative(x, 0.0))
-        assert np.max(np.abs(dft_forward(system.rhs(0.0, state)) - target)) <= 1e-6
+        assert np.max(np.abs(dft_forward(system.rhs(system.drive(0.0), state)) - target)) <= 1e-6
 
     def test_rhs_matches_direct_summation_oracle(self, p7p, rng, closed_form_forcing):
         # the coefficient form a' = -a + D(F + W f(D^-1 a)), with the direct
@@ -226,7 +278,7 @@ class TestSpectralGalerkin:
         c = dft_forward_direct(rng.standard_normal(system.dim))
         samples = closed_form_forcing(p7p, x, 0.25) + weight @ p7p.firing(dft_backward_direct(c))
         oracle = -c + dft_forward_direct(samples)
-        rhs = dft_forward_direct(system.rhs(0.25, dft_backward_direct(c)))
+        rhs = dft_forward_direct(system.rhs(system.drive(0.25), dft_backward_direct(c)))
         assert np.max(np.abs(rhs - oracle)) <= 1e-12
 
     @pytest.mark.parametrize("pid", ["P7p", "P9p"])
@@ -240,7 +292,8 @@ class TestSpectralGalerkin:
         coefficient_rhs, coefficient_start = _coefficient_form(problem, n)
         cps = np.linspace(0.0, 1.0, 51)
         expected = rk54_integrate(coefficient_rhs, coefficient_start, 0.0, 1.0, 1e-6, 1e-9, cps)
-        got = rk54_integrate(nodal.rhs, _encoded_start(nodal, problem), 0.0, 1.0, 1e-6, 1e-9, cps)
+        u0 = _encoded_start(nodal, problem)
+        got = rk54_integrate(nodal.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps, drive=nodal.drive)
         assert got.stats == expected.stats
         gap = np.max(np.abs(_real_parts(dft_forward(got.states)) - expected.states))
         assert gap <= 1e-13 * np.max(np.abs(expected.states))
@@ -337,7 +390,8 @@ def test_stacked_reconstruction_matches_row_by_row(builder, periodic, bitwise):
     problem = make_problem("P7p" if periodic else "P1")
     system = builder(problem, 16)
     u0 = _encoded_start(system, problem)
-    states = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, np.linspace(0.0, 1.0, 11)).states
+    cps = np.linspace(0.0, 1.0, 11)
+    states = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps, drive=system.drive).states
     xs = np.linspace(problem.interval.a, problem.interval.b, 2048)
     stacked = reconstruct_on(system, states, xs)
     rows = np.array([reconstruct_on(system, a, xs) for a in states])
@@ -446,7 +500,7 @@ def test_folded_rhs_matches_the_unfolded_formula(key, builder, n, rng, closed_fo
     ]
     for t, a in zip((0.0, 0.37, 0.91), states):
         oracle = post(closed_form_forcing(problem, nodes, t) + weight @ problem.firing(pre(a))) - a
-        rhs = system.rhs(t, a)
+        rhs = system.rhs(system.drive(t), a)
         assert np.max(np.abs(rhs - oracle)) <= 1e-14 * np.max(np.abs(rhs))
 
 

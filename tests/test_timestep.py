@@ -4,6 +4,7 @@ import pytest
 from neuralfield.harness import default_checkpoints, trajectory_error
 from neuralfield.schemes import build_fe_collocation
 from neuralfield.timestep import (
+    EULER_BLOCK,
     MAX_EULER_STEPS,
     IntegrationError,
     _dormand_prince_step,
@@ -26,6 +27,18 @@ def counted(rhs):
         return rhs(t, a)
 
     return recorded, calls
+
+
+def counted_drive(dim):
+    """A drive of zeros for states of length ``dim``, one row per time for a
+    sequence, wrapped to record each call's argument."""
+    calls = []
+
+    def drive(ts):
+        calls.append(ts)
+        return np.zeros(np.shape(ts) + (dim,))
+
+    return drive, calls
 
 
 def stiff_decay(t, a):
@@ -166,7 +179,7 @@ class TestEuler:
         problem = pure_decay_problem()
         system = build_fe_collocation(problem, 8)
         u0 = encoded_at(system, problem, 0.0)
-        traj = euler_integrate(system.rhs, u0, 0.0, 1.0, 1e-4, [0.0, 0.5, 1.0])
+        traj = euler_integrate(system.rhs, u0, 0.0, 1.0, 1e-4, [0.0, 0.5, 1.0], drive=system.drive)
         assert len(traj.states) == len(traj.checkpoints) == 3
         exact = 0.4 * np.exp(-np.asarray([0.0, 0.5, 1.0]))
         assert np.max(np.abs(traj.states[:, 0] - exact)) <= 1e-4
@@ -193,12 +206,15 @@ class TestDormandPrince:
         # proposal's true error
         rhs = lambda t, u: np.array([5.0 * t**4])  # noqa: E731
         u0 = np.array([0.0])
-        proposal, error, last = _dormand_prince_step(rhs, 0.0, u0, 0.3, 0.3, rhs(0.0, u0))
+        stages, state = np.empty((7, 1)), np.empty(1)
+        stages[0] = rhs(0.0, u0)
+        times = [*(0.3 * np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])), 0.3]
+        proposal, error = _dormand_prince_step(rhs, times, u0, 0.3, stages, state)
         assert proposal[0] == pytest.approx(0.3**5, abs=1e-15)
         assert abs(error[0]) > 0.0
         assert abs(proposal[0] - 0.3**5) <= abs(error[0])
         # the last stage is the right-hand side where the step lands
-        assert np.array_equal(last, rhs(0.3, proposal))
+        assert np.array_equal(stages[6], rhs(0.3, proposal))
 
     def test_stats_accounting(self):
         # the probe is the first attempt's first stage, and every accepted step
@@ -218,15 +234,20 @@ class TestDormandPrince:
 
     @pytest.mark.parametrize("case", ["p1-fe-collocation-n16", "stiff-with-rejections"])
     def test_fsal_matches_the_seven_evaluation_reference_bitwise(self, case, p1):
+        # the system's drive is evaluated per time for the reference and
+        # batched per attempt by rk54_integrate
         if case == "stiff-with-rejections":
-            rhs, u0, cps = stiff_decay, np.array([1.0, 2.0]), [0.0, 0.5, 1.0]
+            rhs, drive, u0, cps = stiff_decay, None, np.array([1.0, 2.0]), [0.0, 0.5, 1.0]
+            timed = rhs
         else:
             system = build_fe_collocation(p1, 16)
-            rhs, u0, cps = system.rhs, encoded_at(system, p1, 0.0), np.linspace(0.0, 1.0, 51)
-        states, accepted, rejected = seven_evaluation_rk54(rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps)
+            rhs, drive = system.rhs, system.drive
+            u0, cps = encoded_at(system, p1, 0.0), np.linspace(0.0, 1.0, 51)
+            timed = lambda t, a: rhs(drive(t), a)  # noqa: E731
+        states, accepted, rejected = seven_evaluation_rk54(timed, u0, 0.0, 1.0, 1e-6, 1e-9, cps)
         assert (rejected > 0) == (case == "stiff-with-rejections")
         rhs, calls = counted(rhs)
-        traj = rk54_integrate(rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps)
+        traj = rk54_integrate(rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps, drive=drive)
         assert np.array_equal(traj.states, states)
         assert (traj.stats.accepted, traj.stats.rejected) == (accepted, rejected)
         assert len(calls) == 1 + 6 * (accepted + rejected)
@@ -235,8 +256,8 @@ class TestDormandPrince:
         system = build_fe_collocation(p1, 16)
         u0 = encoded_at(system, p1, 0.0)
         cps = np.linspace(0.0, 1.0, 11)
-        a = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps)
-        b = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps)
+        a = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps, drive=system.drive)
+        b = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps, drive=system.drive)
         assert np.array_equal(a.states, b.states)
         assert a.stats == b.stats
 
@@ -288,9 +309,9 @@ def test_the_first_state_is_u0_verbatim(stepper, p1, rng):
     u0 = rng.standard_normal(system.dim)
     cps = np.linspace(0.25, 0.75, 6)
     if stepper == "euler":
-        traj = euler_integrate(system.rhs, u0, 0.25, 0.5, 0.01, cps)
+        traj = euler_integrate(system.rhs, u0, 0.25, 0.5, 0.01, cps, drive=system.drive)
     else:
-        traj = rk54_integrate(system.rhs, u0, 0.25, 0.5, 1e-6, 1e-9, cps)
+        traj = rk54_integrate(system.rhs, u0, 0.25, 0.5, 1e-6, 1e-9, cps, drive=system.drive)
     assert np.array_equal(traj.states[0].view(np.int64), u0.view(np.int64))
 
 
@@ -300,5 +321,54 @@ def test_a_window_starts_where_its_u0_was_encoded(p1):
     # call silently started there and measured 0.177 against 1.29e-4
     system = build_fe_collocation(p1, 64)
     cps = default_checkpoints(0.5, 1.0, 51)
-    traj = rk54_integrate(system.rhs, encoded_at(system, p1, 0.5), 0.5, 1.0, 1e-6, 1e-9, cps)
+    u0 = encoded_at(system, p1, 0.5)
+    traj = rk54_integrate(system.rhs, u0, 0.5, 1.0, 1e-6, 1e-9, cps, drive=system.drive)
     assert trajectory_error(system, traj, p1) <= 1e-3
+
+
+class TestDrive:
+    def test_rk54_calls_the_drive_once_per_attempt(self):
+        # the probe takes drive(t0), then each attempt one batch of its six
+        # stage times, with and without rejected attempts; rhs keeps its count
+        cases = (
+            (1.0, [1.0], np.linspace(0.0, 1.0, 6), False),
+            (50.0, [1.0, 2.0], [0.0, 0.5, 1.0], True),
+        )
+        for rate, u0, cps, rejects in cases:
+            rhs, calls = counted(lambda g, a, rate=rate: g - rate * a)
+            drive, drives = counted_drive(len(u0))
+            traj = rk54_integrate(rhs, u0, 0.0, 1.0, 1e-8, 1e-10, cps, drive=drive)
+            attempts = traj.stats.accepted + traj.stats.rejected
+            assert (traj.stats.rejected > 0) == rejects
+            assert len(drives) == 1 + attempts
+            assert np.ndim(drives[0]) == 0 and all(len(ts) == 6 for ts in drives[1:])
+            assert len(calls) == traj.stats.rhs_evals == 1 + 6 * attempts
+
+    def test_euler_calls_the_drive_once_per_block(self):
+        steps = 3 * EULER_BLOCK + 5
+        ht = 2.0**-10
+        drive, drives = counted_drive(2)
+        rhs, calls = counted(lambda g, a: g - a)
+        cps = [0.25, 0.25 + steps * ht]
+        traj = euler_integrate(rhs, [1.0, 2.0], 0.25, steps * ht, ht, cps, drive=drive)
+        assert [len(ts) for ts in drives] == [EULER_BLOCK] * 3 + [5]
+        # the lattice times, bitwise as t0 + k * ht
+        assert [t for ts in drives for t in ts] == [0.25 + k * ht for k in range(steps)]
+        assert len(calls) == traj.stats.rhs_evals == steps
+
+    def test_euler_holds_one_block_of_drive_rows(self, peak_bytes):
+        # 10^5 steps of a 64-long state: all the drive rows would take 51 MB,
+        # one block of them 32 KiB; the state, its temporaries, one block of
+        # lattice times and the trajectory take a few KiB besides
+        dim = 64
+        block = 8 * EULER_BLOCK * dim
+
+        def run():
+            def drive(ts):
+                return np.zeros((len(ts), dim))
+
+            rhs = lambda g, a: g - a  # noqa: E731
+            return euler_integrate(rhs, np.ones(dim), 0.0, 1.0, 1e-5, [0.0, 1.0], drive=drive)
+
+        peak, _ = peak_bytes(run)
+        assert peak <= block + 16 * 1024
