@@ -175,18 +175,14 @@ def quadrature_suite() -> list[CheckResult]:
     check("dft Parseval identity", parseval <= 1e-11 * np.sum(v**2), f"gap={parseval:.2e}")
 
     decay = lambda t, a: -a  # noqa: E731  (from a(0) = 1, a = e^-t)
-    one = euler_integrate(decay, [1.0], 0.0, 0.1, 0.1, [0.0, 0.1])
+    one = euler_integrate(decay, [1.0], 0.0, 0.1, 0.1, [0.0, 0.1], drive=np.asarray)
     check("euler single step 1 -> 0.9", abs(one.states[-1][0] - 0.9) <= 1e-15)
     hs = np.array([1e-2, 5e-3, 2.5e-3, 1.25e-3])
-    errs = np.array(
-        [
-            abs(euler_integrate(decay, [1.0], 0.0, 1.0, h, [0.0, 1.0]).states[-1][0] - np.exp(-1.0))
-            for h in hs
-        ]
-    )
+    runs = [euler_integrate(decay, [1.0], 0.0, 1.0, h, [0.0, 1.0], drive=np.asarray) for h in hs]
+    errs = np.array([abs(run.states[-1][0] - np.exp(-1.0)) for run in runs])
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     check("euler first-order slope on the decay problem", 0.95 <= slope <= 1.05, f"slope={slope:.3f}")
-    tight = rk54_integrate(decay, [1.0], 0.0, 1.0, 1e-8, 1e-10, [0.0, 1.0])
+    tight = rk54_integrate(decay, [1.0], 0.0, 1.0, 1e-8, 1e-10, [0.0, 1.0], drive=np.asarray)
     check(
         "rk54 decay accuracy at rtol=1e-8",
         abs(tight.states[-1][0] - np.exp(-1.0)) <= 1e-7,

@@ -114,7 +114,7 @@ class FiringRate:
         place.
         """
         r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0) or np.any(r >= 1.0):
+        if not (np.all(r > 0.0) and np.all(r < 1.0)):  # NaN fails too
             raise ValueError(INVERSE_DOMAIN_ERROR)
         out = np.asarray(1.0 - r)
         out /= r

@@ -15,8 +15,8 @@ form: u and its time derivative pointwise, the forcing bound to the nodes
 a scheme evaluates it at, and the modulation's integral over the domain as
 an exact number (see :func:`modulation_integral`), so building a problem
 runs no quadrature. The bound forcing is the time-dependent part of each
-scheme's drive in a' = rhs(drive(t), a), and it takes a sequence of times
-as well as one, so a stepper evaluates it once for several stages or steps.
+scheme's drive in a' = rhs(drive(t), a) and, like the drive, takes a 1-D
+sequence of times.
 """
 
 from __future__ import annotations
@@ -80,12 +80,11 @@ class TestProblem:
 
     ``exact(x, t)`` is the solution u and ``time_derivative(x, t)`` its
     closed-form time derivative, both pointwise. ``forcing_at(X)`` binds the
-    forcing to fixed nodes X and returns t -> F(X, t) with every factor that
-    depends on X alone computed once, for right-hand sides that evaluate it
-    at the same nodes many times; it is the forcing's only form. Given a 1-D
-    sequence of times it returns one row per time, each bitwise F(X, t) at
-    its time alone, and one time outside the envelope's domain fails the
-    whole sequence before any array work.
+    forcing to fixed nodes X, with every factor that depends on X alone
+    computed once; it is the forcing's only form. The bound forcing maps a
+    1-D sequence of times to one row F(X, t) per time, each bitwise that of
+    the singleton batch [t], and one time outside the envelope's domain
+    fails the whole sequence before any array work.
     """
 
     id: str
@@ -178,17 +177,13 @@ def _manufactured(pid: str, mod: Callable, periodic: bool, mod_integral: float) 
         shift = THRESHOLD - np.log(scale) / GAIN
         modulated = mod_integral * scale
 
-        def at(t):
-            # a sequence of times is checked whole before any array work, and
-            # its e^-rate and e^rate enter as columns: the same scalars across a
+        def at(ts):
+            # the times are checked whole before any array work, and their
+            # e^-rate and e^rate enter as columns: the same scalars across a
             # row, so each row is bitwise the value at its time alone
-            if np.ndim(t):
-                rates = [_checked_rate(s) for s in t]
-                shrink = np.array([math.exp(-rate) for rate in rates])[:, None]
-                grow = np.array([math.exp(rate) for rate in rates])[:, None]
-            else:
-                rate = _checked_rate(t)
-                shrink, grow = math.exp(-rate), math.exp(rate)
+            rates = [_checked_rate(t) for t in ts]
+            shrink = np.array([math.exp(-rate) for rate in rates])[:, None]
+            grow = np.array([math.exp(rate) for rate in rates])[:, None]
             d = shrink - scale
             return ((DECAY / GAIN) * shrink) / d + np.log(d) / GAIN + shift - grow * modulated
 
@@ -221,6 +216,5 @@ def continuum_residual(problem: TestProblem, x: float, t: float, ref_quad: Quadr
     """
     firing = problem.firing
     integral = ref_quad.integrate(lambda y: problem.kernel(x, y) * firing(problem.exact(y, t)))
-    return float(
-        problem.time_derivative(x, t) + problem.exact(x, t) - integral - problem.forcing_at(x)(t)
-    )
+    forcing = problem.forcing_at(x)([t]).item()
+    return float(problem.time_derivative(x, t) + problem.exact(x, t) - integral - forcing)

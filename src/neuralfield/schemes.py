@@ -18,7 +18,7 @@ splits into a drive that depends on t alone and a field of the state:
     rhs(g, a) = g + K tanh(kappa pre(a) - mu) - a,   K = post(-W / 2),
 
 with K, W 1 / 2 and every factor of F(X, t) that depends on X alone
-computed once at build. ``drive`` also takes a 1-D sequence of times and
+computed once at build. ``drive`` takes a 1-D sequence of times and
 returns one row per time, so the steppers evaluate it once per rk54
 attempt and once per block of Euler steps, not once per stage or step.
 Per scheme (nodes X; weight W; pre; post; K):
@@ -97,21 +97,20 @@ class SchemeDiagnostics:
 class SemiDiscreteSystem:
     """State-space form of one spatial discretization, a' = rhs(drive(t), a).
 
-    ``drive(t)`` is the part of the right-hand side that depends on time
-    alone, post(F(X, t) + W 1 / 2), of shape (dim,); given a 1-D sequence of
-    times it returns one row per time, each bitwise its time's value, so a
-    stepper evaluates it once for several steps or stages. ``rhs(g, a)`` is
-    the rest, g + K tanh(kappa pre(a) - mu) - a, for g a value of
-    ``drive``; it is pure and raises ``TypeError`` when g is not an array of
-    shape (dim,), such as a time. ``reconstruct(a, xs)`` maps a state of shape
-    (dim,), or a stack of states of shape (k, dim), and evaluation points
-    to function values, one row per state; ``encode(fn)`` maps a spatial
-    function to the state representing it: its values at the scheme's
-    nodes, or, for fe-galerkin/gauss2, its Galerkin projection onto the
-    tents. ``norm`` names the scheme's ambient space, "sup" for collocation
-    and "l2" for Galerkin, and controls how errors are measured downstream.
-    ``dim`` is the length of a state; a study starts ``rhs`` from ``encode``
-    of the closed form at its t0.
+    ``drive(ts)`` maps a 1-D sequence of times to one row of shape (dim,)
+    per time, post(F(X, t) + W 1 / 2), the part of the right-hand side that
+    depends on time alone; each row is bitwise that of the singleton batch
+    [t]. ``rhs(g, a)`` is the rest, g + K tanh(kappa pre(a) - mu) - a, for g
+    a row of ``drive``; it is pure and raises ``TypeError`` when g is not an
+    array of shape (dim,), such as a time. ``reconstruct(a, xs)`` maps a
+    state of shape (dim,), or a stack of states of shape (k, dim), and
+    evaluation points to function values, one row per state; ``encode(fn)``
+    maps a spatial function to the state representing it: its values at the
+    scheme's nodes, or, for fe-galerkin/gauss2, its Galerkin projection onto
+    the tents. ``norm`` names the scheme's ambient space, "sup" for
+    collocation and "l2" for Galerkin, and controls how errors are measured
+    downstream. ``dim`` is the length of a state; a study starts ``rhs``
+    from ``encode`` of the closed form at its t0.
     """
 
     drive: Callable
@@ -214,18 +213,16 @@ def _projected(
 
     shape = (len(slope),)
 
-    def drive(t):
-        values = forcing(t)
+    def drive(ts):
+        values = forcing(ts)
         values += half_row_sums
-        if values.ndim == 1:
-            return post(values)
-        # one row per time; post maps each row alone, as for a single time
+        # post maps each row alone, so a row does not depend on the batch
         return values if post is _identity else np.stack([post(row) for row in values])
 
     def rhs(g, a):
         if getattr(g, "shape", None) != shape:
             raise TypeError(
-                f"rhs(g, a) takes g = drive(t), the drive's value of shape {shape}, "
+                f"rhs(g, a) takes g = drive(ts)[i], a row of the drive of shape {shape}, "
                 f"not {type(g).__name__} of shape {getattr(g, 'shape', ())}"
             )
         # g + K tanh(kappa pre(a) - mu) - a, with the sums in that order

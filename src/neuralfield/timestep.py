@@ -1,17 +1,17 @@
 """Time integrators: fixed-step forward Euler and adaptive Dormand-Prince 5(4).
 
-Like ``solve_ivp(fun, t_span, y0)``, both integrate a' = rhs(t, a) from the
-state u0 that the caller passes for t0. Given a ``drive``, they integrate
-a' = rhs(drive(t), a) instead: the part of the right-hand side that depends
-on time alone is evaluated for several times in one call, once per rk54
-attempt at its six stage times and once per block of ``EULER_BLOCK`` Euler
-steps, and ``rhs`` receives each time's row (see
-:class:`schemes.SemiDiscreteSystem`). The two forms take the same steps
-and give the same states bit for bit when each row is bitwise the drive's
-value at its time alone. Both steppers are deterministic functions of their
-inputs and record states only at the requested checkpoints, landing on them
-exactly (Euler by requiring checkpoints to sit on the step lattice, the
-Runge-Kutta pair by clipping steps). There is no dense output.
+Like ``solve_ivp(fun, t_span, y0)``, both integrate from the state u0 that
+the caller passes for t0, here a' = rhs(drive(t), a): ``drive`` takes a 1-D
+sequence of times and returns one row per time, the part of the
+right-hand side that depends on time alone (see
+:class:`schemes.SemiDiscreteSystem`). It is called once per rk54 attempt,
+at its six stage times, and once per block of ``EULER_BLOCK`` Euler steps.
+A right-hand side f(t, a) of the time itself is integrated with
+``drive=np.asarray``, since the times are their own drive. Both steppers
+are deterministic functions of their inputs and record states only at the
+requested checkpoints, landing on them exactly (Euler by requiring
+checkpoints to sit on the step lattice, the Runge-Kutta pair by clipping
+steps). There is no dense output.
 """
 
 from __future__ import annotations
@@ -75,6 +75,9 @@ def _validated_checkpoints(t0: float, duration: float, checkpoints) -> np.ndarra
     cps = np.asarray(checkpoints, dtype=float)
     if cps.ndim != 1 or len(cps) == 0:
         raise ValueError("checkpoints must be a non-empty 1-D sequence of times")
+    finite = np.isfinite(cps)
+    if not finite.all():
+        raise ValueError(f"checkpoint {float(cps[~finite][0])!r} is not finite")
     if np.any(np.diff(cps) <= 0):
         raise ValueError("checkpoints must be strictly increasing")
     tiny = 1e-12 * max(1.0, abs(duration))
@@ -90,7 +93,7 @@ def _finish(checkpoints, states, accepted, rejected, evals) -> Trajectory:
 
 
 def euler_integrate(
-    rhs, u0, t0: float, duration: float, ht: float, checkpoints, drive=None
+    rhs, u0, t0: float, duration: float, ht: float, checkpoints, *, drive
 ) -> Trajectory:
     """Fixed-step explicit Euler from a(t0) = u0 over [t0, t0 + duration].
 
@@ -99,10 +102,9 @@ def euler_integrate(
     outright rather than silently interpolated, and so is a checkpoint more
     than ``MAX_EULER_STEPS`` steps away or on the same step as the one
     before it. A non-finite state at a checkpoint raises IntegrationError.
-    Step k evaluates rhs(t0 + k * ht, a), or, given a ``drive``,
-    rhs(drive(ts)[j], a) with ts the lattice times of the ``EULER_BLOCK``
-    steps from k - j on: one drive call per block, and only one block of
-    rows held at a time.
+    Step k evaluates rhs(drive(ts)[j], a) with ts the lattice times of the
+    ``EULER_BLOCK`` steps from k - j on: one drive call per block, and only
+    one block of rows held at a time.
     """
     if not 0.0 < ht < math.inf:
         raise ValueError("step size must be positive and finite")
@@ -148,8 +150,7 @@ def euler_integrate(
             j = k % EULER_BLOCK
             if j == 0:
                 values = None  # the last block's rows go before the next block's are made
-                times = [t0 + i * ht for i in range(k, min(k + EULER_BLOCK, last))]
-                values = times if drive is None else drive(times)
+                values = drive([t0 + i * ht for i in range(k, min(k + EULER_BLOCK, last))])
             u = u + ht * rhs(values[j], u)
             evals += 1
     return _finish(cps, states, accepted=last, rejected=0, evals=evals)
@@ -175,16 +176,15 @@ _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22
 def _dormand_prince_step(rhs, values, u, h, stages, state):
     """One attempt from u with step h, whose first stage is ``stages[0]``.
 
-    ``values`` holds the first argument of ``rhs`` at the six stages the
-    attempt evaluates: the stage times t + c_i h and the time t_new that
-    the step lands on (t + h, or the checkpoint a clipped step ends at
-    exactly), or the drive's rows at those times. The stages are written
-    into ``stages``, the seventh being the right-hand side at the proposal
-    where it lands, which is the first stage of the next attempt once the
-    step is accepted ("first same as last"). Returns the 5th-order proposal
-    and the error vector, which is formed in ``state``. The stage inputs
-    share that buffer too, so ``rhs`` must not keep its state argument past
-    the call.
+    ``values`` holds the drive's rows at the six stages the attempt
+    evaluates: the stage times t + c_i h and the time t_new that the step
+    lands on (t + h, or the checkpoint a clipped step ends at exactly).
+    The stages are written into ``stages``, the seventh being the
+    right-hand side at the proposal where it lands, which is the first
+    stage of the next attempt once the step is accepted ("first same as
+    last"). Returns the 5th-order proposal and the error vector, which is
+    formed in ``state``. The stage inputs share that buffer too, so ``rhs``
+    must not keep its state argument past the call.
     """
     for i, row in enumerate(_DP_A):
         np.dot(row, stages[: i + 1], out=state)  # the stage input u + h * (row @ stages)
@@ -201,7 +201,7 @@ def _dormand_prince_step(rhs, values, u, h, stages, state):
 
 
 def rk54_integrate(
-    rhs, u0, t0: float, duration: float, rtol: float, atol: float, checkpoints, drive=None
+    rhs, u0, t0: float, duration: float, rtol: float, atol: float, checkpoints, *, drive
 ) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) from a(t0) = u0 over [t0, t0 + duration].
 
@@ -209,13 +209,13 @@ def rk54_integrate(
     |u_new_i|)); a step is accepted when err <= 1 and the next step is
     h * min(5, max(0.2, 0.9 * err^(-1/5))). Steps are clipped to land exactly
     on each checkpoint. The deterministic initial step is
-    min(duration/100, 0.1 * (atol / max(||rhs(t0, u0)||_inf, 1e-12))^(1/5)),
-    and its right-hand side probe is the first stage of the first attempt.
+    min(duration/100, 0.1 * (atol / max(||f(t0, u0)||_inf, 1e-12))^(1/5)),
+    with f(t, a) = rhs(drive([t])[0], a), and its right-hand side probe is
+    the first stage of the first attempt.
     Every attempt then makes 6 evaluations: an accepted step hands its last
     stage, the right-hand side at the state it lands on, to the next attempt
     as its first stage (FSAL), and a rejected attempt's successor keeps the
-    rejected one's first stage. So rhs_evals is 1 + 6 * attempts. Given a
-    ``drive``, the right-hand side at time t is rhs(drive(t), a), and
+    rejected one's first stage. So rhs_evals is 1 + 6 * attempts, and
     ``drive`` is called 1 + attempts times: once for the probe, and once per
     attempt with its six stage times.
     """
@@ -226,7 +226,7 @@ def rk54_integrate(
     t = t0
     accepted = rejected = 0
 
-    probe = np.asarray(rhs(t0 if drive is None else drive(t0), u), dtype=float)
+    probe = np.asarray(rhs(drive([t0])[0], u), dtype=float)
     evals = 1
     if not np.all(np.isfinite(probe)):
         raise IntegrationError(f"non-finite right-hand side at t={t0}")
@@ -255,8 +255,7 @@ def rk54_integrate(
                     f"{accepted} accepted / {rejected} rejected steps so far"
                 )
             t_new = target if clipped else t + h_try
-            times = [*(t + _DP_C[1:] * h_try), t_new]
-            values = times if drive is None else drive(times)
+            values = drive([*(t + _DP_C[1:] * h_try), t_new])
             proposal, error = _dormand_prince_step(rhs, values, u, h_try, stages, state)
             evals += 6
             # |error| / (atol + rtol * max(|u|, |proposal|)), in place

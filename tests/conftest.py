@@ -16,6 +16,7 @@ from neuralfield.problems import (
     make_problem,
     modulation_integral,
 )
+from neuralfield.timestep import EULER_BLOCK
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +39,21 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture(scope="session")
+def time_batches():
+    """Batches of times of the sizes the steppers pass to a drive: the rk54
+    probe's one, one rk54 attempt's six (from t = 0.3 with h = 0.02: its
+    five inner stage times and the time it lands on), a full block of Euler
+    steps and a ragged last one; and the 51 checkpoints."""
+    return (
+        [0.0],
+        [*(0.3 + np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0]) * 0.02), 0.32],
+        [0.25 + k * 1e-3 for k in range(EULER_BLOCK)],
+        [0.25 + k * 1e-3 for k in range(EULER_BLOCK, EULER_BLOCK + 5)],
+        np.linspace(0.0, 1.0, 51),
+    )
+
+
 def _pure_decay(periodic: bool = False) -> TestProblem:
     """Kernel and forcing both identically zero.
 
@@ -54,8 +70,8 @@ def _pure_decay(periodic: bool = False) -> TestProblem:
         interval=RING if periodic else BOX,
         kernel=lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y))),
         firing=FiringRate(gain=GAIN, threshold=THRESHOLD),
-        # one row per time for a sequence of times, as the manufactured forcing
-        forcing_at=lambda nodes: (lambda t: np.zeros(np.shape(t) + np.shape(nodes))),
+        # one row per time, as the manufactured forcing
+        forcing_at=lambda nodes: (lambda ts: np.zeros((len(ts),) + np.shape(nodes))),
         exact=exact,
         time_derivative=lambda x, t: -exact(x, t),
     )

@@ -173,9 +173,10 @@ class TestFiringRate:
         assert value == pytest.approx(oracle, abs=1e-13)
         assert value == pytest.approx(0.02274112777602183, rel=1e-14)
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3, np.nan, [0.5, np.nan]])
     def test_inverse_domain_errors(self, bad):
-        with pytest.raises(ValueError):
+        # NaN compares False both ways, so it used to pass as inside (0, 1)
+        with pytest.raises(ValueError, match="strictly inside"):
             FR.inverse(bad)
 
     def test_gain_must_be_positive(self):

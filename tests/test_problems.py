@@ -105,7 +105,7 @@ class TestModulationIntegral:
 
         monkeypatch.setattr(QuadratureRule, "integrate", refuse)
         for pid in PROBLEM_IDS:
-            make_problem(pid).forcing_at(np.zeros(3))(0.5)
+            make_problem(pid).forcing_at(np.zeros(3))([0.5])
 
 
 class TestExactTimeDerivative:
@@ -146,7 +146,7 @@ class TestContinuumResidual:
         for x, t in [(0.0, 0.0), (0.5, 0.3), (-0.9, 1.0)]:
             residual = continuum_residual(problem, x, t, clenshaw_curtis(64))
             assert residual == continuum_residual(problem, x, t, clenshaw_curtis(8))
-            assert abs(residual) <= 4.0 * np.finfo(float).eps * abs(problem.forcing_at(x)(t))
+            assert abs(residual) <= 4.0 * np.finfo(float).eps * abs(problem.forcing_at(x)([t]).item())
 
     def test_p1_smoke_sweep(self, p1):
         ref = clenshaw_curtis(2048)
@@ -176,6 +176,12 @@ class TestForcing:
             p1.exact(np.zeros(3), -2.0)
 
     @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    def test_the_closed_form_rejects_a_nan_time(self, pid):
+        # its envelope is NaN, which used to pass the inverse's domain check
+        with pytest.raises(ValueError, match="strictly inside"):
+            make_problem(pid).exact(0.0, float("nan"))
+
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
     def test_node_bound_forcing_matches_the_closed_form(self, pid, closed_form_forcing):
         # the bound form reassociates the pointwise closed form around its
         # precomputed spatial factors, so it agrees to a few roundings, not bitwise
@@ -185,28 +191,33 @@ class TestForcing:
         for t in default_checkpoints(0.0, 1.0, 51):
             closed = closed_form_forcing(problem, xs, t)
             tolerance = 16.0 * np.finfo(float).eps * np.max(np.abs(closed))
-            assert np.max(np.abs(bound(t) - closed)) <= tolerance
+            assert np.max(np.abs(bound([t])[0] - closed)) <= tolerance
 
     def test_node_bound_forcing_keeps_the_envelope_checks(self, p1):
         bound = p1.forcing_at(np.zeros(3))
         for t in (-2.0, 1600.0, float("nan")):
             with pytest.raises(ValueError, match="strictly inside"):
-                bound(t)
+                bound([t])
 
     @pytest.mark.parametrize("pid", PROBLEM_IDS)
-    def test_a_batch_of_times_gives_each_times_values_bitwise(self, pid):
-        # one row per time: at the 51 checkpoints, and at the six times one
-        # rk54 attempt from t = 0.3 with h = 0.02 evaluates (its five inner
-        # stage times and the time it lands on); 257 nodes leave a ragged tail
+    def test_a_batch_of_times_gives_each_times_values_bitwise(self, pid, time_batches):
+        # each row is bitwise the row of its singleton batch, at every batch
+        # size a stepper makes; 257 nodes leave a ragged tail
         problem = make_problem(pid)
         xs = eval_grid(problem.interval, 257)
         bound = problem.forcing_at(xs)
-        stages = [*(0.3 + np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0]) * 0.02), 0.32]
-        for ts in (default_checkpoints(0.0, 1.0, 51), stages):
+        for ts in time_batches:
             rows = bound(ts)
             assert rows.shape == (len(ts), len(xs))
             for t, row in zip(ts, rows):
-                assert np.array_equal(row, bound(t))
+                assert np.array_equal(row, bound([t])[0])
+
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    def test_a_scalar_time_is_refused(self, pid):
+        bound = make_problem(pid).forcing_at(np.zeros(3))
+        for t in (0.3, np.float64(0.3), np.array(0.3)):
+            with pytest.raises(TypeError):
+                bound(t)
 
     def test_one_time_outside_the_domain_fails_the_batch(self, p1):
         bound = p1.forcing_at(np.zeros(3))
@@ -224,7 +235,7 @@ class TestHelpers:
         xs = np.linspace(-1.0, 1.0, 5)
         assert np.allclose(problem.exact(xs, 1.0), 0.4 * np.exp(-1.0))
         assert np.all(problem.kernel(xs[:, None], xs[None, :]) == 0.0)
-        assert np.all(problem.forcing_at(xs)(0.3) == 0.0)
+        assert np.all(problem.forcing_at(xs)([0.3]) == 0.0)
         assert np.array_equal(problem.time_derivative(xs, 0.3), -problem.exact(xs, 0.3))
 
     def test_zero_kernel_keeps_manufactured_solution(self, p1, zero_kernel_problem):

@@ -15,7 +15,7 @@ from neuralfield.schemes import (
     build_spectral_galerkin,
     reconstruct_on,
 )
-from neuralfield.timestep import EULER_BLOCK, euler_integrate, rk54_integrate
+from neuralfield.timestep import euler_integrate, rk54_integrate
 
 # every (scheme, variant) of the table, with whether it runs on the ring
 ALL_BUILDERS = [
@@ -29,6 +29,11 @@ def _encoded_start(system, problem):
     return system.encode(lambda x: problem.exact(x, 0.0))
 
 
+def rhs_at(system, t, a):
+    """The right-hand side of ``system`` at time t and state a."""
+    return system.rhs(system.drive([t])[0], a)
+
+
 class TestDecayReduction:
     @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
     def test_rhs_is_pure_decay_for_zero_kernel_and_forcing(
@@ -36,39 +41,41 @@ class TestDecayReduction:
     ):
         system = builder(pure_decay_problem(periodic=periodic), 8)
         a = rng.standard_normal(system.dim)
-        assert np.array_equal(system.rhs(system.drive(0.7), a), -a)
+        assert np.array_equal(rhs_at(system, 0.7, a), -a)
 
     @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
     def test_rhs_deterministic_bitwise(self, builder, periodic, rng):
         problem = make_problem("P7p" if periodic else "P1")
         system = builder(problem, 8)
         a = rng.standard_normal(system.dim)
-        assert np.array_equal(system.rhs(system.drive(0.3), a), system.rhs(system.drive(0.3), a))
+        assert np.array_equal(rhs_at(system, 0.3, a), rhs_at(system, 0.3, a))
 
 
-# times a drive is evaluated at in one call: the 51 checkpoints, one rk54
-# attempt's six (from t = 0.3 with h = 0.02) and one block of Euler steps
-DRIVE_BATCHES = (
-    np.linspace(0.0, 1.0, 51),
-    [*(0.3 + np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0]) * 0.02), 0.32],
-    [0.25 + k * 1e-3 for k in range(EULER_BLOCK)],
-)
+def per_time(drive):
+    """``drive`` evaluated one singleton batch at a time."""
+    return lambda ts: np.concatenate([drive([t]) for t in ts])
 
 
 class TestDrive:
     @pytest.mark.parametrize("n", [8, 64])
     @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
-    def test_each_row_is_bitwise_the_drive_at_its_time(self, builder, periodic, n):
+    def test_each_row_is_bitwise_the_drive_at_its_time(self, builder, periodic, n, time_batches):
         system = builder(make_problem("P7p" if periodic else "P1"), n)
-        for ts in DRIVE_BATCHES:
+        for ts in time_batches:
             rows = system.drive(ts)
             assert rows.shape == (len(ts), system.dim)
-            for t, row in zip(ts, rows):
-                assert np.array_equal(row, system.drive(t))
+            assert np.array_equal(rows, per_time(system.drive)(ts))
+
+    @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
+    def test_a_scalar_time_is_refused(self, builder, periodic):
+        system = builder(make_problem("P7p" if periodic else "P1"), 8)
+        for t in (0.3, np.float64(0.3), np.array(0.3)):
+            with pytest.raises(TypeError):
+                system.drive(t)
 
     @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
     def test_rhs_refuses_anything_but_a_drive_value(self, builder, periodic, rng):
-        # a time in place of drive(t) used to broadcast into wrong numbers
+        # a time in place of a row of the drive used to broadcast into wrong numbers
         system = builder(make_problem("P7p" if periodic else "P1"), 8)
         a = rng.standard_normal(system.dim)
         times = (0.3, np.float64(0.3), np.array(0.3))
@@ -91,9 +98,9 @@ class TestDrive:
             return euler_integrate(rhs, u0, 0.0, 1.0, 1e-3, cps, drive=drive)
 
         batched = run(system.rhs, system.drive)
-        per_time = run(lambda t, a: system.rhs(system.drive(t), a), None)
-        assert np.array_equal(batched.states, per_time.states)
-        assert batched.stats == per_time.stats
+        single = run(system.rhs, per_time(system.drive))
+        assert np.array_equal(batched.states, single.states)
+        assert batched.stats == single.stats
 
 
 class TestFeCollocation:
@@ -113,9 +120,7 @@ class TestFeCollocation:
             system = build_fe_collocation(p1, n)
             x = UniformGrid(p1.interval, n).nodes
             state = system.encode(lambda xx: p1.exact(xx, 0.0))
-            residuals[n] = np.max(
-                np.abs(system.rhs(system.drive(0.0), state) - p1.time_derivative(x, 0.0))
-            )
+            residuals[n] = np.max(np.abs(rhs_at(system, 0.0, state) - p1.time_derivative(x, 0.0)))
         ratio = residuals[128] / residuals[256]
         assert 3.2 <= ratio <= 4.8
 
@@ -156,7 +161,7 @@ class TestChebCollocation:
         system = build_cheb_collocation(p4, 32, quadrature="cc")
         x = np.cos(np.pi * np.arange(33) / 32)
         state = system.encode(lambda xx: p4.exact(xx, 0.0))
-        residual = np.max(np.abs(system.rhs(system.drive(0.0), state) - p4.time_derivative(x, 0.0)))
+        residual = np.max(np.abs(rhs_at(system, 0.0, state) - p4.time_derivative(x, 0.0)))
         assert residual <= 1e-8
 
     def test_trapezium_quadrature_pollutes_at_second_order(self, p4):
@@ -168,7 +173,7 @@ class TestChebCollocation:
             system = build_cheb_collocation(p4, n, quadrature="trapezium")
             x = ChebyshevGrid(n).nodes
             state = system.encode(lambda xx: p4.exact(xx, 0.0))
-            res[n] = np.max(np.abs(system.rhs(system.drive(0.0), state) - p4.time_derivative(x, 0.0)))
+            res[n] = np.max(np.abs(rhs_at(system, 0.0, state) - p4.time_derivative(x, 0.0)))
         assert 3.2 <= res[16] / res[32] <= 4.8
         assert 3.2 <= res[32] / res[64] <= 4.8
         assert 3.2 <= res[64] / res[128] <= 4.8
@@ -237,7 +242,7 @@ class TestFeGalerkin:
         coll = build_fe_collocation(p1, 32)
         lump = build_fe_galerkin(p1, 32, variant="lumped")
         a = rng.standard_normal(33)
-        assert np.max(np.abs(coll.rhs(coll.drive(0.4), a) - lump.rhs(lump.drive(0.4), a))) <= 1e-14
+        assert np.max(np.abs(rhs_at(coll, 0.4, a) - rhs_at(lump, 0.4, a))) <= 1e-14
 
     def test_gauss2_consistency_residual_is_second_order(self, p1):
         res = {}
@@ -245,7 +250,7 @@ class TestFeGalerkin:
             system = build_fe_galerkin(p1, n, variant="gauss2")
             x = UniformGrid(p1.interval, n).nodes
             state = system.encode(lambda xx: p1.exact(xx, 0.0))
-            res[n] = np.max(np.abs(system.rhs(system.drive(0.0), state) - p1.time_derivative(x, 0.0)))
+            res[n] = np.max(np.abs(rhs_at(system, 0.0, state) - p1.time_derivative(x, 0.0)))
         assert 3.0 <= res[64] / res[128] <= 5.5
 
     def test_rejects_unknown_variant(self, p1):
@@ -266,7 +271,7 @@ class TestSpectralGalerkin:
         x = 2.0 * np.pi * np.arange(m) / m
         state = system.encode(lambda xx: p7p.exact(xx, 0.0))
         target = dft_forward(p7p.time_derivative(x, 0.0))
-        assert np.max(np.abs(dft_forward(system.rhs(system.drive(0.0), state)) - target)) <= 1e-6
+        assert np.max(np.abs(dft_forward(rhs_at(system, 0.0, state)) - target)) <= 1e-6
 
     def test_rhs_matches_direct_summation_oracle(self, p7p, rng, closed_form_forcing):
         # the coefficient form a' = -a + D(F + W f(D^-1 a)), with the direct
@@ -278,7 +283,7 @@ class TestSpectralGalerkin:
         c = dft_forward_direct(rng.standard_normal(system.dim))
         samples = closed_form_forcing(p7p, x, 0.25) + weight @ p7p.firing(dft_backward_direct(c))
         oracle = -c + dft_forward_direct(samples)
-        rhs = dft_forward_direct(system.rhs(system.drive(0.25), dft_backward_direct(c)))
+        rhs = dft_forward_direct(rhs_at(system, 0.25, dft_backward_direct(c)))
         assert np.max(np.abs(rhs - oracle)) <= 1e-12
 
     @pytest.mark.parametrize("pid", ["P7p", "P9p"])
@@ -291,7 +296,9 @@ class TestSpectralGalerkin:
         nodal = build_spectral_galerkin(problem, n)
         coefficient_rhs, coefficient_start = _coefficient_form(problem, n)
         cps = np.linspace(0.0, 1.0, 51)
-        expected = rk54_integrate(coefficient_rhs, coefficient_start, 0.0, 1.0, 1e-6, 1e-9, cps)
+        expected = rk54_integrate(
+            coefficient_rhs, coefficient_start, 0.0, 1.0, 1e-6, 1e-9, cps, drive=np.asarray
+        )
         u0 = _encoded_start(nodal, problem)
         got = rk54_integrate(nodal.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps, drive=nodal.drive)
         assert got.stats == expected.stats
@@ -343,7 +350,7 @@ def _coefficient_form(problem, n):
     forcing = problem.forcing_at(x)
 
     def rhs(t, a):
-        samples = forcing(t) + weight @ problem.firing(dft_backward_direct(_coefficients(a)))
+        samples = forcing([t])[0] + weight @ problem.firing(dft_backward_direct(_coefficients(a)))
         return _real_parts(dft_forward_direct(samples)) - a
 
     return rhs, _real_parts(dft_forward_direct(problem.exact(x, 0.0)))
@@ -500,7 +507,7 @@ def test_folded_rhs_matches_the_unfolded_formula(key, builder, n, rng, closed_fo
     ]
     for t, a in zip((0.0, 0.37, 0.91), states):
         oracle = post(closed_form_forcing(problem, nodes, t) + weight @ problem.firing(pre(a))) - a
-        rhs = system.rhs(system.drive(t), a)
+        rhs = rhs_at(system, t, a)
         assert np.max(np.abs(rhs - oracle)) <= 1e-14 * np.max(np.abs(rhs))
 
 

@@ -13,6 +13,8 @@ from neuralfield.timestep import (
 )
 
 
+# the right-hand sides f(t, a) here that depend on the time itself are
+# integrated with the times as their own drive, drive=np.asarray
 def decay(t, a):
     """a' = -a; from a(0) = 1 the solution is exp(-t)."""
     return -a
@@ -30,13 +32,13 @@ def counted(rhs):
 
 
 def counted_drive(dim):
-    """A drive of zeros for states of length ``dim``, one row per time for a
-    sequence, wrapped to record each call's argument."""
+    """A drive of zeros for states of length ``dim``, one row per time,
+    wrapped to record each call's argument."""
     calls = []
 
     def drive(ts):
         calls.append(ts)
-        return np.zeros(np.shape(ts) + (dim,))
+        return np.zeros((len(ts), dim))
 
     return drive, calls
 
@@ -107,41 +109,41 @@ def seven_evaluation_rk54(rhs, u0, t0, duration, rtol, atol, checkpoints):
 
 class TestEuler:
     def test_single_step_decay(self):
-        traj = euler_integrate(decay, [1.0], 0.0, 0.1, 0.1, [0.0, 0.1])
+        traj = euler_integrate(decay, [1.0], 0.0, 0.1, 0.1, [0.0, 0.1], drive=np.asarray)
         assert len(traj.states) == len(traj.checkpoints) == 2
         assert traj.states[0][0] == 1.0
         assert traj.states[1][0] == pytest.approx(0.9, abs=1e-16)
 
     def test_zero_field_is_constant(self):
-        traj = euler_integrate(
-            lambda t, a: np.zeros(3), [1.0, -2.0, 0.5], 0.0, 1.0, 0.05, np.linspace(0.0, 1.0, 11)
-        )
+        zero = lambda t, a: np.zeros(3)  # noqa: E731
+        cps = np.linspace(0.0, 1.0, 11)
+        traj = euler_integrate(zero, [1.0, -2.0, 0.5], 0.0, 1.0, 0.05, cps, drive=np.asarray)
         assert len(traj.states) == len(traj.checkpoints) == 11
         assert np.all(traj.states == traj.states[0])
         assert traj.stats.rhs_evals == 20
 
     def test_first_order_convergence(self):
         hs = np.array([1e-2, 5e-3, 2.5e-3, 1.25e-3])
-        finals = [euler_integrate(decay, [1.0], 0.0, 1.0, h, [0.0, 1.0]).states[-1][0] for h in hs]
-        errs = np.abs(np.array(finals) - np.exp(-1.0))
+        runs = [euler_integrate(decay, [1.0], 0.0, 1.0, h, [0.0, 1.0], drive=np.asarray) for h in hs]
+        errs = np.abs(np.array([run.states[-1][0] for run in runs]) - np.exp(-1.0))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 0.95 <= slope <= 1.05
 
     def test_off_lattice_checkpoint_rejected(self):
         # the checkpoint prints as a plain float, not as np.float64(0.35)
         with pytest.raises(ValueError, match=r"^checkpoint 0\.35 is not .* lattice$"):
-            euler_integrate(decay, [1.0], 0.0, 1.0, 0.1, [0.0, 0.35])
+            euler_integrate(decay, [1.0], 0.0, 1.0, 0.1, [0.0, 0.35], drive=np.asarray)
 
     def test_checkpoint_validation(self):
         with pytest.raises(ValueError):
-            euler_integrate(decay, [1.0], 0.0, 1.0, 0.1, [0.5, 0.2])
+            euler_integrate(decay, [1.0], 0.0, 1.0, 0.1, [0.5, 0.2], drive=np.asarray)
         with pytest.raises(ValueError):
-            euler_integrate(decay, [1.0], 0.0, 1.0, 0.1, [0.0, 1.5])
+            euler_integrate(decay, [1.0], 0.0, 1.0, 0.1, [0.0, 1.5], drive=np.asarray)
         with pytest.raises(ValueError):
-            euler_integrate(decay, [1.0], 0.0, 1.0, -0.1, [0.0, 0.5])
+            euler_integrate(decay, [1.0], 0.0, 1.0, -0.1, [0.0, 0.5], drive=np.asarray)
         # a positive step whose step count overflows, rather than an OverflowError
         with pytest.raises(ValueError, match=r"step 1e-320 is too small for the window \[0\.0, 1\.0\]"):
-            euler_integrate(decay, [1.0], 0.0, 1.0, 1e-320, [0.0, 0.5])
+            euler_integrate(decay, [1.0], 0.0, 1.0, 1e-320, [0.0, 0.5], drive=np.asarray)
 
     def test_a_step_count_past_the_cap_is_rejected_before_any_step(self):
         def rhs(t, a):  # without the cap the run would take 2^40 steps, so fail at once
@@ -150,22 +152,23 @@ class TestEuler:
         ht = 2.0**-40  # on the lattice of every checkpoint below, 2^40 steps to t = 1
         message = rf"^checkpoint 1\.0 is {2**40} steps of .* more than the maximum of {MAX_EULER_STEPS}$"
         with pytest.raises(ValueError, match=message):
-            euler_integrate(rhs, [1.0], 0.0, 1.0, ht, [0.0, 1.0])
+            euler_integrate(rhs, [1.0], 0.0, 1.0, ht, [0.0, 1.0], drive=np.asarray)
         # one step past the cap is enough
         with pytest.raises(ValueError, match=f"is {MAX_EULER_STEPS + 1} steps"):
-            euler_integrate(rhs, [1.0], 0.0, 1.0, 1.0 / (MAX_EULER_STEPS + 1), [0.0, 1.0])
+            ht = 1.0 / (MAX_EULER_STEPS + 1)
+            euler_integrate(rhs, [1.0], 0.0, 1.0, ht, [0.0, 1.0], drive=np.asarray)
 
     def test_two_checkpoints_on_one_step_are_rejected_before_any_step(self):
         # both used to return fewer states than checkpoints: one state for
         # all three below, and two for three with right-hand side calls
         with pytest.raises(ValueError, match=r"^checkpoints 0\.0 and 5e-10 both fall on step 0 of 1\.0 "):
-            euler_integrate(decay, [1.0], 0, 1e-9, 1.0, [0, 5e-10, 1e-9])
+            euler_integrate(decay, [1.0], 0, 1e-9, 1.0, [0, 5e-10, 1e-9], drive=np.asarray)
 
         def rhs(t, a):
             raise AssertionError(f"right-hand side called at t={t}")
 
         with pytest.raises(ValueError, match=r"^checkpoints 0\.5 and 0\.5000000001 both fall on step 5 of 0\.1 "):
-            euler_integrate(rhs, [1.0], 0.0, 1.0, 0.1, [0.0, 0.5, 0.5 + 1e-10])
+            euler_integrate(rhs, [1.0], 0.0, 1.0, 0.1, [0.0, 0.5, 0.5 + 1e-10], drive=np.asarray)
 
     def test_blowup_raises_at_the_first_non_finite_checkpoint(self):
         # u' = u^2 from u(0) = 1 blows up at t = 1; with ht = 0.01 the Euler
@@ -173,7 +176,7 @@ class TestEuler:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError, match="non-finite state at checkpoint t=1.5"):
                 cps = [0.0, 0.5, 1.0, 1.5, 2.0]
-                euler_integrate(lambda t, a: a * a, [1.0], 0.0, 2.0, 0.01, cps)
+                euler_integrate(lambda t, a: a * a, [1.0], 0.0, 2.0, 0.01, cps, drive=np.asarray)
 
     def test_vector_decay_matches_exponential(self, pure_decay_problem):
         problem = pure_decay_problem()
@@ -187,14 +190,15 @@ class TestEuler:
 
 class TestDormandPrince:
     def test_scalar_decay_accuracy(self):
-        traj = rk54_integrate(decay, [1.0], 0.0, 1.0, 1e-8, 1e-10, [0.0, 1.0])
+        traj = rk54_integrate(decay, [1.0], 0.0, 1.0, 1e-8, 1e-10, [0.0, 1.0], drive=np.asarray)
         assert abs(traj.states[-1][0] - np.exp(-1.0)) <= 1e-7
 
     def test_zero_field_one_step_per_gap(self):
         # gaps equal the deterministic initial step T/100, so each gap costs
         # exactly one accepted (clipped) step and nothing is ever rejected
         cps = np.linspace(0.0, 1.0, 101)
-        traj = rk54_integrate(lambda t, a: np.zeros(2), [2.0, -1.0], 0.0, 1.0, 1e-6, 1e-10, cps)
+        zero = lambda t, a: np.zeros(2)  # noqa: E731
+        traj = rk54_integrate(zero, [2.0, -1.0], 0.0, 1.0, 1e-6, 1e-10, cps, drive=np.asarray)
         assert len(traj.states) == len(traj.checkpoints) == 101
         assert traj.stats.accepted == 100
         assert traj.stats.rejected == 0
@@ -225,7 +229,7 @@ class TestDormandPrince:
         )
         for rhs, u0, cps, rejects in cases:
             rhs, calls = counted(rhs)
-            traj = rk54_integrate(rhs, u0, 0.0, 1.0, 1e-8, 1e-10, cps)
+            traj = rk54_integrate(rhs, u0, 0.0, 1.0, 1e-8, 1e-10, cps, drive=np.asarray)
             assert len(traj.states) == len(traj.checkpoints) == len(cps)
             attempts = traj.stats.accepted + traj.stats.rejected
             assert (traj.stats.rejected > 0) == rejects
@@ -237,13 +241,12 @@ class TestDormandPrince:
         # the system's drive is evaluated per time for the reference and
         # batched per attempt by rk54_integrate
         if case == "stiff-with-rejections":
-            rhs, drive, u0, cps = stiff_decay, None, np.array([1.0, 2.0]), [0.0, 0.5, 1.0]
-            timed = rhs
+            rhs, drive, u0, cps = stiff_decay, np.asarray, np.array([1.0, 2.0]), [0.0, 0.5, 1.0]
         else:
             system = build_fe_collocation(p1, 16)
             rhs, drive = system.rhs, system.drive
             u0, cps = encoded_at(system, p1, 0.0), np.linspace(0.0, 1.0, 51)
-            timed = lambda t, a: rhs(drive(t), a)  # noqa: E731
+        timed = lambda t, a: rhs(drive([t])[0], a)  # noqa: E731
         states, accepted, rejected = seven_evaluation_rk54(timed, u0, 0.0, 1.0, 1e-6, 1e-9, cps)
         assert (rejected > 0) == (case == "stiff-with-rejections")
         rhs, calls = counted(rhs)
@@ -265,42 +268,58 @@ class TestDormandPrince:
         # u' = u^2 with u(0) = 3 blows up at t = 1/3; the controller must
         # shrink past the floor and raise instead of looping forever
         with pytest.raises(IntegrationError, match="underflow"):
-            rk54_integrate(lambda t, a: a * a, [3.0], 0.0, 1.0, 1e-6, 1e-9, [0.0, 1.0])
+            square = lambda t, a: a * a  # noqa: E731
+            rk54_integrate(square, [3.0], 0.0, 1.0, 1e-6, 1e-9, [0.0, 1.0], drive=np.asarray)
 
     def test_nonfinite_rhs_raises(self):
         with pytest.raises(IntegrationError, match="non-finite"):
-            rk54_integrate(lambda t, a: a * np.nan, [1.0], 0.0, 1.0, 1e-6, 1e-9, [0.0, 1.0])
+            nan = lambda t, a: a * np.nan  # noqa: E731
+            rk54_integrate(nan, [1.0], 0.0, 1.0, 1e-6, 1e-9, [0.0, 1.0], drive=np.asarray)
 
     def test_non_finite_windows_and_tolerances_rejected(self):
         for t0, duration in ((np.nan, 1.0), (-np.inf, 1.0), (0.0, np.inf), (0.0, np.nan), (0.0, 0.0)):
             with pytest.raises(ValueError, match="t0 must be finite|duration must be positive"):
-                rk54_integrate(decay, [1.0], t0, duration, 1e-6, 1e-9, [0.0, 1.0])
+                rk54_integrate(decay, [1.0], t0, duration, 1e-6, 1e-9, [0.0, 1.0], drive=np.asarray)
             with pytest.raises(ValueError, match="t0 must be finite|duration must be positive"):
-                euler_integrate(decay, [1.0], t0, duration, 0.1, [0.0, 1.0])
+                euler_integrate(decay, [1.0], t0, duration, 0.1, [0.0, 1.0], drive=np.asarray)
         for rtol, atol in ((np.inf, 1e-9), (1e-6, np.inf), (np.nan, 1e-9)):
             with pytest.raises(ValueError, match="rtol and atol"):
-                rk54_integrate(decay, [1.0], 0.0, 1.0, rtol, atol, [0.0, 1.0])
+                rk54_integrate(decay, [1.0], 0.0, 1.0, rtol, atol, [0.0, 1.0], drive=np.asarray)
         for ht in (np.inf, np.nan):
             with pytest.raises(ValueError, match="step size"):
-                euler_integrate(decay, [1.0], 0.0, 1.0, ht, [0.0, 1.0])
+                euler_integrate(decay, [1.0], 0.0, 1.0, ht, [0.0, 1.0], drive=np.asarray)
 
     def test_an_overflowing_window_end_is_rejected(self):
         with pytest.raises(ValueError, match=r"t0 \+ duration must be finite"):
-            rk54_integrate(decay, [1.0], 1e308, 1e308, 1e-6, 1e-9, [1e308])
+            rk54_integrate(decay, [1.0], 1e308, 1e308, 1e-6, 1e-9, [1e308], drive=np.asarray)
         with pytest.raises(ValueError, match=r"t0 \+ duration must be finite"):
-            euler_integrate(decay, [1.0], 1e308, 1e308, 1e307, [1e308])
+            euler_integrate(decay, [1.0], 1e308, 1e308, 1e307, [1e308], drive=np.asarray)
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
-            rk54_integrate(decay, [1.0], 0.0, 1.0, -1e-6, 1e-9, [0.0, 1.0])
+            rk54_integrate(decay, [1.0], 0.0, 1.0, -1e-6, 1e-9, [0.0, 1.0], drive=np.asarray)
 
     def test_checkpoint_error_tracks_tolerance(self):
         # heuristic tolerance proportionality on the scalar problem
         for rtol in (1e-6, 1e-8):
-            traj = rk54_integrate(decay, [1.0], 0.0, 1.0, rtol, rtol * 1e-3, [0.0, 0.5, 1.0])
+            cps = [0.0, 0.5, 1.0]
+            traj = rk54_integrate(decay, [1.0], 0.0, 1.0, rtol, rtol * 1e-3, cps, drive=np.asarray)
             assert len(traj.states) == len(traj.checkpoints) == 3
             err = abs(traj.states[-1][0] - np.exp(-1.0))
             assert err <= 50.0 * rtol
+
+
+@pytest.mark.parametrize("stepper", [euler_integrate, rk54_integrate])
+def test_a_non_finite_checkpoint_is_rejected_before_any_step(stepper):
+    # NaN compares False both ways, so it used to pass the ordering and
+    # range checks: rk54 recorded u0 at it, and euler blamed the step
+    def drive(ts):
+        raise AssertionError(f"drive called at {ts}")
+
+    control = (0.1,) if stepper is euler_integrate else (1e-6, 1e-9)
+    for bad, cps in (("nan", [0.0, np.nan, 1.0]), ("inf", [0.0, np.inf]), ("-inf", [-np.inf, 1.0])):
+        with pytest.raises(ValueError, match=rf"^checkpoint {bad} is not finite$"):
+            stepper(decay, [1.0], 0.0, 1.0, *control, cps, drive=drive)
 
 
 @pytest.mark.parametrize("stepper", ["euler", "rk54"])
@@ -328,7 +347,7 @@ def test_a_window_starts_where_its_u0_was_encoded(p1):
 
 class TestDrive:
     def test_rk54_calls_the_drive_once_per_attempt(self):
-        # the probe takes drive(t0), then each attempt one batch of its six
+        # the probe takes drive([t0]), then each attempt one batch of its six
         # stage times, with and without rejected attempts; rhs keeps its count
         cases = (
             (1.0, [1.0], np.linspace(0.0, 1.0, 6), False),
@@ -340,8 +359,8 @@ class TestDrive:
             traj = rk54_integrate(rhs, u0, 0.0, 1.0, 1e-8, 1e-10, cps, drive=drive)
             attempts = traj.stats.accepted + traj.stats.rejected
             assert (traj.stats.rejected > 0) == rejects
-            assert len(drives) == 1 + attempts
-            assert np.ndim(drives[0]) == 0 and all(len(ts) == 6 for ts in drives[1:])
+            assert [len(ts) for ts in drives] == [1] + [6] * attempts
+            assert list(drives[0]) == [0.0]
             assert len(calls) == traj.stats.rhs_evals == 1 + 6 * attempts
 
     def test_euler_calls_the_drive_once_per_block(self):
