@@ -245,14 +245,14 @@ def projector_error(
 ) -> float:
     """Worst checkpoint error of projecting the closed form itself.
 
-    No time integration is involved: the exact solution is encoded into the
-    scheme's state space at every checkpoint, and the (k, dim) stack of
-    encoded states is reconstructed in one call and compared with the
-    original, in the scheme's own norm. ``exact`` is the :func:`exact_grid`
-    of the checkpoints, when the caller has it.
+    No time integration is involved: the closed form's table at the nodes,
+    one row per checkpoint, is encoded in one call, and the (k, dim) stack of
+    states is reconstructed in one call and compared with the original, in
+    the scheme's own norm. ``exact`` is the :func:`exact_grid` of the
+    checkpoints, when the caller has it.
     """
     ts = np.asarray(checkpoints, dtype=float)
-    states = np.stack([system.encode(lambda x, t=t: problem.exact(x, t)) for t in ts])
+    states = system.encode(lambda x: problem.exact(x, ts[:, None]))
     return _worst_error(system, problem, states, ts, eval_points, exact)
 
 

@@ -62,8 +62,8 @@ class TentBasis:
         values = _states(values, self.size)
         iv = self.grid.interval
         xs = np.asarray(x, dtype=float)
-        if np.any(xs < iv.a) or np.any(xs > iv.b):
-            raise ValueError(f"evaluation point outside [{iv.a}, {iv.b}]")
+        if not (np.all(xs >= iv.a) and np.all(xs <= iv.b)):  # refuses NaN too
+            raise ValueError(f"evaluation point outside [{iv.a}, {iv.b}] or not a number")
         idx = np.clip((xs - iv.a) // self.grid.h, 0, self.grid.n - 1).astype(int)
         t = (xs - (iv.a + idx * self.grid.h)) / self.grid.h
         out = values[..., idx]
@@ -103,9 +103,12 @@ class ChebyshevBasis:
 
         A point that coincides with a node divides by zero there, so its row
         sum is infinite; so is that of a point a subnormal distance away, for
-        which the nodal value is the interpolant to machine precision.
+        which the nodal value is the interpolant to machine precision. A
+        non-finite point would pass for a hit, so it raises ``ValueError``.
         """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("evaluation point is not finite")
         ratio = np.subtract.outer(xs, self.grid.nodes)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.divide(self.barycentric_weights, ratio, out=ratio)

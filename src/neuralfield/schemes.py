@@ -18,26 +18,25 @@ splits into a drive that depends on t alone and a field of the state:
     rhs(g, a) = g + K tanh(kappa pre(a) - mu) - a,   K = post(-W / 2),
 
 with K, W 1 / 2 and every factor of F(X, t) that depends on X alone
-computed once at build. ``drive`` takes a 1-D sequence of times and
+computed once at build. ``post`` maps a stack of rows, and K is its image
+of the columns of -W / 2. ``drive`` takes a 1-D sequence of times and
 returns one row per time, so the steppers evaluate it once per rk54
 attempt and once per block of Euler steps, not once per stage or step.
 Per scheme (nodes X; weight W; pre; post; K):
 
-- fe-collocation and fe-galerkin/lumped: the n + 1 uniform nodes;
-  trapezium weights; identity; identity; -W/2, (n + 1) x (n + 1).
-- cheb-collocation/cc: the n + 1 Chebyshev nodes; Clenshaw-Curtis weights;
-  identity; identity; -W/2, (n + 1) x (n + 1).
+- fe-collocation, fe-galerkin/lumped, cheb-collocation/cc and
+  spectral-galerkin: the n + 1 uniform, n + 1 Chebyshev or 2n + 1 ring
+  nodes; trapezium or Clenshaw-Curtis weights; identity; identity; -W/2,
+  square. spectral-galerkin's state holds the samples at the nodes, and
+  their Fourier coefficients are formed only to reconstruct.
 - cheb-collocation/trapezium: n + 1 uniform panel nodes; trapezium
   weights; barycentric interpolation onto the panel nodes; identity;
   -W/2, (n + 1) x (n + 1).
 - fe-galerkin/gauss2: two Gauss points per element; element-scaled kernel;
   tents at the Gauss points, a two-tap stencil per element; P = M^-1 L,
-  the Gauss-rule load map L solved against the same rule's (exact) Gram
-  matrix M of the tents, as one dense matrix; -P W / 2, (n + 1) x 2n.
-- spectral-galerkin: the 2n + 1 uniform ring nodes; trapezium weights;
-  identity; identity; -W/2, (2n + 1) x (2n + 1). The state holds the
-  samples at the nodes, and their complex Fourier coefficients c_0..c_n
-  are formed only to reconstruct (see :func:`build_spectral_galerkin`).
+  the stencil's transpose L (the Gauss-rule load) and then the inverse of
+  the same rule's exact, tridiagonal Gram matrix M of the tents; -P W / 2,
+  (n + 1) x 2n, formed by two sweeps of M, with no dense solve.
 
 ``SCHEMES`` is the one list of these six (scheme, variant) pairs: it maps
 each to a builder (problem, n) -> system, and the harness and the CLI read
@@ -79,7 +78,7 @@ class SchemeDiagnostics:
     ``weight_infnorm`` is the maximum absolute row sum of the assembled
     weight matrix, or of the nodal operator that the scheme runs where the
     state is mapped onto other quadrature nodes (W B for
-    cheb-collocation/trapezium, P W L for fe-galerkin/gauss2): the discrete
+    cheb-collocation/trapezium, P W T for fe-galerkin/gauss2): the discrete
     stand-in for the norm of the projected integral operator (for continuous
     kernels that operator norm equals the largest row integral, and the row
     sum is its quadrature image).
@@ -107,10 +106,12 @@ class SemiDiscreteSystem:
     evaluation points to function values, one row per state; ``encode(fn)``
     maps a spatial function to the state representing it: its values at the
     scheme's nodes, or, for fe-galerkin/gauss2, its Galerkin projection onto
-    the tents. ``norm`` names the scheme's ambient space, "sup" for
-    collocation and "l2" for Galerkin, and controls how errors are measured
-    downstream. ``dim`` is the length of a state; a study starts ``rhs``
-    from ``encode`` of the closed form at its t0.
+    the tents. ``fn`` takes the nodes and may return one row per time, a
+    (k, nodes) table, which ``encode`` maps to a (k, dim) stack of states,
+    each row bitwise that of its own call. ``norm`` names the scheme's
+    ambient space, "sup" for collocation and "l2" for Galerkin, and controls
+    how errors are measured downstream. ``dim`` is the length of a state; a
+    study starts ``rhs`` from ``encode`` of the closed form at its t0.
     """
 
     drive: Callable
@@ -146,17 +147,37 @@ def _two_tap(a, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (a[:-1, None] * left + a[1:, None] * right).ravel()
 
 
-def _two_tap_infnorm(matrix: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
-    """||matrix @ L|| with L the (2n) x (n + 1) map of :func:`_two_tap`, from
-    the stencil on the columns of ``matrix``: column e of the product takes
-    element e's Gauss-point pair of columns against ``left``, and column
-    e + 1 the same pair against ``right``."""
-    rows = len(matrix)
-    pairs = matrix.reshape(-1, 2)  # one element's Gauss-point pair per row
-    product = np.zeros((rows, matrix.shape[1] // 2 + 1))
-    product[:, :-1] = (pairs @ left).reshape(rows, -1)
-    product[:, 1:] += (pairs @ right).reshape(rows, -1)
-    return _infnorm(product)
+def _two_tap_load(values: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The transpose of :func:`_two_tap` along axis 0, (2n, ...) -> (n + 1, ...):
+    node e takes element e's Gauss-point pair against ``left``, node e + 1
+    against ``right``; ``values`` is overwritten, to make no temporary."""
+    even, odd = values[0::2], values[1::2]
+    out = np.zeros((len(even) + 1,) + values.shape[1:])
+    np.multiply(even, left[0], out=out[:-1])
+    even *= right[0]
+    out[1:] += even
+    np.multiply(odd, right[1], out=even)
+    out[1:] += even
+    odd *= left[1]
+    out[:-1] += odd
+    return out
+
+
+def _tent_gram_solve(rhs: np.ndarray) -> np.ndarray:
+    """Solve G X = rhs in place along axis 0, G = tridiag(1, 4, 1) with 2 in
+    both corners (6 / h times the tents' Gram matrix), by a forward and a
+    backward (Thomas) sweep over all columns; G is strictly diagonally
+    dominant, so needs no pivoting (Golub & Van Loan, Matrix Computations 4.3)."""
+    last = len(rhs) - 1
+    pivots = [2.0]
+    rhs[0] /= 2.0
+    for i in range(1, last + 1):
+        pivots.append((2.0 if i == last else 4.0) - 1.0 / pivots[-1])
+        rhs[i] -= rhs[i - 1]
+        rhs[i] /= pivots[-1]
+    for i in range(last - 1, -1, -1):
+        rhs[i] -= rhs[i + 1] / pivots[i]
+    return rhs
 
 
 def _projected(
@@ -168,6 +189,7 @@ def _projected(
     norm: str,
     pre: Callable = _identity,
     post: Callable = _identity,
+    assemble: Callable = _identity,
     weight_infnorm: Optional[Callable] = None,
 ) -> SemiDiscreteSystem:
     """The system a' = -a + post(F(nodes, t) + W @ f(pre(a))), evaluated as
@@ -180,23 +202,18 @@ def _projected(
 
     f(u) = 1/2 - tanh(kappa u - mu) / 2 splits W @ f into the constant
     W @ 1 / 2, which joins the forcing in G(t), and the slope -W / 2, which
-    ``post`` maps once into K = post(-W / 2). So ``post`` must be linear and
-    accept a matrix, acting on its columns. Only fe-galerkin/gauss2 has a
-    ``post``, its projector; gauss2 and cheb-collocation/trapezium have a
-    ``pre``, the map of the nodal state onto their quadrature nodes. Every
-    other scheme integrates its values at the quadrature nodes themselves.
+    ``assemble`` maps once into K, ``post`` applied to its columns. ``post``
+    maps a row of values at the nodes, or a stack of rows, to one state per
+    row, each bitwise that of its singleton stack, and may overwrite them.
 
-    W is formed here, so this function holds its only reference, and it is
-    consumed. Its row sums and, by default, its norm are taken first, the
-    norm without a copy of W. Then it is scaled in place by -1/2 into K,
-    which is exact, so K keeps its bits. For gauss2, ``post`` maps the
-    scaled W into a new K, and W is freed before the norm of K is taken. So
-    assembly holds at most one full-size temporary at a time.
+    W is formed here and consumed: its row sums and, by default, its norm
+    are taken first, without a copy, and it is then scaled in place by -1/2,
+    exactly. Where ``assemble`` makes a new K (gauss2), W is freed before
+    the norm of K is taken, so assembly holds one full-size temporary at most.
 
-    ``weight_infnorm(K)`` gives the ||W_n|| entering beta_n; by default it
-    is the row-sum norm of W itself. cheb-collocation/trapezium and gauss2
-    pass that of their nodal operator post @ W @ pre = -2 K @ pre instead,
-    which reuses the product in K.
+    ``weight_infnorm(K)`` gives the ||W_n|| entering beta_n, by default the
+    row-sum norm of W. cheb-collocation/trapezium and gauss2 pass that of
+    their nodal operator post @ W @ pre = -2 K @ pre, reusing K.
     """
     firing = problem.firing
     forcing = problem.forcing_at(nodes)
@@ -206,8 +223,8 @@ def _projected(
     half_row_sums = 0.5 * weight.sum(axis=1)
     weight_norm = _infnorm(weight) if weight_infnorm is None else None
     weight *= -0.5
-    slope = post(weight)
-    del weight  # where post made a new K (gauss2), W is freed before the norm of K
+    slope = assemble(weight)
+    del weight  # where assemble made a new K (gauss2), W is freed before the norm of K
     if weight_norm is None:
         weight_norm = weight_infnorm(slope)
 
@@ -216,8 +233,7 @@ def _projected(
     def drive(ts):
         values = forcing(ts)
         values += half_row_sums
-        # post maps each row alone, so a row does not depend on the batch
-        return values if post is _identity else np.stack([post(row) for row in values])
+        return post(values)
 
     def rhs(g, a):
         if getattr(g, "shape", None) != shape:
@@ -235,7 +251,7 @@ def _projected(
         return out
 
     def encode(fn):
-        return post(np.asarray(fn(nodes), dtype=float))
+        return post(np.array(fn(nodes), dtype=float))
 
     return SemiDiscreteSystem(
         drive=drive,
@@ -309,26 +325,6 @@ def build_cheb_collocation(
     )
 
 
-def _gauss2_projector(n: int, h: float, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """P = M^-1 L, (n + 1) x 2n: the Gauss-rule load map L solved against the
-    same rule's Gram matrix M of the tents.
-
-    L = (h / 2) T^T and M = L T, with T the dense 2n x (n + 1) interpolation
-    onto the Gauss points (``left`` and ``right``: the element's left and
-    right hats there). T, L, M and the solve's copies are all freed on
-    return, before the kernel matrix is built.
-    """
-    interp = np.zeros((2 * n, n + 1))
-    rows, elements = 2 * np.arange(n), np.arange(n)
-    for q in range(2):
-        interp[rows + q, elements] = left[q]
-        interp[rows + q, elements + 1] = right[q]
-    load_map = (h / 2.0) * interp.T  # integrates Gauss-point values against each hat
-    mass = load_map @ interp
-    del interp  # the solve copies M and L and returns a third matrix
-    return np.linalg.solve(mass, load_map)
-
-
 def build_fe_galerkin(problem: TestProblem, n: int, variant: str = "gauss2") -> SemiDiscreteSystem:
     """Galerkin scheme in the tent basis on a uniform grid.
 
@@ -340,15 +336,12 @@ def build_fe_galerkin(problem: TestProblem, n: int, variant: str = "gauss2") -> 
 
     variant="gauss2" builds the load vector, for the forcing and for the
     double kernel integral, by 2-point Gauss per element, and its mass matrix
-    as the same rule's Gram matrix of the tents: exact, as their products are
-    quadratic per element (h/3 at the two corner diagonal entries, 2h/3
-    inside, h/6 off the diagonal). :func:`_gauss2_projector` forms the
-    projector P = M^-1 L once, from a dense interpolation matrix that it
-    frees before the kernel matrix is built, and P is multiplied into the
-    kernel once at build time, so a right-hand side evaluation is a two-tap
-    stencil and two (n + 1) x 2n products. ||P W L|| = 2 ||K L|| is taken
-    with the same two-tap stencil on the columns of K (see
-    :func:`_two_tap_infnorm`), with no dense L.
+    as the same rule's Gram matrix of the tents, exact for their piecewise
+    quadratic products: M = (h / 6) G, G = tridiag(1, 4, 1) with 2 in the
+    corners. With the load L = (h / 2) T^T, T the two-tap interpolation onto
+    the Gauss points, P = M^-1 L = G^-1 (3 T^T). K = -P W / 2 is the load on
+    W's rows and two sweeps of G (:func:`_tent_gram_solve`), in place and in
+    O(n^2); a row of the drive or of ``encode`` is its load times G^-1.
     """
     _require_compact(problem, "fe-galerkin")
     if n < 2:
@@ -366,18 +359,24 @@ def build_fe_galerkin(problem: TestProblem, n: int, variant: str = "gauss2") -> 
     gauss_points = (x[:-1, None] + (1.0 + ref[None, :]) * (h / 2.0)).ravel()
     hat_left = (1.0 - ref) / 2.0  # element's left hat at the two Gauss points
     hat_right = (1.0 + ref) / 2.0
-    projector = _gauss2_projector(n, h, hat_left, hat_right)
+    load_left, load_right = 3.0 * hat_left, 3.0 * hat_right  # 3 T^T
+    inverse_gram = _tent_gram_solve(np.eye(n + 1))
+
+    def project_rows(values):
+        loads = np.ascontiguousarray(_two_tap_load(values.T, load_left, load_right).T)
+        # one vector-matrix product per row, so a row does not depend on the stack
+        return (loads[..., None, :] @ inverse_gram)[..., 0, :]
+
     return _projected(
-        problem,
-        gauss_points,
-        gauss_points,
-        h / 2.0,
-        TentBasis(grid).interpolate,
-        "l2",
+        problem, gauss_points, gauss_points, h / 2.0, TentBasis(grid).interpolate, "l2",
         pre=lambda a: _two_tap(a, hat_left, hat_right),
-        post=lambda v: projector @ v,
-        # K = -P W / 2 exactly, so 2 ||K L|| is ||P W L||
-        weight_infnorm=lambda slope: 2.0 * _two_tap_infnorm(slope, hat_left, hat_right),
+        post=project_rows,
+        assemble=lambda weight: _tent_gram_solve(_two_tap_load(weight, load_left, load_right)),
+        # K = -P W / 2 exactly, so 2 ||K T|| is ||P W T||; K T is the load on K's
+        # columns, copied into contiguous rows so that each row sums pairwise
+        weight_infnorm=lambda k: 2.0 * _infnorm(
+            _two_tap_load(k.T.copy(), hat_left, hat_right).T.copy()
+        ),
     )
 
 
@@ -405,11 +404,9 @@ def build_spectral_galerkin(problem: TestProblem, n: int) -> SemiDiscreteSystem:
     right-hand side; a state is carried into coefficients only to
     reconstruct it.
 
-    So the rk54 controller weighs the error of each nodal value against
-    atol + rtol * max(|u_l|, |u_new_l|), as for every collocation scheme,
-    not that of each real or imaginary part of c_0..c_n. On P7p and P9p the
-    two forms take the same steps, and their trajectories agree to roundoff
-    after D.
+    So the rk54 controller weighs the error of each nodal value, as for
+    every collocation scheme, not of each part of c_0..c_n; on P7p and P9p
+    the two forms take the same steps and agree to roundoff after D.
     """
     if not problem.interval.periodic:
         raise ValueError("spectral-galerkin needs a periodic domain (ring)")

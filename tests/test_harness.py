@@ -176,13 +176,15 @@ GRID_ROWS = default_checkpoints(0.0, 1.0, 51).tolist()
 
 def _counting_exact(pid):
     """The problem with its closed form wrapped to record the checkpoints of
-    the checkpoint x point grid rows it evaluates (the calls with a 2-D time
-    argument, one column of checkpoints in each block of rows)."""
+    the checkpoint x point grid rows it evaluates (the calls on the default
+    evaluation grid with a 2-D time argument, one column of checkpoints in
+    each block of rows; a projector error's table at the scheme's nodes is
+    not such a row)."""
     problem = make_problem(pid)
     grid_rows = []
 
     def exact(x, t):
-        if np.ndim(t) == 2:
+        if np.ndim(t) == 2 and np.shape(x) == (StudyConfig.eval_points,):
             grid_rows.extend(np.ravel(t).tolist())
         return problem.exact(x, t)
 
@@ -233,6 +235,21 @@ def test_the_sandwich_suite_evaluates_each_closed_form_grid_once(monkeypatch):
     monkeypatch.setattr(checks, "make_problem", lambda pid: counted[pid][0])
     checks.sandwich_suite()
     assert all(calls == GRID_ROWS for _, calls in counted.values())
+
+
+@pytest.mark.parametrize("pid,key", CELLS)
+def test_projector_error_encodes_its_checkpoint_table_in_one_call(pid, key):
+    problem = make_problem(pid)
+    system = SCHEMES[key](problem, 16)
+    tables = []
+
+    def encode(fn):
+        tables.append(system.encode(fn))
+        return tables[-1]
+
+    cps = default_checkpoints(0.0, 1.0, 11)
+    projector_error(dataclasses.replace(system, encode=encode), problem, cps, 1024)
+    assert len(tables) == 1 and tables[0].shape == (len(cps), system.dim)
 
 
 def test_a_passed_grid_gives_the_same_sandwich_result():

@@ -72,6 +72,12 @@ class TestPiecewiseLinearInterp:
         with pytest.raises(ValueError):
             basis.interpolate(np.zeros(5), 1.5)
 
+    @pytest.mark.parametrize("x", [np.nan, [0.0, np.nan, 0.5], [-np.inf, 0.0], np.inf])
+    def test_non_finite_point_rejected(self, x):
+        # NaN fails every comparison, so it must not pass the range check
+        with pytest.raises(ValueError):
+            tent_basis(4).interpolate(np.ones(5), x)
+
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_smooth_error_bound(self, n):
         # interpolation error of sin(3x) stays within h^2/8 * max|v''|
@@ -99,6 +105,15 @@ class TestBarycentricInterp:
         values = p(basis.grid.nodes)
         xs = rng.uniform(-1.0, 1.0, size=100)
         assert np.max(np.abs(basis.interpolate(values, xs) - p(xs))) <= 1e-13
+
+    @pytest.mark.parametrize("x", [np.nan, [0.0, np.nan, 0.5], [np.inf, 0.0], -np.inf])
+    def test_non_finite_point_rejected(self, x):
+        # a NaN row sum would pass for a node hit and return node 0's value
+        basis = ChebyshevBasis(ChebyshevGrid(4))
+        with pytest.raises(ValueError):
+            basis.interpolate(np.ones(5), x)
+        with pytest.raises(ValueError):
+            basis.interpolation_matrix(x)
 
     def test_barycentric_weight_pattern(self):
         basis = ChebyshevBasis(ChebyshevGrid(6))

@@ -8,7 +8,9 @@ from neuralfield.projection import ChebyshevBasis, TentBasis, dft_forward
 from neuralfield.quadrature import clenshaw_curtis, gauss_legendre_2, trapezium_rule
 from neuralfield.schemes import (
     SCHEMES,
+    _tent_gram_solve,
     _two_tap,
+    _two_tap_load,
     build_cheb_collocation,
     build_fe_collocation,
     build_fe_galerkin,
@@ -82,6 +84,18 @@ class TestDrive:
         for g in (*times, system.drive([0.3, 0.4]), np.zeros(system.dim + 1)):
             with pytest.raises(TypeError, match="drive"):
                 system.rhs(g, a)
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
+    def test_encoding_a_table_is_bitwise_each_time_alone(self, builder, periodic, n):
+        # the projector error encodes its checkpoint table in one call
+        problem = make_problem("P7p" if periodic else "P1")
+        system = builder(problem, n)
+        ts = np.linspace(0.0, 1.0, 51)
+        table = system.encode(lambda x: problem.exact(x, ts[:, None]))
+        rows = np.stack([system.encode(lambda x, t=t: problem.exact(x, t)) for t in ts])
+        assert table.shape == (len(ts), system.dim)
+        assert np.array_equal(table, rows)
 
     @pytest.mark.parametrize("stepper", ["rk54", "euler"])
     @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
@@ -227,6 +241,26 @@ class TestFeGalerkin:
             v = rng.standard_normal(n + 1)
             encoded = build_fe_galerkin(p1, n).encode(lambda x: tents.interpolate(v, x))
             assert np.max(np.abs(encoded - v)) <= 1e-13 * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_gram_sweep_matches_a_dense_solve(self, n, rng):
+        # G = tridiag(1, 4, 1) with 2 in the corners, 6 / h times the Gram matrix
+        gram = np.diag(np.full(n + 1, 4.0)) + np.diag(np.ones(n), 1) + np.diag(np.ones(n), -1)
+        gram[0, 0] = gram[n, n] = 2.0
+        rhs = rng.standard_normal((n + 1, 5))
+        want = np.linalg.solve(gram, rhs)
+        got = _tent_gram_solve(rhs.copy())
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_load_is_the_transpose_of_the_stencil(self, n, rng):
+        ref = gauss_legendre_2().nodes
+        local, _ = _gauss2_interpolation(n)
+        values = rng.standard_normal((2 * n, 3))
+        got = _two_tap_load(values.copy(), (1.0 - ref) / 2.0, (1.0 + ref) / 2.0)
+        want = local.T @ values
+        assert got.shape == (n + 1, 3)
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(values))
 
     def test_lumped_equals_collocation_trajectory(self, p1):
         cps = np.linspace(0.0, 1.0, 51)
@@ -562,6 +596,19 @@ IN_PLACE = {
 
 
 @pytest.mark.parametrize("key,builder", FOLD_CASES)
+def test_build_makes_no_dense_solve_or_inverse(key, builder, monkeypatch):
+    # gauss2's tridiagonal Gram matrix is swept, never solved densely
+    problem = _fold_problem(key)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembly called a dense solve or inverse")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    assert builder(problem, 64).dim > 0
+
+
+@pytest.mark.parametrize("key,builder", FOLD_CASES)
 def test_build_peak_is_the_system_and_one_weight_matrix(key, builder, peak_bytes):
     # assembly holds at most one full-size temporary at a time: gauss2's dense
     # interpolation, load map and solve copies are gone before W is built,
@@ -576,3 +623,6 @@ def test_build_peak_is_the_system_and_one_weight_matrix(key, builder, peak_bytes
         assert peak <= held + BUILD_SLACK
     else:
         assert peak <= held + 8 * rows * cols + BUILD_SLACK
+    if key == ("fe-galerkin", "gauss2"):
+        # it keeps K, (n + 1) x 2n, and G^-1, (n + 1) x (n + 1), and no projector
+        assert held <= 8 * ((BUILD_N + 1) * 2 * BUILD_N + (BUILD_N + 1) ** 2) + BUILD_SLACK
