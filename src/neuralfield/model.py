@@ -114,7 +114,9 @@ class FiringRate:
         place.
         """
         r = np.asarray(r, dtype=float)
-        if not (np.all(r > 0.0) and np.all(r < 1.0)):  # NaN fails too
+        # two reductions and no boolean table; a NaN minimum or maximum fails
+        # both comparisons, and an empty r has no point to check
+        if r.size and not (r.min() > 0.0 and r.max() < 1.0):
             raise ValueError(INVERSE_DOMAIN_ERROR)
         out = np.asarray(1.0 - r)
         out /= r

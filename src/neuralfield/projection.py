@@ -4,7 +4,9 @@ Piecewise-linear tents on a uniform grid, the Chebyshev-Lagrange basis
 evaluated with the second barycentric formula, and real trigonometric
 polynomials of odd length m = 2n + 1, held as numpy's complex half-spectrum
 c_0..c_n of their samples (c_{-j} = conj(c_j) for real samples). Every
-evaluator takes one state or a stack of states as rows.
+evaluator takes one state or a stack of states as rows and evaluates them
+over blocks of points, so its temporaries fit a fixed budget however many
+points it is asked for: the result is the only (states x points) table.
 """
 
 from __future__ import annotations
@@ -29,6 +31,40 @@ def _states(values, size: int) -> np.ndarray:
     if values.ndim not in (1, 2) or values.shape[-1] != size:
         raise ValueError(f"expected {size} nodal values per state, got shape {values.shape}")
     return values
+
+
+# bytes of temporaries one block of points may take in _by_point_blocks, and
+# the multiple of points a block's width is rounded down to: OpenBLAS takes
+# another kernel for a narrow block, so blocks of 120 points, whose 8-point
+# tail was one, changed the bits of a 51-state barycentric product; multiples
+# of 64 points kept them for one state and for 19 or more at n = 8..512, but
+# not for every stack of 2 to 18 states, which then agree to roundoff
+_BLOCK_BYTES = 256 * 1024
+_BLOCK_ALIGN = 64
+
+
+def _by_point_blocks(evaluate, values, x, point_bytes: int):
+    """``evaluate(values, xs)`` over blocks xs of the points x, written into
+    one table with values' leading shape and a column per point; a single
+    point x gives values' leading shape.
+
+    ``point_bytes`` is what ``evaluate`` holds per point of a block; blocks
+    are as wide as the budget allows, in multiples of 64 points and at least
+    64. The table takes the first block's memory layout (a tent gather is
+    F-ordered, and the L2 norm's product sums it in that order), and one
+    block is the only temporary besides it. Points that fit in one block
+    are evaluated in one call, whose result is returned as it is.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    width = max(_BLOCK_ALIGN, _BLOCK_BYTES // point_bytes // _BLOCK_ALIGN * _BLOCK_ALIGN)
+    out = evaluate(values, xs[:width])
+    if len(xs) > width:
+        first, out = out, np.empty_like(out, shape=out.shape[:-1] + xs.shape)
+        out[..., :width] = first
+        del first
+        for start in range(width, len(xs), width):
+            out[..., start : start + width] = evaluate(values, xs[start : start + width])
+    return out[..., 0][()] if np.ndim(x) == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,22 +92,29 @@ class TentBasis:
         ``values`` is one state of shape (size,) or a stack of shape
         (k, size); the result has one row per state. The element index
         comes from direct arithmetic on (x - a) / h, not from a search, so
-        evaluation is O(1) per point and state. Both end values are weighted
-        in place, so at most one table besides the result is held.
+        evaluation is O(1) per point and state. Blocks of points are
+        gathered and both end values weighted in place, so one block of
+        each end value is held besides the result.
         """
         values = _states(values, self.size)
         iv = self.grid.interval
         xs = np.asarray(x, dtype=float)
         if not (np.all(xs >= iv.a) and np.all(xs <= iv.b)):  # refuses NaN too
             raise ValueError(f"evaluation point outside [{iv.a}, {iv.b}] or not a number")
-        idx = np.clip((xs - iv.a) // self.grid.h, 0, self.grid.n - 1).astype(int)
-        t = (xs - (iv.a + idx * self.grid.h)) / self.grid.h
-        out = values[..., idx]
-        out *= 1.0 - t
-        right = values[..., idx + 1]
-        right *= t
-        out += right
-        return out if out.ndim else out[()]
+        h, last = self.grid.h, self.grid.n - 1
+
+        def evaluate(values, xs):
+            idx = np.clip((xs - iv.a) // h, 0, last).astype(int)
+            t = (xs - (iv.a + idx * h)) / h
+            out = values[..., idx]
+            out *= 1.0 - t
+            right = values[..., idx + 1]
+            right *= t
+            out += right
+            return out
+
+        # two end values per state and about four point vectors
+        return _by_point_blocks(evaluate, values, xs, 8 * (2 * (values.size // self.size) + 4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,24 +140,29 @@ class ChebyshevBasis:
     def size(self) -> int:
         return self.grid.n + 1
 
-    def _ratios(self, x):
-        """R[p, j] = w_j / (x_p - x_j), formed in place, with its row sums, the
-        points whose row sum is not finite and, for each, the node it hits.
+    def _ratios(self, xs):
+        """R[p, j] = w_j / (x_p - x_j) at the finite 1-D points xs, formed in
+        place, with its row sums, the points whose row sum is not finite and,
+        for each, the node it hits. Callers ignore the division's errors.
 
         A point that coincides with a node divides by zero there, so its row
         sum is infinite; so is that of a point a subnormal distance away, for
-        which the nodal value is the interpolant to machine precision. A
-        non-finite point would pass for a hit, so it raises ``ValueError``.
+        which the nodal value is the interpolant to machine precision.
         """
+        ratio = np.subtract.outer(xs, self.grid.nodes)
+        np.divide(self.barycentric_weights, ratio, out=ratio)
+        sums = ratio.sum(axis=1)
+        hits = np.flatnonzero(~np.isfinite(sums))
+        return ratio, sums, hits, np.abs(ratio[hits]).argmax(axis=1)
+
+    @staticmethod
+    def _finite_points(x) -> np.ndarray:
+        """The points x as a 1-D float array; a non-finite point would pass
+        for a node hit, so it raises ``ValueError``."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         if not np.all(np.isfinite(xs)):
             raise ValueError("evaluation point is not finite")
-        ratio = np.subtract.outer(xs, self.grid.nodes)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.divide(self.barycentric_weights, ratio, out=ratio)
-            sums = ratio.sum(axis=1)
-        hits = np.flatnonzero(~np.isfinite(sums))
-        return ratio, sums, hits, np.abs(ratio[hits]).argmax(axis=1)
+        return xs
 
     def interpolation_matrix(self, x) -> np.ndarray:
         """Matrix mapping nodal values to interpolant values at the points x.
@@ -122,8 +170,8 @@ class ChebyshevBasis:
         A point that coincides exactly with a node gets a unit row, so nodal
         data is reproduced bitwise.
         """
-        ratio, sums, hits, nodes = self._ratios(x)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratio, sums, hits, nodes = self._ratios(self._finite_points(x))
             ratio /= sums[:, None]
         ratio[hits] = 0.0
         ratio[hits, nodes] = 1.0
@@ -133,17 +181,25 @@ class ChebyshevBasis:
         """Barycentric interpolant of nodal values at the points x.
 
         ``values`` is one state of shape (size,) or a stack of shape
-        (k, size). The second barycentric formula is applied to every state
-        in one product, (values @ R.T) / R.sum(axis=1), with no normalised
-        matrix; a point that hits a node takes that node's value exactly.
+        (k, size). For each block of points the second barycentric formula
+        is applied to every state in one product, (values @ R.T) /
+        R.sum(axis=1), with no normalised matrix, so R spans one block, not
+        every point; a point that hits a node takes that node's value
+        exactly.
         """
         values = _states(values, self.size)
-        ratio, sums, hits, nodes = self._ratios(x)
-        with np.errstate(invalid="ignore"):
+        self._finite_points(x)
+
+        def evaluate(values, xs):
+            ratio, sums, hits, nodes = self._ratios(xs)
             out = values @ ratio.T
             out /= sums
-        out[..., hits] = values[..., nodes]
-        return out[..., 0][()] if np.ndim(x) == 0 else out
+            out[..., hits] = values[..., nodes]
+            return out
+
+        # a row of R and one value per state
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _by_point_blocks(evaluate, values, x, 8 * (self.size + values.size // self.size))
 
 
 def dft_forward(samples) -> np.ndarray:
@@ -161,12 +217,6 @@ def dft_forward(samples) -> np.ndarray:
     if v.shape[-1] % 2 == 0:
         raise ValueError(f"transform length must be odd, got {v.shape[-1]}")
     return np.fft.rfft(v, norm="forward")
-
-
-# points per e^(i j x) table in fourier_reconstruct: at n = 256 one table
-# takes 1 MiB where the 2048-point evaluation grid would take 8 MiB, and
-# the smaller table is as fast or faster from n = 8 to 256
-_POINT_BLOCK = 256
 
 
 def _unit_powers(xs: np.ndarray, n: int) -> np.ndarray:
@@ -191,17 +241,21 @@ def fourier_reconstruct(coeffs, x):
     coefficients c_0..c_n, evaluated at the points x.
 
     ``coeffs`` is one vector of n + 1 coefficients or a stack of shape
-    (k, n + 1). For each block of up to 256 points the table of e^(i j x)
-    is built once and applied to every vector in one complex product with
-    c_1..c_n, so the table's size does not grow with the number of points.
-    For coefficients that came from real samples (:func:`dft_forward`) this
-    is the trigonometric interpolant through those samples.
+    (k, n + 1). For each block of points the table of e^(i j x) is built
+    once and applied to every vector in one complex product with c_1..c_n,
+    so the table spans one block, not every point. For coefficients that
+    came from real samples (:func:`dft_forward`) this is the trigonometric
+    interpolant through those samples.
     """
     c = np.asarray(coeffs, dtype=complex)
     n = c.shape[-1] - 1
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty(c.shape[:-1] + xs.shape)
-    for start in range(0, len(xs), _POINT_BLOCK):
-        block = slice(start, start + _POINT_BLOCK)
-        out[..., block] = c[..., :1].real + 2.0 * (c[..., 1:] @ _unit_powers(xs[block], n)).real
-    return out[..., 0][()] if np.ndim(x) == 0 else out
+    c0 = c[..., :1].real
+
+    def evaluate(c1, xs):
+        out = np.multiply((c1 @ _unit_powers(xs, n)).real, 2.0)
+        out += c0
+        return out
+
+    # a column of the table, e^(i x) and its temporary and, per vector, the
+    # complex product and its doubled real part
+    return _by_point_blocks(evaluate, c[..., 1:], x, 16 * (n + 2) + 24 * (c.size // (n + 1)))

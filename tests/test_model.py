@@ -173,11 +173,16 @@ class TestFiringRate:
         assert value == pytest.approx(oracle, abs=1e-13)
         assert value == pytest.approx(0.02274112777602183, rel=1e-14)
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3, np.nan, [0.5, np.nan]])
+    @pytest.mark.parametrize(
+        "bad", [0.0, 1.0, -0.2, 1.3, np.nan, [0.5, np.nan], [0.5, np.inf], [-np.inf, 0.5]]
+    )
     def test_inverse_domain_errors(self, bad):
         # NaN compares False both ways, so it used to pass as inside (0, 1)
         with pytest.raises(ValueError, match="strictly inside"):
             FR.inverse(bad)
+
+    def test_inverse_of_no_activities_is_empty(self):
+        assert FR.inverse(np.empty((3, 0))).shape == (3, 0)
 
     def test_gain_must_be_positive(self):
         with pytest.raises(ValueError):

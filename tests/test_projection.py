@@ -5,7 +5,13 @@ from hypothesis import given, settings, strategies as st
 from neuralfield.checks import dft_backward_direct, dft_forward_direct
 from neuralfield.harness import eval_grid
 from neuralfield.model import ChebyshevGrid, Interval, UniformGrid
-from neuralfield.projection import ChebyshevBasis, TentBasis, dft_forward, fourier_reconstruct
+from neuralfield.projection import (
+    ChebyshevBasis,
+    TentBasis,
+    _unit_powers,
+    dft_forward,
+    fourier_reconstruct,
+)
 
 BOX = Interval(-1.0, 1.0)
 RING = Interval(0.0, 2.0 * np.pi, periodic=True)
@@ -243,26 +249,109 @@ class TestFourierReconstruct:
         assert np.max(np.abs(fourier_reconstruct(half, xs) - direct)) <= tolerance
 
 
+def tent_oracle(basis, values, x):
+    """The unblocked tent interpolant: one gather over every point."""
+    iv, h, n = basis.grid.interval, basis.grid.h, basis.grid.n
+    idx = np.clip((x - iv.a) // h, 0, n - 1).astype(int)
+    t = (x - (iv.a + idx * h)) / h
+    return values[..., idx] * (1.0 - t) + values[..., idx + 1] * t
+
+
+def barycentric_oracle(basis, values, x):
+    """The unblocked second barycentric formula: one (points, n + 1) ratio
+    table R for every point and one product values @ R.T / R.sum(axis=1)."""
+    with np.errstate(all="ignore"):
+        ratio = basis.barycentric_weights / np.subtract.outer(x, basis.grid.nodes)
+        sums = ratio.sum(axis=1)
+        out = values @ ratio.T / sums
+    hits = np.flatnonzero(~np.isfinite(sums))
+    out[..., hits] = values[..., np.abs(ratio[hits]).argmax(axis=1)]
+    return out
+
+
+def fourier_oracle(coeffs, x):
+    """The unblocked trigonometric sum: one e^(i j x) table for every point."""
+    n = coeffs.shape[-1] - 1
+    return coeffs[..., :1].real + 2.0 * (coeffs[..., 1:] @ _unit_powers(x, n)).real
+
+
 # n = 256 with 51 checkpoint states on 2048 points, as in the spectral sweeps
 N_BIG, STATES, POINTS = 256, 51, 2048
+# what one block of points may hold while a basis is evaluated
+BLOCK_BYTES = 256 * 1024
 # numpy's iterator buffers for broadcast operands (128 KiB), the length-POINTS
 # vectors and array headers; any further n x POINTS table would add 4 MiB
 SLACK = 256 * 1024
 
+BLOCKED_N = [8, 16, 128, 256, 512]
+STACKS = [pytest.param((STATES,), id="51-states"), pytest.param((), id="one-state")]
 
-def test_fourier_reconstruct_peak_stays_within_the_trig_table_evaluation(rng, peak_bytes):
-    # the cos/sin evaluation over all points at once held its phase table and
-    # one trig table (16 n N bytes) with its two float products (16 k N)
+
+@pytest.mark.parametrize("stack", STACKS)
+@pytest.mark.parametrize("n", BLOCKED_N)
+class TestBlockedEvaluationIsBitwiseTheOneShot:
+    """Blocked evaluation gives the bits of one evaluation over every point.
+
+    The barycentric product is bitwise only for these stack heights:
+    OpenBLAS picks another kernel for some blocks of 2 to 18 states, which
+    then agree to roundoff (see the short-stack test below).
+    """
+
+    def test_tents(self, n, stack, rng):
+        basis = tent_basis(n)
+        values = rng.standard_normal(stack + (basis.size,))
+        xs = eval_grid(BOX, POINTS)
+        got = basis.interpolate(values, xs)
+        assert np.array_equal(got, tent_oracle(basis, values, xs))
+        # a gather along the last axis is F-ordered; the L2 norm's diff @ weights
+        # sums a C-ordered table in another order
+        assert got.flags.f_contiguous
+
+    def test_barycentric(self, n, stack, rng):
+        basis = ChebyshevBasis(ChebyshevGrid(n))
+        values = rng.standard_normal(stack + (basis.size,))
+        xs = eval_grid(BOX, POINTS)
+        assert np.array_equal(basis.interpolate(values, xs), barycentric_oracle(basis, values, xs))
+
+    def test_fourier(self, n, stack, rng):
+        coeffs = rng.standard_normal(stack + (n + 1,)) + 1j * rng.standard_normal(stack + (n + 1,))
+        xs = eval_grid(RING, POINTS)
+        assert np.array_equal(fourier_reconstruct(coeffs, xs), fourier_oracle(coeffs, xs))
+
+
+def test_a_short_barycentric_stack_agrees_with_the_one_shot_to_roundoff(rng):
+    basis = ChebyshevBasis(ChebyshevGrid(N_BIG))
+    values = rng.standard_normal((7, basis.size))
+    xs = eval_grid(BOX, POINTS)
+    want = barycentric_oracle(basis, values, xs)
+    assert np.max(np.abs(basis.interpolate(values, xs) - want)) <= 1e-14 * np.max(np.abs(values))
+
+
+@pytest.mark.parametrize(
+    "evaluate, size",
+    [
+        (tent_basis(8).interpolate, 9),
+        (ChebyshevBasis(ChebyshevGrid(8)).interpolate, 9),
+        (lambda c, x: fourier_reconstruct(c + 0j, x), 9),
+    ],
+    ids=["tents", "barycentric", "fourier"],
+)
+def test_no_points_give_an_empty_table(evaluate, size):
+    assert evaluate(np.ones((3, size)), np.empty(0)).shape == (3, 0)
+    assert evaluate(np.ones(size), np.empty(0)).shape == (0,)
+
+
+def test_fourier_reconstruct_peak_stays_within_the_output_and_one_block(rng, peak_bytes):
     coeffs = rng.standard_normal((STATES, N_BIG + 1)) + 1j * rng.standard_normal((STATES, N_BIG + 1))
     xs = eval_grid(RING, POINTS)
     peak, _ = peak_bytes(lambda: fourier_reconstruct(coeffs, xs))
-    assert peak <= 16 * N_BIG * POINTS + 16 * STATES * POINTS + SLACK
+    assert peak <= 8 * STATES * POINTS + BLOCK_BYTES + SLACK
 
 
-def test_barycentric_peak_stays_within_one_ratio_table_and_the_output(rng, peak_bytes):
-    # one (points, n + 1) table of w_j / (x - x_j), formed in place, and the output
+def test_barycentric_peak_stays_within_the_output_and_one_block(rng, peak_bytes):
+    # a (points, n + 1) ratio table over every point would add 4.2 MB
     basis = ChebyshevBasis(ChebyshevGrid(N_BIG))
     values = rng.standard_normal((STATES, basis.size))
     xs = eval_grid(BOX, POINTS)
     peak, _ = peak_bytes(lambda: basis.interpolate(values, xs))
-    assert peak <= 8 * POINTS * basis.size + 8 * STATES * POINTS + SLACK
+    assert peak <= 8 * STATES * POINTS + BLOCK_BYTES + SLACK
