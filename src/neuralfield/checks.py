@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import StudyConfig, default_checkpoints, eval_grid, exact_grid, sandwich_check
+from .harness import SANDWICH_SLACK, StudyConfig, default_checkpoints, eval_grid, exact_grid
+from .harness import sandwich_check
 from .model import ChebyshevGrid, Interval, UniformGrid
 from .problems import PROBLEM_IDS, continuum_residual, make_problem
 from .projection import ChebyshevBasis, TentBasis, dft_forward, fourier_reconstruct
@@ -220,12 +221,26 @@ def residual_suite() -> list[CheckResult]:
     return out
 
 
+def _violated_bound(result) -> str:
+    """The widened bound that a failing conclusive cell breaks, with its numbers."""
+    upper, lower = result.upper * (1.0 + SANDWICH_SLACK), result.lower * (1.0 - SANDWICH_SLACK)
+    if result.ratio > upper:
+        side = f"> exp(beta_n)*(1 + {SANDWICH_SLACK:g}) = {upper:.3g}"
+    else:
+        side = f"< (1 - {SANDWICH_SLACK:g})/(1 + beta_n) = {lower:.3g}"
+    return (
+        f"err/proj = {result.ratio:.3g} {side} (err = {result.scheme_error:.3g}, "
+        f"proj = {result.projector_error:.3g}, beta_n = {result.beta_n:.3g})"
+    )
+
+
 def sandwich_suite() -> list[CheckResult]:
     """Two-sided bound check on the compact problems for both collocation schemes.
 
     Each problem is built once, and its closed form evaluated once on the
-    checkpoint x point grid, and both are shared by its six cells. A conclusive
-    cell's detail gives the ratio and its bounds; an inconclusive one gives
+    checkpoint x point grid, and both are shared by its six cells. A passing
+    conclusive cell's detail gives the ratio and its bounds, and a failing one
+    the inequality it violates, with its numbers; an inconclusive one gives
     the scheme and projector errors instead, as their ratio is noise there.
     """
     # sandwich_check runs every cell on the StudyConfig defaults
@@ -238,14 +253,16 @@ def sandwich_suite() -> list[CheckResult]:
         for scheme in ("fe-collocation", "cheb-collocation"):
             for n in (16, 32, 64):
                 result = sandwich_check(problem, scheme, n, exact)
-                if result.conclusive:
-                    detail = f"ratio={result.ratio:.3g} in [{result.lower:.3g}, {result.upper:.3g}]"
-                else:
+                if not result.conclusive:
                     detail = (
                         f"scheme error={result.scheme_error:.3g}, "
                         f"projector error={result.projector_error:.3g} "
                         "(inconclusive: projector error at the temporal floor)"
                     )
+                elif result.passed:
+                    detail = f"ratio={result.ratio:.3g} in [{result.lower:.3g}, {result.upper:.3g}]"
+                else:
+                    detail = _violated_bound(result)
                 out.append(CheckResult(f"sandwich {pid} {scheme} n={n}", result.passed, detail))
     return out
 

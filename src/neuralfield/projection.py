@@ -11,6 +11,7 @@ points it is asked for: the result is the only (states x points) table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,10 +44,18 @@ _BLOCK_BYTES = 256 * 1024
 _BLOCK_ALIGN = 64
 
 
+def _finite_points(x) -> np.ndarray:
+    """The points x as a 1-D float array; a NaN or an infinity raises ``ValueError``."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.size and not (math.isfinite(xs.min()) and math.isfinite(xs.max())):
+        raise ValueError("evaluation point is not finite")
+    return xs
+
+
 def _by_point_blocks(evaluate, values, x, point_bytes: int):
     """``evaluate(values, xs)`` over blocks xs of the points x, written into
     one table with values' leading shape and a column per point; a single
-    point x gives values' leading shape.
+    point x gives values' leading shape. A non-finite point raises ``ValueError``.
 
     ``point_bytes`` is what ``evaluate`` holds per point of a block; blocks
     are as wide as the budget allows, in multiples of 64 points and at least
@@ -55,7 +64,7 @@ def _by_point_blocks(evaluate, values, x, point_bytes: int):
     block is the only temporary besides it. Points that fit in one block
     are evaluated in one call, whose result is returned as it is.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = _finite_points(x)
     width = max(_BLOCK_ALIGN, _BLOCK_BYTES // point_bytes // _BLOCK_ALIGN * _BLOCK_ALIGN)
     out = evaluate(values, xs[:width])
     if len(xs) > width:
@@ -155,15 +164,6 @@ class ChebyshevBasis:
         hits = np.flatnonzero(~np.isfinite(sums))
         return ratio, sums, hits, np.abs(ratio[hits]).argmax(axis=1)
 
-    @staticmethod
-    def _finite_points(x) -> np.ndarray:
-        """The points x as a 1-D float array; a non-finite point would pass
-        for a node hit, so it raises ``ValueError``."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("evaluation point is not finite")
-        return xs
-
     def interpolation_matrix(self, x) -> np.ndarray:
         """Matrix mapping nodal values to interpolant values at the points x.
 
@@ -171,7 +171,7 @@ class ChebyshevBasis:
         data is reproduced bitwise.
         """
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratio, sums, hits, nodes = self._ratios(self._finite_points(x))
+            ratio, sums, hits, nodes = self._ratios(_finite_points(x))
             ratio /= sums[:, None]
         ratio[hits] = 0.0
         ratio[hits, nodes] = 1.0
@@ -188,7 +188,6 @@ class ChebyshevBasis:
         exactly.
         """
         values = _states(values, self.size)
-        self._finite_points(x)
 
         def evaluate(values, xs):
             ratio, sums, hits, nodes = self._ratios(xs)
@@ -245,7 +244,8 @@ def fourier_reconstruct(coeffs, x):
     once and applied to every vector in one complex product with c_1..c_n,
     so the table spans one block, not every point. For coefficients that
     came from real samples (:func:`dft_forward`) this is the trigonometric
-    interpolant through those samples.
+    interpolant through those samples. A non-finite point raises
+    ``ValueError``, as for the other bases.
     """
     c = np.asarray(coeffs, dtype=complex)
     n = c.shape[-1] - 1

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -61,7 +61,6 @@ from .quadrature import clenshaw_curtis, gauss_legendre_2, trapezium_rule
 
 __all__ = [
     "SCHEMES",
-    "SchemeDiagnostics",
     "SemiDiscreteSystem",
     "build_fe_collocation",
     "build_cheb_collocation",
@@ -69,27 +68,6 @@ __all__ = [
     "build_spectral_galerkin",
     "reconstruct_on",
 ]
-
-
-@dataclass(frozen=True)
-class SchemeDiagnostics:
-    """Computable proxies for the operator norms entering the error bounds.
-
-    ``weight_infnorm`` is the maximum absolute row sum of the assembled
-    weight matrix, or of the nodal operator that the scheme runs where the
-    state is mapped onto other quadrature nodes (W B for
-    cheb-collocation/trapezium, P W T for fe-galerkin/gauss2): the discrete
-    stand-in for the norm of the projected integral operator (for continuous
-    kernels that operator norm equals the largest row integral, and the row
-    sum is its quadrature image).
-    """
-
-    weight_infnorm: float
-    firing_derivative_sup: float
-
-    def beta_n(self, duration: float) -> float:
-        """Growth exponent duration * ||W_n|| * sup|f'| of the two-sided bound."""
-        return duration * self.weight_infnorm * self.firing_derivative_sup
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +90,18 @@ class SemiDiscreteSystem:
     ambient space, "sup" for collocation and "l2" for Galerkin, and controls
     how errors are measured downstream. ``dim`` is the length of a state; a
     study starts ``rhs`` from ``encode`` of the closed form at its t0.
+
+    ``weight_infnorm`` is ||W_n||, the largest absolute row sum of W or of
+    the nodal operator the scheme runs (W B for cheb-collocation/trapezium,
+    P W T for gauss2), the quadrature image of the integral operator's norm:
+    the scheme's factor of the bounds' exponent beta_n = T ||W_n|| sup|f'|.
     """
 
     drive: Callable
     rhs: Callable
     dim: int
     reconstruct: Callable
-    diagnostics: SchemeDiagnostics
+    weight_infnorm: float
     norm: str
     encode: Callable
 
@@ -190,7 +173,7 @@ def _projected(
     pre: Callable = _identity,
     post: Callable = _identity,
     assemble: Callable = _identity,
-    weight_infnorm: Optional[Callable] = None,
+    weight_infnorm: Callable = lambda slope: 2.0 * _infnorm(slope),
 ) -> SemiDiscreteSystem:
     """The system a' = -a + post(F(nodes, t) + W @ f(pre(a))), evaluated as
     a' = rhs(drive(t), a) with drive(t) = post(G(t)) and
@@ -206,27 +189,22 @@ def _projected(
     maps a row of values at the nodes, or a stack of rows, to one state per
     row, each bitwise that of its singleton stack, and may overwrite them.
 
-    W is formed here and consumed: its row sums and, by default, its norm
-    are taken first, without a copy, and it is then scaled in place by -1/2,
-    exactly. Where ``assemble`` makes a new K (gauss2), W is freed before
-    the norm of K is taken, so assembly holds one full-size temporary at most.
-
-    ``weight_infnorm(K)`` gives the ||W_n|| entering beta_n, by default the
-    row-sum norm of W. cheb-collocation/trapezium and gauss2 pass that of
-    their nodal operator post @ W @ pre = -2 K @ pre, reusing K.
+    W is formed here and consumed: its row sums are taken, it is scaled in
+    place by -1/2, exactly, and, where ``assemble`` makes a new K (gauss2),
+    freed, so assembly holds one full-size temporary at most.
+    ``weight_infnorm(K)`` gives ||W_n||: by default 2 ||K||, which is ||W|| to
+    the bit (K = -W / 2 is a power-of-two scaling), and for
+    cheb-collocation/trapezium and gauss2 the norm of post @ W @ pre = -2 K @ pre.
     """
-    firing = problem.firing
     forcing = problem.forcing_at(nodes)
-    kappa, mu = firing.tanh_form
+    kappa, mu = problem.firing.tanh_form
     weight = np.asarray(problem.kernel(nodes[:, None], columns[None, :]), dtype=float)
     weight *= scale
     half_row_sums = 0.5 * weight.sum(axis=1)
-    weight_norm = _infnorm(weight) if weight_infnorm is None else None
     weight *= -0.5
     slope = assemble(weight)
     del weight  # where assemble made a new K (gauss2), W is freed before the norm of K
-    if weight_norm is None:
-        weight_norm = weight_infnorm(slope)
+    weight_norm = weight_infnorm(slope)
 
     shape = (len(slope),)
 
@@ -258,7 +236,7 @@ def _projected(
         rhs=rhs,
         dim=len(slope),
         reconstruct=reconstruct,
-        diagnostics=SchemeDiagnostics(weight_norm, firing.sup_derivative),
+        weight_infnorm=weight_norm,
         norm=norm,
         encode=encode,
     )
@@ -299,7 +277,7 @@ def build_cheb_collocation(
     The trapezium variant's ||W B||, and so its beta_n, does not settle as n
     grows: the n-panel rule cannot integrate the kernel against degree-n
     Lagrange polynomials, and the interpolation's aliasing shows in the
-    norm. On P2 it runs 0.418, 0.346, 0.292, 0.306, 0.347, 0.333 at
+    norm. On P2 it runs 0.4179, 0.3456, 0.2915, 0.3056, 0.3472, 0.3327 at
     n = 16, 32, 64, 128, 256, 512, where every other scheme's ||W_n|| settles.
     """
     _require_compact(problem, "cheb-collocation")
@@ -320,7 +298,6 @@ def build_cheb_collocation(
     return _projected(
         problem, x, rule.nodes, rule.weights, basis.interpolate, "sup",
         pre=lambda a: onto_quad @ a,
-        # K = -W / 2 exactly, so 2 ||K B|| is ||W B|| to the bit
         weight_infnorm=lambda slope: 2.0 * _infnorm(slope @ onto_quad),
     )
 
@@ -372,8 +349,7 @@ def build_fe_galerkin(problem: TestProblem, n: int, variant: str = "gauss2") -> 
         pre=lambda a: _two_tap(a, hat_left, hat_right),
         post=project_rows,
         assemble=lambda weight: _tent_gram_solve(_two_tap_load(weight, load_left, load_right)),
-        # K = -P W / 2 exactly, so 2 ||K T|| is ||P W T||; K T is the load on K's
-        # columns, copied into contiguous rows so that each row sums pairwise
+        # K T is the load on K's columns, copied into contiguous rows so each row sums pairwise
         weight_infnorm=lambda k: 2.0 * _infnorm(
             _two_tap_load(k.T.copy(), hat_left, hat_right).T.copy()
         ),
@@ -432,8 +408,8 @@ def reconstruct_on(system: SemiDiscreteSystem, a, xs) -> np.ndarray:
     """Function values of ``a`` on an arbitrary evaluation grid.
 
     ``a`` is one state of shape (dim,) or a stack of shape (k, dim); a
-    stack gives a (k, len(xs)) array, one row per state, from a single
-    evaluation map.
+    stack gives a (k, len(xs)) array, one row per state, from one call of
+    the scheme's evaluator, which works over fixed-size blocks of points.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (1, 2) or a.shape[-1] != system.dim:

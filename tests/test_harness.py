@@ -150,6 +150,48 @@ def test_euler_split_record_layout():
     assert fields(spatial) == fields(studied)
 
 
+def test_diagnostics_relations():
+    # every record's and every sandwich cell's beta_n is T ||W_n|| sup|f'|,
+    # bitwise, in that order of multiplication
+    p1 = make_problem("P1")
+    slope = p1.firing.sup_derivative
+
+    def beta(n, duration, **selectors):
+        return duration * harness.build_system(p1, **selectors, n=n).weight_infnorm * slope
+
+    for key in SCHEMES:
+        if key[0] == "spectral-galerkin":
+            continue
+        cfg = StudyConfig(problems=(p1,), n_values=(8, 16), duration=0.5, **_selectors(key))
+        assert [r.beta_n for r in run_study(cfg)] == [beta(n, 0.5, **_selectors(key)) for n in (8, 16)]
+    for scheme in ("fe-collocation", "cheb-collocation"):
+        assert sandwich_check(p1, scheme, 16).beta_n == beta(16, 1.0, scheme=scheme)
+
+    result = euler_split_study(p1, 128, (0.02, 0.01), spatial_n_values=(8, 16), spatial_ht=1e-3)
+    records = result.temporal_records + result.spatial_records + result.grid_records
+    assert [r.beta_n for r in records] == [beta(r.n, 1.0, scheme="fe-collocation") for r in records]
+
+
+def test_a_failing_sandwich_cell_names_the_violated_inequality(monkeypatch):
+    # P2 fe-collocation n = 16 is one of the suite's known failures: the error
+    # sits above the upper bound, which the detail names with its numbers
+    result = sandwich_check("P2", "fe-collocation", 16)
+    assert result.conclusive and not result.passed
+    detail = (
+        "err/proj = 5.04 > exp(beta_n)*(1 + 0.1) = 1.77 "
+        "(err = 0.0187, proj = 0.0037, beta_n = 0.473)"
+    )
+    monkeypatch.setattr(checks, "sandwich_check", lambda *args: result)
+    assert {check.detail for check in checks.sandwich_suite()} == {detail}
+
+    below = dataclasses.replace(result, ratio=0.5)
+    monkeypatch.setattr(checks, "sandwich_check", lambda *args: below)
+    assert {check.detail for check in checks.sandwich_suite()} == {
+        "err/proj = 0.5 < (1 - 0.1)/(1 + beta_n) = 0.611 "
+        "(err = 0.0187, proj = 0.0037, beta_n = 0.473)"
+    }
+
+
 @pytest.mark.parametrize("eval_points", [1000, 2048])
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
 def test_exact_grid_is_bitwise_the_one_expression_form(pid, eval_points):

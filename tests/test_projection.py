@@ -15,6 +15,8 @@ from neuralfield.projection import (
 
 BOX = Interval(-1.0, 1.0)
 RING = Interval(0.0, 2.0 * np.pi, periodic=True)
+# points the Chebyshev and Fourier evaluators refuse with one message
+NON_FINITE_POINTS = [np.nan, [0.0, np.nan, 0.5], [np.inf, 0.0], -np.inf]
 
 
 def tent_basis(n):
@@ -112,7 +114,7 @@ class TestBarycentricInterp:
         xs = rng.uniform(-1.0, 1.0, size=100)
         assert np.max(np.abs(basis.interpolate(values, xs) - p(xs))) <= 1e-13
 
-    @pytest.mark.parametrize("x", [np.nan, [0.0, np.nan, 0.5], [np.inf, 0.0], -np.inf])
+    @pytest.mark.parametrize("x", NON_FINITE_POINTS)
     def test_non_finite_point_rejected(self, x):
         # a NaN row sum would pass for a node hit and return node 0's value
         basis = ChebyshevBasis(ChebyshevGrid(4))
@@ -225,6 +227,13 @@ class TestDft:
 
 
 class TestFourierReconstruct:
+    @pytest.mark.parametrize("x", NON_FINITE_POINTS)
+    def test_non_finite_point_rejected(self, x):
+        # e^(i x) of a NaN or an infinity is NaN, which would be returned as a value
+        c = dft_forward(np.ones(9))
+        with pytest.raises(ValueError, match="^evaluation point is not finite$"):
+            fourier_reconstruct(c, x)
+
     def test_reconstruct_at_samples(self, rng):
         m = 11
         v = rng.standard_normal(m)

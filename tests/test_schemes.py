@@ -18,6 +18,7 @@ from neuralfield.schemes import (
     reconstruct_on,
 )
 from neuralfield.timestep import euler_integrate, rk54_integrate
+from test_projection import NON_FINITE_POINTS
 
 # every (scheme, variant) of the table, with whether it runs on the ring
 ALL_BUILDERS = [
@@ -293,6 +294,12 @@ class TestFeGalerkin:
 
 
 class TestSpectralGalerkin:
+    @pytest.mark.parametrize("x", NON_FINITE_POINTS)
+    def test_reconstruct_on_rejects_a_non_finite_point(self, p7p, x):
+        system = build_spectral_galerkin(p7p, 8)
+        with pytest.raises(ValueError, match="^evaluation point is not finite$"):
+            reconstruct_on(system, _encoded_start(system, p7p), x)
+
     def test_dim_is_the_ring_node_count(self, p7p):
         system = build_spectral_galerkin(p7p, 16)
         assert system.dim == 33
@@ -406,11 +413,6 @@ class TestPlumbing:
         with pytest.raises(ValueError):
             reconstruct_on(system, np.zeros((2, 3, system.dim)), np.zeros(3))
 
-    def test_diagnostics_relations(self, p1):
-        system = build_fe_collocation(p1, 32)
-        d = system.diagnostics
-        assert d.beta_n(2.0) == pytest.approx(2.0 * d.weight_infnorm * 1.25)
-
 
 # the tent schemes index nodal values, so a stack reproduces the rows bitwise;
 # the dense maps of the global bases may sum in another order in one product
@@ -443,25 +445,31 @@ def test_stacked_reconstruction_matches_row_by_row(builder, periodic, bitwise):
         assert np.max(np.abs(stacked - rows)) <= 1e-15 * np.max(np.abs(states))
 
 
-@pytest.mark.parametrize(
-    "scheme,problems",
-    [
-        ("fe-collocation", ("P1", "P2", "P3", "P4", "P5", "P6")),
-        ("cheb-collocation", ("P1", "P2", "P3", "P4", "P5", "P6")),
-        ("fe-galerkin", ("P1", "P2", "P3", "P4", "P5", "P6")),
-        ("spectral-galerkin", ("P7p", "P8p", "P9p", "P10p")),
-    ],
-)
-def test_weight_infnorm_stabilizes(scheme, problems):
+# cheb-collocation/trapezium's ||W B|| does not settle; it has a test of its own
+SETTLING_CASES = [case for case in ALL_BUILDERS if case.id != "cheb-collocation/trapezium"]
+
+
+@pytest.mark.parametrize("builder,periodic", SETTLING_CASES)
+def test_weight_infnorm_stabilizes(builder, periodic):
     # the assembled weight matrix's norm is a convergent quadrature image of
     # the integral operator's norm; it must settle well before n = 256
-    from neuralfield.harness import build_system
-
+    problems = ("P7p", "P8p", "P9p", "P10p") if periodic else ("P1", "P2", "P3", "P4", "P5", "P6")
     for pid in problems:
         problem = make_problem(pid)
-        coarse = build_system(problem, scheme, 128).diagnostics.weight_infnorm
-        fine = build_system(problem, scheme, 256).diagnostics.weight_infnorm
-        assert abs(fine - coarse) / coarse < 0.01, f"{scheme} {pid}"
+        coarse = builder(problem, 128).weight_infnorm
+        fine = builder(problem, 256).weight_infnorm
+        assert abs(fine - coarse) / coarse < 0.01, pid
+
+
+def test_cheb_trapezium_weight_infnorm_follows_its_documented_sequence():
+    # the n-panel rule cannot integrate the kernel against degree-n Lagrange
+    # polynomials, so on P2 ||W B|| moves by 4% to 17% between doublings
+    # (build_cheb_collocation's docstring) instead of settling
+    problem = make_problem("P2")
+    documented = (0.4179, 0.3456, 0.2915, 0.3056, 0.3472, 0.3327)
+    for n, expected in zip((16, 32, 64, 128, 256, 512), documented):
+        got = build_cheb_collocation(problem, n, quadrature="trapezium").weight_infnorm
+        assert abs(got - expected) <= 1e-3 * expected, n
 
 
 def _gauss2_interpolation(n):
@@ -567,7 +575,7 @@ def test_weight_infnorm_matches_the_unfolded_operator(key, builder):
     if key in (("cheb-collocation", "trapezium"), ("fe-galerkin", "gauss2")):
         weight = post(weight) @ pre(np.eye(system.dim))
     oracle = np.max(np.sum(np.abs(weight), axis=1))
-    assert abs(system.diagnostics.weight_infnorm - oracle) <= 1e-13 * oracle
+    assert abs(system.weight_infnorm - oracle) <= 1e-13 * oracle
 
 
 # the weight matrix W of each entry at n = 256: rows x quadrature nodes
@@ -585,7 +593,7 @@ WEIGHT_SHAPES = {
 BUILD_SLACK = 256 * 1024
 
 
-# the entries whose K is W scaled in place and whose ||W_n|| is taken from W
+# the entries whose K is W scaled in place and whose ||W_n|| is taken from K
 # itself, block by block; the other two form one product for K or its norm
 IN_PLACE = {
     ("fe-collocation", "trapezium"),
