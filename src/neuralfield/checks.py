@@ -15,7 +15,7 @@ import numpy as np
 from .harness import SANDWICH_SLACK, StudyConfig, default_checkpoints, eval_grid, exact_grid
 from .harness import sandwich_check
 from .model import ChebyshevGrid, Interval, UniformGrid
-from .problems import PROBLEM_IDS, continuum_residual, make_problem
+from .problems import PROBLEM_IDS, TestProblem, continuum_residual, make_problem
 from .projection import ChebyshevBasis, TentBasis, dft_forward, fourier_reconstruct
 from .quadrature import QuadratureRule, clenshaw_curtis, gauss_legendre_2, trapezium_rule
 from .timestep import euler_integrate, rk54_integrate
@@ -192,31 +192,69 @@ def quadrature_suite() -> list[CheckResult]:
     return out
 
 
+# the modulation's kinks inside its domain: P6's |y|^3 and P9p's |cos y|^3; every
+# other modulation is analytic on its domain (periodic on the ring)
+_KINKS = {"P6": (0.0,), "P9p": (0.5 * np.pi, 1.5 * np.pi)}
+_PANEL_POINTS = 256
+
+
+def _cc_panels(interval: Interval, kinks) -> QuadratureRule:
+    """``clenshaw_curtis(_PANEL_POINTS)`` mapped affinely onto each panel of
+    ``interval`` split at the ascending ``kinks``; a shared panel end is one
+    node carrying both panels' end weights. With no kink on [-1, 1] it is
+    that rule, node for node and weight for weight."""
+    base = clenshaw_curtis(_PANEL_POINTS)
+    # the Chebyshev nodes run from +1 down to -1, so the panels run right to left
+    edges = (interval.b, *reversed(kinks), interval.a)
+    nodes, weights = [], []
+    for right, left in zip(edges, edges[1:]):
+        mid, half = (right + left) / 2.0, (right - left) / 2.0
+        panel_nodes, panel_weights = mid + half * base.nodes, half * base.weights
+        if weights:
+            weights[-1][-1] += panel_weights[0]
+            panel_nodes, panel_weights = panel_nodes[1:], panel_weights[1:]
+        nodes.append(panel_nodes)
+        weights.append(panel_weights)
+    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights), interval)
+
+
+def _reference_rule(problem: TestProblem) -> QuadratureRule:
+    """The residual suite's rule for the nonlocal term: the periodic trapezium
+    rule on ``_PANEL_POINTS`` nodes for a smooth ring problem, Clenshaw-Curtis
+    of degree ``_PANEL_POINTS`` on each panel between the modulation's kinks
+    otherwise. It is built per call; importing this module builds no rule."""
+    kinks = _KINKS.get(problem.id, ())
+    if problem.interval.periodic and not kinks:
+        return trapezium_rule(problem.interval, _PANEL_POINTS)
+    return _cc_panels(problem.interval, kinks)
+
+
 def residual_suite() -> list[CheckResult]:
     """Manufactured-solution defect sweep on a 21 x 11 space-time grid.
 
     The forcing holds the modulation's integral as a closed form, so the
     rule that integrates the nonlocal term here is independent of it: the
-    sweep checks the forcing against an integral it did not build. The
-    kinked-modulation problems (P6's |y|^3, P9p's |cos y|^3) use a doubled
-    reference resolution, because their kinks limit the rule.
+    sweep checks the forcing against an integral it did not build. Each
+    problem's rule (``_reference_rule``) converges geometrically on its
+    integrand: Clenshaw-Curtis on the analytic box modulations (P1-P5), the
+    periodic trapezium rule on the smooth ring ones (P7p, P8p, P10p), and
+    Clenshaw-Curtis panels split at the kinks of P6's |y|^3 (y = 0) and
+    P9p's |cos y|^3 (y = pi/2, 3 pi/2), on each of which the integrand is
+    analytic. At 256 points per panel (at most 769 nodes, P9p) each
+    residual is roundoff, below 1e-15, so the check asks for 1e-12: a
+    modulation integral off by a relative 1e-10 fails it.
     """
     out = []
     for pid in PROBLEM_IDS:
         problem = make_problem(pid)
-        if problem.interval.periodic:
-            panels = 8192 if pid == "P9p" else 4096
-            ref = trapezium_rule(problem.interval, panels)
-        else:
-            panels = 4096 if pid == "P6" else 2048
-            ref = clenshaw_curtis(panels)
+        ref = _reference_rule(problem)
         xs = eval_grid(problem.interval, 21)
         ts = np.linspace(0.0, 1.0, 11)
         worst = max(
             abs(continuum_residual(problem, float(x), float(t), ref)) for x in xs for t in ts
         )
         out.append(
-            CheckResult(f"residual sweep {pid}", worst <= 1e-8, f"max |residual| = {worst:.2e}")
+            CheckResult(f"residual sweep {pid}", worst <= 1e-12, f"max |residual| = {worst:.2e}")
         )
     return out
 

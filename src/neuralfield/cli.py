@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -25,6 +26,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-3" as a flag, as its negative-number pattern
+        # has no exponent; with one, it is the value of --t0 as "-0.001" is
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # argparse would exit(2); usage errors are exit 1 here
         raise _UsageError(message)
 

@@ -33,6 +33,15 @@ def test_run_cheb_collocation_with_the_trapezium_rule(capsys):
     assert out.splitlines()[1].startswith("P1,cheb-collocation,trapezium,8,0.25,")
 
 
+@pytest.mark.parametrize("t0", ["-1e-3", "-1E-2"])
+def test_a_negative_start_time_in_exponent_notation_is_a_value(t0, capsys):
+    # argparse's own negative-number pattern has no exponent, so it reads
+    # these as flags and fails with "expected one argument"
+    code, out, _ = _exit(RUN_P1 + ["--t0", t0], capsys)
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[1].startswith("P1,fe-collocation,trapezium,8,")
+
+
 def test_converge_writes_csv(capsys, tmp_path):
     path = tmp_path / "sweep.csv"
     argv = ["converge", "--problems", "P1,p2", "--n", "8,16", "--scheme", "fe-galerkin",
@@ -113,6 +122,7 @@ def test_check_quadrature_suite(capsys):
         _euler_128("--eval-points", "256"),
         # the window and the step controls must be finite
         RUN_P1 + ["--T", "inf"],
+        RUN_P1 + ["--t0", "-inf"],
         RUN_P1 + ["--t0", "nan"],
         RUN_P1 + ["--rtol", "inf"],
         RUN_P1 + ["--atol", "inf"],
@@ -133,7 +143,7 @@ def test_check_quadrature_suite(capsys):
         "T-past-the-representable-envelope", "converge-no-n", "converge-no-problems",
         "euler-no-spatial-n", "euler-spatial-n-decreasing", "euler-too-few-eval-points",
         "euler-one-checkpoint", "euler-one-ht", "euler-one-spatial-n", "euler-n-fixed-eval-points",
-        "T-inf", "t0-nan", "rtol-inf", "atol-inf", "euler-ht-inf", "euler-ht-subnormal",
+        "T-inf", "t0-minus-inf", "t0-nan", "rtol-inf", "atol-inf", "euler-ht-inf", "euler-ht-subnormal",
         "euler-too-many-steps", "euler-checkpoints-on-one-step",
         "window-end-overflows", "trap-m",
     ],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from neuralfield import problems
+from neuralfield.checks import _reference_rule
 from neuralfield.harness import StudyConfig, _cell, default_checkpoints, eval_grid
 from neuralfield.model import FiringRate
 from neuralfield.problems import (
@@ -87,17 +88,15 @@ class TestModulationIntegral:
 
     @pytest.mark.parametrize("pid", PROBLEM_IDS)
     def test_closed_form_agrees_with_a_fine_rule(self, pid):
-        # fine rules as the oracle: Clenshaw-Curtis 4096 on the box and
-        # trapezium 8192 on the ring. The |y|^3 and |cos y|^3 kinks limit
-        # them on P6 (1.1e-14) and P9p (4.2e-15); elsewhere they agree to 3e-16
+        # the residual suite's rule as the oracle: Clenshaw-Curtis 256 on the
+        # box, split into panels at P6's |y|^3 and P9p's |cos y|^3 kinks, and
+        # the periodic trapezium rule 256 on the smooth ring problems. Each
+        # converges geometrically on its integrand, and all ten agree to 1.31 eps
         problem = make_problem(pid)
-        if problem.interval.periodic:
-            rule = trapezium_rule(problem.interval, 8192)
-        else:
-            rule = clenshaw_curtis(4096)
         modulation = problems._MODULATIONS[pid][0]
         closed = modulation_integral(pid)
-        assert abs(rule.integrate(modulation) - closed) <= 2e-14 * abs(closed)
+        approx = _reference_rule(problem).integrate(modulation)
+        assert abs(approx - closed) <= 4.0 * np.finfo(float).eps * abs(closed)
 
     def test_make_problem_runs_no_quadrature(self, monkeypatch):
         def refuse(rule, fn):
@@ -125,11 +124,10 @@ class TestExactTimeDerivative:
 
 class TestContinuumResidual:
     def test_p1_at_origin(self, p1):
-        assert abs(continuum_residual(p1, 0.0, 0.0, clenshaw_curtis(2048))) <= 1e-9
+        assert abs(continuum_residual(p1, 0.0, 0.0, _reference_rule(p1))) <= 1e-14
 
     def test_p7p_spot(self, p7p):
-        ref = trapezium_rule(p7p.interval, 4096)
-        assert abs(continuum_residual(p7p, 1.0, 0.25, ref)) <= 1e-10
+        assert abs(continuum_residual(p7p, 1.0, 0.25, _reference_rule(p7p))) <= 1e-14
 
     @pytest.mark.parametrize("periodic", [False, True])
     def test_pure_decay_residual_is_exactly_zero(self, periodic, pure_decay_problem):
@@ -149,11 +147,11 @@ class TestContinuumResidual:
             assert abs(residual) <= 4.0 * np.finfo(float).eps * abs(problem.forcing_at(x)([t]).item())
 
     def test_p1_smoke_sweep(self, p1):
-        ref = clenshaw_curtis(2048)
+        ref = _reference_rule(p1)
         xs = np.linspace(-1.0, 1.0, 7)
         ts = np.linspace(0.0, 1.0, 4)
         worst = max(abs(continuum_residual(p1, x, t, ref)) for x in xs for t in ts)
-        assert worst <= 1e-8
+        assert worst <= 1e-14
 
 
 class TestRangeSafety:
