@@ -2,10 +2,11 @@
 
 Four interchangeable spatial schemes (finite-element and Chebyshev
 collocation, finite-element and spectral Galerkin), two time integrators,
-ten manufactured-solution benchmarks, and a study harness that measures
-convergence orders and checks the a-priori error bounds empirically.
+ten manufactured-solution benchmarks, a study harness that measures
+convergence orders, and property checks, the a-priori error bound among them.
 """
 
+from .checks import sandwich_check
 from .harness import (
     ConvergenceRecord,
     StudyConfig,
@@ -13,7 +14,6 @@ from .harness import (
     euler_split_study,
     observed_order,
     run_study,
-    sandwich_check,
     trajectory_error,
 )
 from .model import ChebyshevGrid, FiringRate, Interval, UniformGrid

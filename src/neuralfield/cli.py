@@ -28,9 +28,10 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads "-1e-3" as a flag, as its negative-number pattern
-        # has no exponent; with one, it is the value of --t0 as "-0.001" is
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse's own pattern has no exponent, inf or nan: it takes "-1e-3" and "-inf" for flags
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf(inity)?|nan))$"
+        )
 
     def error(self, message):  # argparse would exit(2); usage errors are exit 1 here
         raise _UsageError(message)
@@ -49,7 +50,7 @@ def _problem_list(text: str) -> tuple[str, ...]:
 
 
 # each flag's default is the harness's own: the StudyConfig field's, or the
-# keyword's of euler_split_study
+# keyword's of euler_split_study; an unset scheme selector leaves the field's
 _STUDY = harness.StudyConfig
 _EULER = harness.euler_split_study.__kwdefaults__
 
@@ -70,25 +71,28 @@ def _add_stepper(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ht", type=float, default=None, help="euler step size")
 
 
-def _variants(scheme: str) -> tuple[str, ...]:
-    return tuple(v for s, v in SCHEMES if s == scheme)
+# each scheme selector and the one scheme that reads it; giving one to
+# another scheme is a usage error
+_SELECTORS = {"quadrature": "cheb-collocation", "variant": "fe-galerkin"}
 
 
 def _add_scheme_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scheme", required=True, choices=tuple(dict.fromkeys(s for s, _ in SCHEMES)))
-    parser.add_argument("--quadrature", choices=_variants("cheb-collocation"), default=_STUDY.quadrature,
-                        help="cheb-collocation quadrature")
-    parser.add_argument("--variant", choices=_variants("fe-galerkin"), default=_STUDY.variant,
-                        help="fe-galerkin variant")
+    for selector, scheme in _SELECTORS.items():
+        parser.add_argument(f"--{selector}", choices=tuple(v for s, v in SCHEMES if s == scheme),
+                            help=f"{scheme} {selector} (default {getattr(_STUDY, selector)})")
 
 
 def _study_config(args, problems, n_values) -> harness.StudyConfig:
+    selectors = {key: getattr(args, key) for key in _SELECTORS if getattr(args, key) is not None}
+    for key in selectors:
+        if _SELECTORS[key] != args.scheme:
+            raise _UsageError(f"--{key} applies to {_SELECTORS[key]} only, not to {args.scheme}")
     return harness.StudyConfig(
         problems=problems,
         scheme=args.scheme,
         n_values=n_values,
-        quadrature=args.quadrature,
-        variant=args.variant,
+        **selectors,
         t0=args.t0,
         duration=args.duration,
         stepper=args.stepper,

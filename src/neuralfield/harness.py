@@ -1,8 +1,10 @@
-"""Error measurement, convergence studies, bound diagnostics, and CSV emission.
+"""Error measurement, convergence studies, the Euler error split, and CSV emission.
 
 This is the engine behind the reproduction studies: it builds a scheme per
 (problem, n) cell, integrates it, measures the worst-over-time spatial
-error against the closed form, and emits deterministic CSV records.
+error against the closed form, records each cell's beta_n, and emits
+deterministic CSV records. The checks that test these numbers against
+the paper's bounds live in :mod:`neuralfield.checks`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .timestep import Trajectory, euler_integrate, rk54_integrate
 __all__ = [
     "StudyConfig",
     "ConvergenceRecord",
-    "SandwichResult",
     "EulerSplitResult",
     "CSV_HEADER",
     "build_system",
@@ -37,7 +38,6 @@ __all__ = [
     "projector_error",
     "observed_order",
     "run_study",
-    "sandwich_check",
     "euler_split_study",
     "emit_csv",
     "render_csv",
@@ -337,58 +337,6 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
             records.append(record)
             previous = record
     return records
-
-
-@dataclass(frozen=True)
-class SandwichResult:
-    """Outcome of the two-sided bound check at one (problem, scheme, n) cell."""
-
-    ratio: float
-    lower: float
-    upper: float
-    passed: bool
-    conclusive: bool
-    scheme_error: float
-    projector_error: float
-    beta_n: float
-
-
-# relative widening of both sandwich bounds, to absorb temporal error
-SANDWICH_SLACK = 0.1
-
-
-def sandwich_check(
-    problem: Union[str, TestProblem], scheme: str, n: int, exact: Optional[np.ndarray] = None
-) -> SandwichResult:
-    """Check that the integrated scheme error sits inside the two-sided bound
-    [projector_error / (1 + beta_n), projector_error * exp(beta_n)].
-
-    The cell runs under the :class:`StudyConfig` defaults (rk54, the default
-    window, checkpoints and evaluation grid, cc quadrature, gauss2 variant).
-    Both bounds are widened by the relative ``SANDWICH_SLACK`` (10%) to
-    absorb temporal error. When the projector error has sunk below ten times
-    the temporal-error scale (rtol * sup|u| + atol) the comparison says
-    nothing about the bound; such cells are flagged inconclusive and count
-    as not-failed. ``exact`` is the :func:`exact_grid` of the default
-    checkpoints and evaluation grid, evaluated here when None; it depends on
-    the problem alone, so the cells of one problem can share it.
-    """
-    prob = make_problem(problem) if isinstance(problem, str) else problem
-    cfg = StudyConfig(problems=(prob,), scheme=scheme, n_values=(n,))
-    cfg.validate()
-    cps = default_checkpoints(cfg.t0, cfg.duration, cfg.checkpoint_count)
-    if exact is None:
-        exact = exact_grid(prob, cps, cfg.eval_points)
-    system, _, scheme_err, _ = _cell(prob, cfg, n, cps, exact)
-    proj_err = projector_error(system, prob, cps, cfg.eval_points, exact)
-    beta = _beta_n(system, prob, cfg.duration)
-    lower, upper = 1.0 / (1.0 + beta), float(np.exp(beta))
-
-    sup_u = float(np.max(np.abs(exact)))
-    conclusive = proj_err >= 10.0 * (cfg.rtol * sup_u + cfg.atol)
-    ratio = scheme_err / proj_err if proj_err > 0.0 else float("inf")
-    passed = not conclusive or lower * (1.0 - SANDWICH_SLACK) <= ratio <= upper * (1.0 + SANDWICH_SLACK)
-    return SandwichResult(ratio, lower, upper, passed, conclusive, scheme_err, proj_err, beta)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from typing import Callable
 import numpy as np
 
 from .model import INVERSE_DOMAIN_ERROR, FiringRate, Interval
-from .quadrature import QuadratureRule
 
 __all__ = [
     "TestProblem",
@@ -36,7 +35,6 @@ __all__ = [
     "canonical_id",
     "make_problem",
     "modulation_integral",
-    "continuum_residual",
 ]
 
 BOX = Interval(-1.0, 1.0)
@@ -205,16 +203,3 @@ def make_problem(problem_id: str) -> TestProblem:
     pid = canonical_id(problem_id)
     return _manufactured(pid, *_MODULATIONS[pid])
 
-
-def continuum_residual(problem: TestProblem, x: float, t: float, ref_quad: QuadratureRule) -> float:
-    """Defect of the closed form in the field equation at one point (x, t).
-
-    The nonlocal term is evaluated with the supplied high-resolution rule
-    and the forcing is bound to the single node x; by construction the true
-    residual is zero, so what comes back is the rule's quadrature error on
-    the kernel modulation plus the bound forcing's rounding (a few ulp).
-    """
-    firing = problem.firing
-    integral = ref_quad.integrate(lambda y: problem.kernel(x, y) * firing(problem.exact(y, t)))
-    forcing = problem.forcing_at(x)([t]).item()
-    return float(problem.time_derivative(x, t) + problem.exact(x, t) - integral - forcing)

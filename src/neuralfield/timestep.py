@@ -117,7 +117,7 @@ def euler_integrate(
         k = int(round(steps))
         if k > MAX_EULER_STEPS:
             raise ValueError(
-                f"checkpoint {c!r} is {k} steps of {ht!r} from t0={t0!r}, "
+                f"checkpoint {c!r} is {k:.17g} steps of {ht!r} from t0={t0!r}, "
                 f"more than the maximum of {MAX_EULER_STEPS}"
             )
         if abs(t0 + k * ht - c) > 1e-8 * ht:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,63 @@ def test_importing_checks_builds_no_rule_or_array():
     # the benchmark's setup_s imports checks: its rules are built per call
     built = [name for name, value in vars(checks).items() if isinstance(value, (np.ndarray, QuadratureRule))]
     assert built == []
+
+
+# the P2 fe-collocation n = 16 cell's numbers, to three digits
+P2_CELL = {"projector": 0.0037, "beta_n": 0.473, "floor": 1e-6}
+
+
+class TestSandwichVerdict:
+    def test_an_error_above_the_upper_bound_names_it_with_its_numbers(self):
+        assert checks.sandwich_verdict(0.0187, **P2_CELL) == (
+            False,
+            "err/proj = 5.05 > exp(beta_n)*(1 + 0.1) = 1.77 "
+            "(err = 0.0187, proj = 0.0037, beta_n = 0.473)",
+        )
+
+    def test_an_error_below_the_lower_bound_names_it_with_its_numbers(self):
+        assert checks.sandwich_verdict(0.00185, **P2_CELL) == (
+            False,
+            "err/proj = 0.5 < (1 - 0.1)/(1 + beta_n) = 0.611 "
+            "(err = 0.00185, proj = 0.0037, beta_n = 0.473)",
+        )
+
+    def test_a_passing_ratio_is_shown_in_the_unwidened_bounds(self):
+        assert checks.sandwich_verdict(0.0037, **P2_CELL) == (True, "ratio=1 in [0.679, 1.6]")
+
+    def test_the_slack_widens_each_bound_by_ten_percent(self):
+        upper, lower = math.exp(0.473), 1.0 / 1.473
+        cell = {**P2_CELL, "projector": 1.0}
+        assert checks.sandwich_verdict(1.05 * upper, **cell)[0]
+        assert not checks.sandwich_verdict(1.15 * upper, **cell)[0]
+        assert checks.sandwich_verdict(0.95 * lower, **cell)[0]
+        assert not checks.sandwich_verdict(0.85 * lower, **cell)[0]
+
+    @pytest.mark.parametrize(
+        "error,projector,ratio", [(math.nan, 0.0037, "nan"), (math.inf, 0.0037, "inf"), (0.0187, math.nan, "nan")]
+    )
+    def test_a_non_finite_ratio_fails(self, error, projector, ratio):
+        passed, detail = checks.sandwich_verdict(error, projector, 0.473, 1e-6)
+        assert not passed
+        assert detail.startswith(f"err/proj = {ratio} ")
+
+    def test_a_projector_error_below_the_floor_is_inconclusive_and_passes(self):
+        # the ratio 47.6 would break the widened upper bound 1.81 of a conclusive cell
+        assert checks.sandwich_verdict(4.76e-7, 1e-8, 0.5, 6e-6) == (
+            True,
+            "scheme error=4.76e-07, projector error=1e-08 "
+            "(inconclusive: projector error at the temporal floor)",
+        )
+
+    def test_a_projector_error_at_the_floor_is_conclusive(self):
+        assert not checks.sandwich_verdict(1.0, 6e-6, 0.473, 6e-6)[0]
+        assert checks.sandwich_verdict(1.0, np.nextafter(6e-6, 0.0), 0.473, 6e-6)[0]
+
+
+def test_the_p2_fe_collocation_n16_cell_breaks_the_upper_bound():
+    # one of the sandwich suite's four known failures, measured end to end
+    assert checks.sandwich_check("P2", "fe-collocation", 16) == checks.CheckResult(
+        "sandwich P2 fe-collocation n=16",
+        False,
+        "err/proj = 5.04 > exp(beta_n)*(1 + 0.1) = 1.77 (err = 0.0187, proj = 0.0037, beta_n = 0.473)",
+    )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neuralfield import cli, harness
+from neuralfield import checks, cli, harness
 from neuralfield.schemes import SemiDiscreteSystem
 from test_harness import GOLDEN
 
@@ -40,6 +40,30 @@ def test_a_negative_start_time_in_exponent_notation_is_a_value(t0, capsys):
     code, out, _ = _exit(RUN_P1 + ["--t0", t0], capsys)
     assert code == cli.EXIT_OK
     assert out.splitlines()[1].startswith("P1,fe-collocation,trapezium,8,")
+
+
+@pytest.mark.parametrize("scheme,label", [("cheb-collocation", "cc"), ("fe-galerkin", "gauss2")])
+def test_an_unset_selector_takes_the_study_default(scheme, label, capsys):
+    code, out, _ = _exit(["run", "--problem", "P1", "--n", "8", "--scheme", scheme], capsys)
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[1].startswith(f"P1,{scheme},{label},8,")
+
+
+@pytest.mark.parametrize(
+    "command,scheme,selector,value,owner",
+    [
+        ("run", "fe-collocation", "--variant", "lumped", "fe-galerkin"),
+        ("run", "cheb-collocation", "--variant", "gauss2", "fe-galerkin"),
+        ("run", "fe-galerkin", "--quadrature", "trapezium", "cheb-collocation"),
+        ("converge", "spectral-galerkin", "--quadrature", "cc", "cheb-collocation"),
+    ],
+)
+def test_a_selector_the_scheme_does_not_read_exits_1(command, scheme, selector, value, owner, capsys):
+    where = ["--problem", "P1", "--n", "8"] if command == "run" else ["--problems", "P1", "--n", "8,16"]
+    code, out, err = _exit([command, *where, "--scheme", scheme, selector, value], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"usage error: {selector} applies to {owner} only, not to {scheme}\n"
 
 
 def test_converge_writes_csv(capsys, tmp_path):
@@ -95,6 +119,13 @@ def test_check_quadrature_suite(capsys):
     code, out, _ = _exit(["check", "--suite", "quadrature"], capsys)
     assert code == cli.EXIT_OK
     assert "checks passed in suite 'quadrature'" in out
+
+
+def test_check_sandwich_suite_prints_every_cell_and_its_four_failures(capsys):
+    code, out, _ = _exit(["check", "--suite", "sandwich"], capsys)
+    assert code == cli.EXIT_NUMERICAL
+    cells = [f"{'ok  ' if r.passed else 'FAIL'} {r.name}  [{r.detail}]" for r in checks.sandwich_suite()]
+    assert out.splitlines() == cells + ["32/36 checks passed in suite 'sandwich'"]
 
 
 @pytest.mark.parametrize(
@@ -154,11 +185,25 @@ def test_usage_errors_exit_1(argv, capsys):
     assert err.startswith("usage error:")
 
 
-def test_a_nan_t0_is_reported_as_such(capsys):
-    # it used to reach the forcing and be reported as a firing-rate domain error
-    code, _, err = _exit(RUN_P1 + ["--t0", "nan"], capsys)
+@pytest.mark.parametrize(
+    "t0", [["--t0", "nan"], ["--t0", "-nan"], ["--t0", "-inf"], ["--t0", "-Infinity"], ["--t0=-inf"]]
+)
+def test_a_non_finite_t0_is_reported_as_such(t0, capsys):
+    # validation names the range: nan must not reach the forcing's firing-rate
+    # domain check, nor argparse take "-inf" or "-nan" for a flag
+    code, _, err = _exit(RUN_P1 + t0, capsys)
     assert code == cli.EXIT_USAGE
     assert err == "usage error: t0 must be finite\n"
+
+
+def test_an_astronomical_euler_step_count_is_printed_in_17_digits(capsys):
+    # printed as an integer, the count would run to 299 digits
+    code, _, err = _exit(RUN_P1 + ["--stepper", "euler", "--ht", "1e-300"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == (
+        "usage error: checkpoint 0.02 is 1.9999999999999999e+298 steps of 1e-300 from t0=0.0, "
+        "more than the maximum of 100000000\n"
+    )
 
 
 def test_an_overflowing_window_end_is_reported_as_such(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from neuralfield import problems
-from neuralfield.checks import _reference_rule
+from neuralfield.checks import _reference_rule, continuum_residual
 from neuralfield.harness import StudyConfig, _cell, default_checkpoints, eval_grid
 from neuralfield.model import FiringRate
 from neuralfield.problems import (
@@ -14,7 +14,6 @@ from neuralfield.problems import (
     PROBLEM_IDS,
     THRESHOLD,
     canonical_id,
-    continuum_residual,
     make_problem,
     modulation_integral,
 )
