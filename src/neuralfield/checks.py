@@ -285,8 +285,11 @@ def sandwich_verdict(error: float, projector: float, beta_n: float, floor: float
     """Whether ``error`` lies in [projector / (1 + beta_n), projector * exp(beta_n)],
     each bound widened by ``SANDWICH_SLACK``, and the detail to print. Below
     ``floor`` (> 0) the projector error says nothing of the bound: the cell passes
-    as inconclusive, its detail giving both errors. A NaN ratio or projector fails.
+    as inconclusive, its detail giving both errors. A NaN or infinite scheme
+    error fails before the floor is read, and a NaN projector error fails too.
     """
+    if not np.isfinite(error):
+        return False, f"scheme error={error:.3g} is not finite (projector error={projector:.3g})"
     if projector < floor:
         return True, (
             f"scheme error={error:.3g}, projector error={projector:.3g} "

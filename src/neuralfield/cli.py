@@ -72,8 +72,8 @@ def _add_stepper(parser: argparse.ArgumentParser) -> None:
 
 
 # each scheme selector and the one scheme that reads it; giving one to
-# another scheme is a usage error
-_SELECTORS = {"quadrature": "cheb-collocation", "variant": "fe-galerkin"}
+# another scheme is a usage error, even at its default
+_SELECTORS = harness._SELECTORS
 
 
 def _add_scheme_flags(parser: argparse.ArgumentParser) -> None:

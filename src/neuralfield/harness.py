@@ -5,6 +5,16 @@ This is the engine behind the reproduction studies: it builds a scheme per
 error against the closed form, records each cell's beta_n, and emits
 deterministic CSV records. The checks that test these numbers against
 the paper's bounds live in :mod:`neuralfield.checks`.
+
+Errors are measured on a uniform grid of ``eval_points`` points, in the
+sup norm for collocation and the trapezium L2 norm for Galerkin. On the
+box the states are reconstructed on the grid and compared with the closed
+form's table. On the ring, spectral-galerkin's L2 error is taken in
+coefficient space instead, by discrete Parseval: the trapezium norm of
+the trigonometric interpolant's difference with the table is a weighted
+sum over the modes of the two half-spectra (Boyd, Chebyshev and Fourier
+Spectral Methods, 2nd ed., ch. 4; Trefethen & Weideman, SIAM Rev. 56,
+2014), so no state is reconstructed on the grid.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ import numpy as np
 
 from .model import Interval
 from .problems import TestProblem, make_problem
+from .projection import dft_forward
 from .quadrature import trapezium_rule
 from .schemes import SCHEMES, SemiDiscreteSystem, reconstruct_on
 
@@ -52,9 +63,9 @@ class StudyConfig:
 
     ``scheme`` with its selector names one entry of :data:`schemes.SCHEMES`:
     ``quadrature`` selects cheb-collocation's ("cc" or "trapezium") and
-    ``variant`` fe-galerkin's ("lumped" or "gauss2"); the other schemes have
-    one entry each and ignore both. ``ht`` is required when the stepper is
-    "euler" and ignored otherwise.
+    ``variant`` fe-galerkin's ("lumped" or "gauss2"); a selector that its
+    scheme does not read must keep its default. ``ht`` is required when the
+    stepper is "euler" and ignored otherwise.
     """
 
     problems: Sequence[str]
@@ -73,6 +84,12 @@ class StudyConfig:
 
     def validate(self) -> None:
         _scheme_key(self.scheme, self.quadrature, self.variant)
+        for selector, scheme in _SELECTORS.items():
+            value = getattr(self, selector)
+            if scheme != self.scheme and value != getattr(StudyConfig, selector):
+                raise ValueError(
+                    f"{selector} {value!r} applies to {scheme} only, not to {self.scheme}"
+                )
         if not self.problems:
             raise ValueError("need at least one problem")
         ns = tuple(self.n_values)
@@ -113,6 +130,10 @@ class ConvergenceRecord:
     observed_order: Optional[float]
     beta_n: float
     wall_time_s: float
+
+
+# each study selector and the one scheme that reads it
+_SELECTORS = {"quadrature": "cheb-collocation", "variant": "fe-galerkin"}
 
 
 def _scheme_key(scheme: str, quadrature: str, variant: str) -> tuple[str, str]:
@@ -157,8 +178,14 @@ def eval_grid(interval: Interval, eval_points: int) -> np.ndarray:
 
 # bytes of exact_grid rows evaluated at once (two rows at 2048 points): the
 # closed form's temporaries, its envelope and the inverse's output, span one
-# such block each
+# such block each, and so does a block's half-spectrum
 _EXACT_BLOCK_BYTES = 32 * 1024
+
+
+def _row_blocks(count: int, eval_points: int):
+    """Slices of ``count`` checkpoint rows, each block of rows within the budget."""
+    rows = max(1, _EXACT_BLOCK_BYTES // (8 * eval_points))
+    return (slice(i, i + rows) for i in range(0, count, rows))
 
 
 def exact_grid(problem: TestProblem, checkpoints, eval_points: int) -> np.ndarray:
@@ -172,11 +199,104 @@ def exact_grid(problem: TestProblem, checkpoints, eval_points: int) -> np.ndarra
     xs = eval_grid(problem.interval, eval_points)
     ts = np.asarray(checkpoints, dtype=float)
     grid = np.empty((len(ts), len(xs)))
-    rows = max(1, _EXACT_BLOCK_BYTES // (8 * len(xs)))
-    for i in range(0, len(ts), rows):
-        grid[i : i + rows] = problem.exact(xs, ts[i : i + rows, None])
+    for rows in _row_blocks(len(ts), len(xs)):
+        grid[rows] = problem.exact(xs, ts[rows, None])
     grid.setflags(write=False)
     return grid
+
+
+def _mode_weights(eval_points: int) -> np.ndarray:
+    """Parseval's weights of the half-spectrum modes 0..M // 2 of M real
+    samples: 1 for mode 0 and, for even M, mode M / 2; 2 for every other
+    mode, which stands for itself and its conjugate."""
+    weights = np.full(eval_points // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if eval_points % 2 == 0:
+        weights[-1] = 1.0
+    return weights
+
+
+def _power(coeffs: np.ndarray) -> np.ndarray:
+    """|c|^2 = re^2 + im^2 of each complex coefficient."""
+    power = np.square(coeffs.real)
+    power += np.square(coeffs.imag)
+    return power
+
+
+@dataclass(frozen=True, eq=False)
+class _RingSpectrum:
+    """The closed form's checkpoint x point table on the ring in coefficient
+    space, all that a spectral-galerkin L2 error reads of it.
+
+    ``modes`` holds each row's half-spectrum e_0..e_N (numpy's "forward"
+    ``rfft``) up to the largest n of the study; ``tails[n]`` holds each
+    row's weighted power sum_{k > n} w_k |e_k|^2 of the modes beyond n,
+    which no state of that n carries.
+    """
+
+    modes: np.ndarray
+    tails: dict[int, np.ndarray]
+
+
+def _ring_spectrum(
+    problem: TestProblem, checkpoints, eval_points: int, ns, table: Optional[np.ndarray] = None
+) -> _RingSpectrum:
+    """The :class:`_RingSpectrum` of the closed form for the n in ``ns``.
+
+    The rows come from ``table``, an :func:`exact_grid`, or when None from
+    the closed form itself, in the same blocks of rows, which are bitwise
+    the table's; each block is transformed on its own, so neither the table
+    nor its whole spectrum is held.
+    """
+    xs = eval_grid(problem.interval, eval_points)
+    ts = np.asarray(checkpoints, dtype=float)
+    weights = _mode_weights(eval_points)
+    modes = np.empty((len(ts), max(ns) + 1), dtype=complex)
+    tails = {n: np.empty(len(ts)) for n in ns}
+    for rows in _row_blocks(len(ts), eval_points):
+        values = problem.exact(xs, ts[rows, None]) if table is None else table[rows]
+        spectrum = np.fft.rfft(values, norm="forward")
+        modes[rows] = spectrum[:, : modes.shape[1]]
+        power = _power(spectrum)
+        power *= weights
+        for n, tail in tails.items():
+            tail[rows] = power[:, n + 1 :].sum(axis=1)
+    modes.setflags(write=False)
+    return _RingSpectrum(modes, tails)
+
+
+def _parseval_l2(
+    problem: TestProblem,
+    states: np.ndarray,
+    checkpoints,
+    eval_points: int,
+    exact: Optional[Union[np.ndarray, _RingSpectrum]],
+) -> np.ndarray:
+    """Per checkpoint, the trapezium L2 error on the ``eval_points`` ring grid
+    of the trigonometric interpolants of spectral-galerkin's ``states``, the
+    samples at 2n + 1 ring nodes, taken by discrete Parseval.
+
+    With c = dft_forward(states) and e the closed form's half-spectrum,
+    err^2 = L (sum_{k <= n} w_k |c_k - e_k|^2 + sum_{k > n} w_k |e_k|^2),
+    L the ring's length and w the :func:`_mode_weights`. It is exact up to
+    roundoff when mode n does not alias on the grid, that is for
+    eval_points >= 2n + 1; fewer points raise ``ValueError``. ``exact`` is
+    a :class:`_RingSpectrum` with a tail for this n, or an :func:`exact_grid`
+    or None, from which one is formed here.
+    """
+    n = np.shape(states)[-1] // 2
+    if eval_points < 2 * n + 1:
+        raise ValueError(
+            f"eval_points = {eval_points} is below 2n + 1 = {2 * n + 1}: mode n would alias"
+        )
+    if not isinstance(exact, _RingSpectrum):
+        exact = _ring_spectrum(problem, checkpoints, eval_points, (n,), exact)
+    coeffs = dft_forward(states)
+    coeffs -= exact.modes[:, : n + 1]
+    squared = _power(coeffs) @ _mode_weights(eval_points)[: n + 1]
+    squared += exact.tails[n]
+    squared *= problem.interval.length
+    return np.sqrt(squared, out=squared)
 
 
 def _worst_error(
@@ -185,14 +305,16 @@ def _worst_error(
     states: np.ndarray,
     checkpoints,
     eval_points: int,
-    exact: Optional[np.ndarray],
+    exact: Optional[Union[np.ndarray, _RingSpectrum]],
 ) -> float:
     """Largest error over the checkpoints of the stacked ``states`` (one row
     per checkpoint) against the closed form, in the scheme's norm.
 
-    The states are reconstructed in one call and compared with ``exact``,
-    the :func:`exact_grid` of the checkpoints, evaluated here when None; the
-    reconstruction is differenced, squared or made absolute in place. A
+    An L2 error on the ring is taken by :func:`_parseval_l2`. Otherwise the
+    states are reconstructed on the evaluation grid in one call and compared
+    with ``exact``, the :func:`exact_grid` of the checkpoints, evaluated here
+    when None; the reconstruction is differenced, squared or made absolute
+    in place, and the L2 norm is the trapezium rule on the grid's points. A
     stack whose row count is not the number of checkpoints raises
     ``ValueError``.
     """
@@ -200,17 +322,16 @@ def _worst_error(
         raise ValueError(
             f"need one state per checkpoint, got {len(states)} for {len(checkpoints)} checkpoints"
         )
+    if system.norm == "l2" and problem.interval.periodic:
+        return float(_parseval_l2(problem, states, checkpoints, eval_points, exact).max())
     xs = eval_grid(problem.interval, eval_points)
     if exact is None:
         exact = exact_grid(problem, checkpoints, eval_points)
     diff = reconstruct_on(system, states, xs)
     diff -= exact
     if system.norm == "l2":
-        # the trapezium rule whose eval_points nodes are the evaluation grid
-        interval = problem.interval
-        panels = eval_points if interval.periodic else eval_points - 1
         diff *= diff
-        per_checkpoint = np.sqrt(diff @ trapezium_rule(interval, panels).weights)
+        per_checkpoint = np.sqrt(diff @ trapezium_rule(problem.interval, eval_points - 1).weights)
     else:
         per_checkpoint = np.abs(diff, out=diff).max(axis=1)
     return float(per_checkpoint.max())
@@ -221,15 +342,20 @@ def trajectory_error(
     trajectory: Trajectory,
     problem: TestProblem,
     eval_points: int = 2048,
-    exact: Optional[np.ndarray] = None,
+    exact: Optional[Union[np.ndarray, _RingSpectrum]] = None,
 ) -> float:
     """Worst checkpoint error of the reconstruction against the closed form.
 
-    The (k, dim) stack of checkpoint states is reconstructed in one call.
     Collocation schemes are measured in the sup norm over a uniform
-    evaluation grid; Galerkin schemes in the trapezium-quadrature L2 norm on
-    the same grid, following each scheme's ambient space. ``exact`` is the
-    :func:`exact_grid` of the trajectory's checkpoints, when the caller has it.
+    evaluation grid of ``eval_points`` points, and Galerkin schemes in the
+    trapezium L2 norm on the same grid, following each scheme's ambient
+    space. On the box the (k, dim) stack of checkpoint states is
+    reconstructed on the grid in one call; spectral-galerkin's L2 norm on
+    the ring is formed from the states' Fourier coefficients by discrete
+    Parseval, with no reconstruction (:func:`_parseval_l2`). ``exact`` is
+    the closed form as the caller shares it: the :func:`exact_grid` of the
+    trajectory's checkpoints, or for a ring problem :func:`run_study`'s
+    spectrum of it; None evaluates it here.
     """
     return _worst_error(
         system, problem, trajectory.states, trajectory.checkpoints, eval_points, exact
@@ -241,15 +367,15 @@ def projector_error(
     problem: TestProblem,
     checkpoints,
     eval_points: int = 2048,
-    exact: Optional[np.ndarray] = None,
+    exact: Optional[Union[np.ndarray, _RingSpectrum]] = None,
 ) -> float:
     """Worst checkpoint error of projecting the closed form itself.
 
     No time integration is involved: the closed form's table at the nodes,
     one row per checkpoint, is encoded in one call, and the (k, dim) stack of
-    states is reconstructed in one call and compared with the original, in
-    the scheme's own norm. ``exact`` is the :func:`exact_grid` of the
-    checkpoints, when the caller has it.
+    states is measured as in :func:`trajectory_error`, in the scheme's own
+    norm: reconstructed in one call on the box, by discrete Parseval on the
+    ring. ``exact`` is as for :func:`trajectory_error`.
     """
     ts = np.asarray(checkpoints, dtype=float)
     states = system.encode(lambda x: problem.exact(x, ts[:, None]))
@@ -285,7 +411,11 @@ def _beta_n(system: SemiDiscreteSystem, problem: TestProblem, duration: float) -
 
 
 def _cell(
-    problem: TestProblem, cfg: StudyConfig, n: int, checkpoints, exact: Optional[np.ndarray] = None
+    problem: TestProblem,
+    cfg: StudyConfig,
+    n: int,
+    checkpoints,
+    exact: Optional[Union[np.ndarray, _RingSpectrum]] = None,
 ):
     """Build, integrate and measure one (problem, n) cell of ``cfg``.
 
@@ -307,8 +437,10 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
 
     Each record's wall time is that of :func:`_cell`: build plus integration.
     The closed form is evaluated on the checkpoint x point grid once per
-    problem and shared by its cells. Output ordering and values are
-    deterministic.
+    problem and shared by its cells: on the box as its :func:`exact_grid`,
+    on the ring as the spectrum that spectral-galerkin's L2 errors read,
+    modes 0..max(n) and the tail power beyond each n, with no table held.
+    Output ordering and values are deterministic.
     """
     cfg.validate()
     records: list[ConvergenceRecord] = []
@@ -316,7 +448,10 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     _, variant = _scheme_key(cfg.scheme, cfg.quadrature, cfg.variant)
     for pid in cfg.problems:
         problem = make_problem(pid) if isinstance(pid, str) else pid
-        exact = exact_grid(problem, cps, cfg.eval_points)
+        if problem.interval.periodic:
+            exact = _ring_spectrum(problem, cps, cfg.eval_points, cfg.n_values)
+        else:
+            exact = exact_grid(problem, cps, cfg.eval_points)
         previous: Optional[ConvergenceRecord] = None
         for n in cfg.n_values:
             system, _, err, wall = _cell(problem, cfg, n, cps, exact)

@@ -28,7 +28,7 @@ Per scheme (nodes X; weight W; pre; post; K):
   spectral-galerkin: the n + 1 uniform, n + 1 Chebyshev or 2n + 1 ring
   nodes; trapezium or Clenshaw-Curtis weights; identity; identity; -W/2,
   square. spectral-galerkin's state holds the samples at the nodes, and
-  their Fourier coefficients are formed only to reconstruct.
+  their Fourier coefficients are formed only to reconstruct or measure it.
 - cheb-collocation/trapezium: n + 1 uniform panel nodes; trapezium
   weights; barycentric interpolation onto the panel nodes; identity;
   -W/2, (n + 1) x (n + 1).
@@ -88,8 +88,12 @@ class SemiDiscreteSystem:
     (k, nodes) table, which ``encode`` maps to a (k, dim) stack of states,
     each row bitwise that of its own call. ``norm`` names the scheme's
     ambient space, "sup" for collocation and "l2" for Galerkin, and controls
-    how errors are measured downstream. ``dim`` is the length of a state; a
-    study starts ``rhs`` from ``encode`` of the closed form at its t0.
+    how errors are measured downstream: on a uniform grid of points, through
+    ``reconstruct``, except that an "l2" state on the ring is read as the
+    samples at the 2n + 1 ring nodes, whose L2 error the harness takes from
+    their Fourier coefficients by discrete Parseval. ``dim`` is the length
+    of a state; a study starts ``rhs`` from ``encode`` of the closed form at
+    its t0.
 
     ``weight_infnorm`` is ||W_n||, the largest absolute row sum of W or of
     the nodal operator the scheme runs (W B for cheb-collocation/trapezium,
@@ -337,14 +341,13 @@ def build_fe_galerkin(problem: TestProblem, n: int, variant: str = "gauss2") -> 
     hat_left = (1.0 - ref) / 2.0  # element's left hat at the two Gauss points
     hat_right = (1.0 + ref) / 2.0
     load_left, load_right = 3.0 * hat_left, 3.0 * hat_right  # 3 T^T
-    inverse_gram = _tent_gram_solve(np.eye(n + 1))
 
     def project_rows(values):
         loads = np.ascontiguousarray(_two_tap_load(values.T, load_left, load_right).T)
         # one vector-matrix product per row, so a row does not depend on the stack
         return (loads[..., None, :] @ inverse_gram)[..., 0, :]
 
-    return _projected(
+    system = _projected(
         problem, gauss_points, gauss_points, h / 2.0, TentBasis(grid).interpolate, "l2",
         pre=lambda a: _two_tap(a, hat_left, hat_right),
         post=project_rows,
@@ -354,6 +357,10 @@ def build_fe_galerkin(problem: TestProblem, n: int, variant: str = "gauss2") -> 
             _two_tap_load(k.T.copy(), hat_left, hat_right).T.copy()
         ),
     )
+    # project_rows reads G^-1 only once built; formed here, after assembly has
+    # freed W, it is never held beside W and its load
+    inverse_gram = _tent_gram_solve(np.eye(n + 1))
+    return system
 
 
 def _ring_interpolate(samples, x):
@@ -378,7 +385,8 @@ def build_spectral_galerkin(problem: TestProblem, n: int) -> SemiDiscreteSystem:
     Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 4). The
     scheme integrates the nodal form, which needs no transform in the
     right-hand side; a state is carried into coefficients only to
-    reconstruct it.
+    reconstruct it or to measure its L2 error, which the harness takes on
+    c_0..c_n by discrete Parseval, with no reconstruction.
 
     So the rk54 controller weighs the error of each nodal value, as for
     every collocation scheme, not of each part of c_0..c_n; on P7p and P9p

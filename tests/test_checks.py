@@ -102,13 +102,19 @@ class TestSandwichVerdict:
         assert checks.sandwich_verdict(0.95 * lower, **cell)[0]
         assert not checks.sandwich_verdict(0.85 * lower, **cell)[0]
 
-    @pytest.mark.parametrize(
-        "error,projector,ratio", [(math.nan, 0.0037, "nan"), (math.inf, 0.0037, "inf"), (0.0187, math.nan, "nan")]
-    )
-    def test_a_non_finite_ratio_fails(self, error, projector, ratio):
-        passed, detail = checks.sandwich_verdict(error, projector, 0.473, 1e-6)
+    def test_a_nan_projector_error_fails(self):
+        passed, detail = checks.sandwich_verdict(0.0187, math.nan, 0.473, 1e-6)
         assert not passed
-        assert detail.startswith(f"err/proj = {ratio} ")
+        assert detail.startswith("err/proj = nan ")
+
+    # a projector error above the floor and one below it, which would be inconclusive
+    @pytest.mark.parametrize("projector", [0.0037, 1e-9])
+    @pytest.mark.parametrize("error,shown", [(math.nan, "nan"), (math.inf, "inf")])
+    def test_a_non_finite_scheme_error_fails_before_the_floor_is_read(self, error, shown, projector):
+        assert checks.sandwich_verdict(error, projector, 0.5, 1e-6) == (
+            False,
+            f"scheme error={shown} is not finite (projector error={projector:.3g})",
+        )
 
     def test_a_projector_error_below_the_floor_is_inconclusive_and_passes(self):
         # the ratio 47.6 would break the widened upper bound 1.81 of a conclusive cell

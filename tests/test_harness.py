@@ -103,6 +103,76 @@ def test_measuring_tent_states_holds_one_table_and_a_block(key, rng, peak_bytes)
     assert peak <= TABLE_BYTES + BLOCK_BYTES + MEASURE_SLACK
 
 
+RING_NS = (8, 16, 32, 64, 128, 256)
+# how a caller passes the closed form to a ring measurement: run_study's
+# shared spectrum for n = 8..256, the exact_grid table, or not at all
+RING_EXACT = {
+    "spectrum": lambda problem, cps: harness._ring_spectrum(problem, cps, 2048, RING_NS),
+    "table": lambda problem, cps: exact_grid(problem, cps, 2048),
+    "none": lambda problem, cps: None,
+}
+
+
+@pytest.mark.parametrize("given", list(RING_EXACT))
+def test_measuring_ring_states_holds_less_than_one_table(given, rng, peak_bytes):
+    # discrete Parseval reads 51 x 257 coefficients of the states and of the
+    # closed form, and one block of rows of its spectrum; a reconstruction
+    # on the grid would take a whole table
+    problem = make_problem("P7p")
+    cps = default_checkpoints(0.0, 1.0, 51)
+    exact = RING_EXACT[given](problem, cps)
+    system = SCHEMES["spectral-galerkin", "fft"](problem, 256)
+    traj = SimpleNamespace(checkpoints=cps, states=rng.standard_normal((51, system.dim)))
+    peak, _ = peak_bytes(lambda: trajectory_error(system, traj, problem, 2048, exact))
+    assert peak < TABLE_BYTES
+
+
+def _sampled_l2(system, problem, states, table):
+    """The worst checkpoint's trapezium L2 error of the states reconstructed
+    on the ring grid of ``table``, the exact_grid of their checkpoints."""
+    xs = eval_grid(problem.interval, table.shape[1])
+    diff = reconstruct_on(system, states, xs) - table
+    weights = np.full(len(xs), problem.interval.length / len(xs))
+    return float(np.sqrt(diff**2 @ weights).max())
+
+
+@pytest.mark.parametrize("pid", ["P7p", "P8p", "P9p", "P10p"])
+def test_ring_errors_by_parseval_match_the_sampled_l2_norm(pid):
+    problem = make_problem(pid)
+    cps = default_checkpoints(0.0, 1.0, 51)
+    table = exact_grid(problem, cps, 2048)
+    shared = RING_EXACT["spectrum"](problem, cps)
+    for n in RING_NS:
+        system = SCHEMES["spectral-galerkin", "fft"](problem, n)
+        u0 = system.encode(lambda x: problem.exact(x, 0.0))
+        traj = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps, drive=system.drive)
+        measured = trajectory_error(system, traj, problem, 2048, shared)
+        assert _agrees(measured, _sampled_l2(system, problem, traj.states, table))
+        assert measured == trajectory_error(system, traj, problem, 2048)
+        encoded = system.encode(lambda x: problem.exact(x, cps[:, None]))
+        assert _agrees(
+            projector_error(system, problem, cps, 2048, shared),
+            _sampled_l2(system, problem, encoded, table),
+        )
+
+
+def test_a_ring_grid_on_which_mode_n_aliases_is_refused():
+    problem = make_problem("P7p")
+    system = SCHEMES["spectral-galerkin", "fft"](problem, 8)
+    cps = default_checkpoints(0.0, 1.0, 3)
+    encoded = system.encode(lambda x: problem.exact(x, cps[:, None]))
+    stub = SimpleNamespace(checkpoints=cps, states=encoded)
+    with pytest.raises(ValueError, match=r"eval_points = 16 is below 2n \+ 1 = 17"):
+        trajectory_error(system, stub, problem, 16)
+    with pytest.raises(ValueError, match=r"eval_points = 16 is below 2n \+ 1 = 17"):
+        projector_error(system, problem, cps, 16)
+    # on 2n + 1 points mode n is still resolved
+    assert _agrees(
+        projector_error(system, problem, cps, 17),
+        _sampled_l2(system, problem, encoded, exact_grid(problem, cps, 17)),
+    )
+
+
 @pytest.mark.parametrize("pid,key", CELLS)
 def test_errors_match_the_per_checkpoint_loop(pid, key):
     problem = make_problem(pid)
@@ -229,10 +299,14 @@ def _counting_exact(pid):
     return dataclasses.replace(problem, exact=exact), grid_rows
 
 
-def test_run_study_evaluates_the_closed_form_grid_once_per_problem():
-    (p1, p1_calls), (p3, p3_calls) = _counting_exact("P1"), _counting_exact("P3")
-    run_study(StudyConfig(problems=(p1, p3), scheme="fe-collocation", n_values=(8, 16, 32)))
-    assert p1_calls == p3_calls == GRID_ROWS
+# on the ring the closed form's rows feed the shared spectrum, not a table
+@pytest.mark.parametrize(
+    "scheme,pids", [("fe-collocation", ("P1", "P3")), ("spectral-galerkin", ("P7p", "P9p"))]
+)
+def test_run_study_evaluates_the_closed_form_grid_once_per_problem(scheme, pids):
+    counted = [_counting_exact(pid) for pid in pids]
+    run_study(StudyConfig(problems=[p for p, _ in counted], scheme=scheme, n_values=(8, 16, 32)))
+    assert [calls for _, calls in counted] == [GRID_ROWS] * len(pids)
 
 
 def test_a_later_start_integrates_from_the_closed_form_at_that_time():
@@ -332,12 +406,12 @@ P6,fe-collocation,trapezium,16,0.125,0.0039334493116114921,1.9488039429668336,1.
 P6,fe-collocation,trapezium,32,0.0625,0.00099282435599881702,1.9861845791805028,1.2610443683117403
 """,
     (("P7p", "P9p"), "spectral-galerkin"): """\
-P7p,spectral-galerkin,fft,8,0.36959913571644626,0.0022164686805541036,,8.4827515581815192
-P7p,spectral-galerkin,fft,16,0.19039955476301776,3.2342263261592637e-05,6.098698526743898,8.5359297559964542
-P7p,spectral-galerkin,fft,32,0.096664389341224399,1.1631193337589738e-08,11.44120580249311,8.5502834713904257
-P9p,spectral-galerkin,fft,8,0.36959913571644626,0.0022164686805541036,,7.5109370868022252
-P9p,spectral-galerkin,fft,16,0.19039955476301776,3.2342263261592637e-05,6.098698526743898,7.5580620552248359
-P9p,spectral-galerkin,fft,32,0.096664389341224399,4.3418566694429566e-08,9.5408928231493846,7.5707742101005699
+P7p,spectral-galerkin,fft,8,0.36959913571644626,0.0022164686805540936,,8.4827515581815192
+P7p,spectral-galerkin,fft,16,0.19039955476301776,3.2342263261596716e-05,6.0986985267437097,8.5359297559964542
+P7p,spectral-galerkin,fft,32,0.096664389341224399,1.1631193336748048e-08,11.441205802597691,8.5502834713904257
+P9p,spectral-galerkin,fft,8,0.36959913571644626,0.0022164686805540936,,7.5109370868022252
+P9p,spectral-galerkin,fft,16,0.19039955476301776,3.2342263261596716e-05,6.0986985267437097,7.5580620552248359
+P9p,spectral-galerkin,fft,32,0.096664389341224399,4.3418566737389641e-08,9.540892821722105,7.5707742101005699
 """,
 }
 
@@ -362,6 +436,29 @@ def test_an_unknown_selector_fails_validation_before_any_work(monkeypatch):
         dataclasses.replace(cfg, scheme="cheb-collocation", quadrature="simpson").validate()
     with pytest.raises(ValueError, match="unknown scheme 'fe-petrov'"):
         dataclasses.replace(cfg, scheme="fe-petrov").validate()
+
+
+@pytest.mark.parametrize(
+    "scheme,selector,value",
+    [
+        ("fe-collocation", "variant", "lumped"),
+        ("fe-collocation", "quadrature", "trapezium"),
+        ("cheb-collocation", "variant", "lumped"),
+        ("fe-galerkin", "quadrature", "trapezium"),
+        ("spectral-galerkin", "variant", "lumped"),
+    ],
+)
+def test_a_selector_its_scheme_does_not_read_fails_validation_before_any_work(
+    scheme, selector, value, monkeypatch
+):
+    cfg = StudyConfig(problems=("P1",), scheme=scheme, n_values=(8,), **{selector: value})
+    builds = []
+    monkeypatch.setattr(harness, "build_system", lambda *args, **kwargs: builds.append(args))
+    with pytest.raises(ValueError, match=f"{selector} '{value}' applies to [a-z-]+ only, not to {scheme}"):
+        run_study(cfg)
+    assert builds == []
+    # at its default the selector is accepted, as the benchmark's configurations pass it
+    dataclasses.replace(cfg, **{selector: getattr(StudyConfig, selector)}).validate()
 
 
 @pytest.mark.parametrize("pid,key", CELLS)

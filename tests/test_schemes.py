@@ -633,4 +633,7 @@ def test_build_peak_is_the_system_and_one_weight_matrix(key, builder, peak_bytes
         assert peak <= held + 8 * rows * cols + BUILD_SLACK
     if key == ("fe-galerkin", "gauss2"):
         # it keeps K, (n + 1) x 2n, and G^-1, (n + 1) x (n + 1), and no projector
-        assert held <= 8 * ((BUILD_N + 1) * 2 * BUILD_N + (BUILD_N + 1) ** 2) + BUILD_SLACK
+        gram_bytes = 8 * (BUILD_N + 1) ** 2
+        assert held <= 8 * (BUILD_N + 1) * 2 * BUILD_N + gram_bytes + BUILD_SLACK
+        # G^-1 is formed after W is freed: built first, it peaked 0.53 MB higher
+        assert peak <= held - gram_bytes + 8 * rows * cols + BUILD_SLACK
