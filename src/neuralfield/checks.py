@@ -1,6 +1,6 @@
 """Self-contained property suites behind `nf check`, the oracles they compare
 the production code against, and the paper's two-sided error bound as a
-predicate over measured numbers (:func:`sandwich_verdict`).
+predicate over the study records (:func:`sandwich_verdict`).
 
 Each suite returns :class:`CheckResult` entries; the CLI prints one line
 per entry and exits nonzero when anything fails. The same functions back
@@ -310,40 +310,36 @@ def sandwich_verdict(error: float, projector: float, beta_n: float, floor: float
     )
 
 
-def sandwich_check(
-    problem: str | TestProblem, scheme: str, n: int, exact: np.ndarray | None = None
-) -> CheckResult:
-    """:func:`sandwich_verdict` on one (problem, scheme, n) cell under the
-    :class:`StudyConfig` defaults, at the floor 10 * (rtol * sup|u| + atol).
-    ``exact`` is the :func:`exact_grid` of the defaults, evaluated here when
-    None; it depends on the problem alone, so a problem's cells can share it.
-    """
+def _sandwich(problem: str | TestProblem, schemes, n_values, exact=None):
+    """Yield :func:`sandwich_verdict` on each record of a study per scheme under
+    the :class:`StudyConfig` defaults, with its system's projector error, at
+    the floor 10 * (rtol * sup|u| + atol)."""
     prob = make_problem(problem) if isinstance(problem, str) else problem
-    cfg = StudyConfig(problems=(prob,), scheme=scheme, n_values=(n,))
-    cfg.validate()
-    cps = default_checkpoints(cfg.t0, cfg.duration, cfg.checkpoint_count)
+    studies = [StudyConfig(problems=(prob,), scheme=s, n_values=tuple(n_values)) for s in schemes]
+    for cfg in studies:
+        cfg.validate()
+    cps = default_checkpoints(StudyConfig.t0, StudyConfig.duration, StudyConfig.checkpoint_count)
     if exact is None:
-        exact = exact_grid(prob, cps, cfg.eval_points)
-    system, _, error, _ = harness._cell(prob, cfg, n, cps, exact)
-    projector = harness.projector_error(system, prob, cps, cfg.eval_points, exact)
-    beta_n = harness._beta_n(system, prob, cfg.duration)
-    floor = 10.0 * (cfg.rtol * float(np.max(np.abs(exact))) + cfg.atol)
-    passed, detail = sandwich_verdict(error, projector, beta_n, floor)
-    return CheckResult(f"sandwich {prob.id} {scheme} n={n}", passed, detail)
+        exact = exact_grid(prob, cps, StudyConfig.eval_points)
+    floor = 10.0 * (StudyConfig.rtol * float(np.max(np.abs(exact))) + StudyConfig.atol)
+    for cfg in studies:
+        for record, system in harness._records(prob, cfg, cps, exact):
+            projector = harness.projector_error(system, prob, cps, cfg.eval_points, exact)
+            passed, detail = sandwich_verdict(record.error, projector, record.beta_n, floor)
+            yield CheckResult(f"sandwich {prob.id} {cfg.scheme} n={record.n}", passed, detail)
+
+
+def sandwich_check(problem: str | TestProblem, scheme: str, n: int, exact=None) -> CheckResult:
+    """The sandwich suite's check of one cell. ``exact`` is the defaults'
+    :func:`exact_grid`, evaluated here when None; a problem's cells can share it."""
+    return next(_sandwich(problem, (scheme,), (n,), exact))
 
 
 def sandwich_suite() -> list[CheckResult]:
-    """:func:`sandwich_check` on P1-P6 for both collocation schemes; each problem
-    and its closed form on the checkpoint x point grid are shared by its six cells."""
-    # sandwich_check runs every cell on the StudyConfig defaults
-    cps = default_checkpoints(StudyConfig.t0, StudyConfig.duration, StudyConfig.checkpoint_count)
-    out = []
-    for pid in ("P1", "P2", "P3", "P4", "P5", "P6"):
-        problem = make_problem(pid)
-        exact = exact_grid(problem, cps, StudyConfig.eval_points)
-        for scheme in ("fe-collocation", "cheb-collocation"):
-            out.extend(sandwich_check(problem, scheme, n, exact) for n in (16, 32, 64))
-    return out
+    """:func:`_sandwich` on P1-P6 for both collocation schemes at n = 16, 32, 64;
+    each problem, its :func:`exact_grid` and floor are shared by its six cells."""
+    schemes, ns = ("fe-collocation", "cheb-collocation"), (16, 32, 64)
+    return [c for pid in ("P1", "P2", "P3", "P4", "P5", "P6") for c in _sandwich(pid, schemes, ns)]
 
 
 SUITES = {

@@ -3,8 +3,9 @@
 This is the engine behind the reproduction studies: it builds a scheme per
 (problem, n) cell, integrates it, measures the worst-over-time spatial
 error against the closed form, records each cell's beta_n, and emits
-deterministic CSV records. The checks that test these numbers against
-the paper's bounds live in :mod:`neuralfield.checks`.
+deterministic CSV records. One loop, :func:`_records`, runs every
+study's cells; :mod:`neuralfield.checks` tests its records against the
+paper's bounds.
 
 Errors are measured on a uniform grid of ``eval_points`` points, in the
 sup norm for collocation and the trapezium L2 norm for Galerkin. On the
@@ -83,13 +84,7 @@ class StudyConfig:
     checkpoint_count: int = 51
 
     def validate(self) -> None:
-        _scheme_key(self.scheme, self.quadrature, self.variant)
-        for selector, scheme in _SELECTORS.items():
-            value = getattr(self, selector)
-            if scheme != self.scheme and value != getattr(StudyConfig, selector):
-                raise ValueError(
-                    f"{selector} {value!r} applies to {scheme} only, not to {self.scheme}"
-                )
+        _entry(self)
         if not self.problems:
             raise ValueError("need at least one problem")
         ns = tuple(self.n_values)
@@ -136,33 +131,30 @@ class ConvergenceRecord:
 _SELECTORS = {"quadrature": "cheb-collocation", "variant": "fe-galerkin"}
 
 
-def _scheme_key(scheme: str, quadrature: str, variant: str) -> tuple[str, str]:
-    """The :data:`schemes.SCHEMES` key that a scheme and the study selectors name.
-
-    cheb-collocation reads ``quadrature`` and fe-galerkin ``variant``; a
-    scheme with one entry ignores both. Unknown names raise ``ValueError``.
-    """
-    variants = [v for s, v in SCHEMES if s == scheme]
+def _entry(cfg: StudyConfig) -> tuple[str, str]:
+    """The :data:`schemes.SCHEMES` key that ``cfg`` names; an unknown name, or
+    a selector off its default on another scheme, raises ``ValueError``."""
+    variants = [v for s, v in SCHEMES if s == cfg.scheme]
     if not variants:
         names = ", ".join(dict.fromkeys(s for s, _ in SCHEMES))
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {names}")
-    if len(variants) == 1:
-        return scheme, variants[0]
-    selector, chosen = (
-        ("quadrature", quadrature) if scheme == "cheb-collocation" else ("variant", variant)
-    )
-    if chosen not in variants:
-        raise ValueError(
-            f"unknown {selector} {chosen!r} for {scheme}; expected one of {', '.join(variants)}"
-        )
-    return scheme, chosen
+        raise ValueError(f"unknown scheme {cfg.scheme!r}; expected one of {names}")
+    entry = (cfg.scheme, variants[0])
+    for selector, scheme in _SELECTORS.items():
+        value = getattr(cfg, selector)
+        if scheme == cfg.scheme:
+            if value not in variants:
+                raise ValueError(
+                    f"unknown {selector} {value!r} for {scheme}; expected one of {', '.join(variants)}"
+                )
+            entry = (scheme, value)
+        elif value != getattr(StudyConfig, selector):
+            raise ValueError(f"{selector} {value!r} applies to {scheme} only, not to {cfg.scheme}")
+    return entry
 
 
-def build_system(
-    problem: TestProblem, scheme: str, n: int, *, quadrature: str = "cc", variant: str = "gauss2"
-) -> SemiDiscreteSystem:
-    """Build the :data:`schemes.SCHEMES` entry that the study-level selectors name."""
-    return SCHEMES[_scheme_key(scheme, quadrature, variant)](problem, n)
+def build_system(problem: TestProblem, key: tuple[str, str], n: int) -> SemiDiscreteSystem:
+    """Build the :data:`schemes.SCHEMES` entry ``key``; every cell builds here."""
+    return SCHEMES[key](problem, n)
 
 
 def default_checkpoints(t0: float, duration: float, count: int) -> np.ndarray:
@@ -238,15 +230,12 @@ class _RingSpectrum:
     tails: dict[int, np.ndarray]
 
 
-def _ring_spectrum(
-    problem: TestProblem, checkpoints, eval_points: int, ns, table: Optional[np.ndarray] = None
-) -> _RingSpectrum:
+def _ring_spectrum(problem: TestProblem, checkpoints, eval_points: int, ns) -> _RingSpectrum:
     """The :class:`_RingSpectrum` of the closed form for the n in ``ns``.
 
-    The rows come from ``table``, an :func:`exact_grid`, or when None from
-    the closed form itself, in the same blocks of rows, which are bitwise
-    the table's; each block is transformed on its own, so neither the table
-    nor its whole spectrum is held.
+    The closed form is evaluated in :func:`exact_grid`'s blocks of rows,
+    bitwise its table's, and each block is transformed on its own, so
+    neither the table nor its whole spectrum is held.
     """
     xs = eval_grid(problem.interval, eval_points)
     ts = np.asarray(checkpoints, dtype=float)
@@ -254,8 +243,7 @@ def _ring_spectrum(
     modes = np.empty((len(ts), max(ns) + 1), dtype=complex)
     tails = {n: np.empty(len(ts)) for n in ns}
     for rows in _row_blocks(len(ts), eval_points):
-        values = problem.exact(xs, ts[rows, None]) if table is None else table[rows]
-        spectrum = np.fft.rfft(values, norm="forward")
+        spectrum = np.fft.rfft(problem.exact(xs, ts[rows, None]), norm="forward")
         modes[rows] = spectrum[:, : modes.shape[1]]
         power = _power(spectrum)
         power *= weights
@@ -270,7 +258,7 @@ def _parseval_l2(
     states: np.ndarray,
     checkpoints,
     eval_points: int,
-    exact: Optional[Union[np.ndarray, _RingSpectrum]],
+    exact: Optional[_RingSpectrum],
 ) -> np.ndarray:
     """Per checkpoint, the trapezium L2 error on the ``eval_points`` ring grid
     of the trigonometric interpolants of spectral-galerkin's ``states``, the
@@ -281,16 +269,18 @@ def _parseval_l2(
     L the ring's length and w the :func:`_mode_weights`. It is exact up to
     roundoff when mode n does not alias on the grid, that is for
     eval_points >= 2n + 1; fewer points raise ``ValueError``. ``exact`` is
-    a :class:`_RingSpectrum` with a tail for this n, or an :func:`exact_grid`
-    or None, from which one is formed here.
+    a :class:`_RingSpectrum` with a tail for this n, or None to form one
+    here; anything else raises ``TypeError``.
     """
     n = np.shape(states)[-1] // 2
     if eval_points < 2 * n + 1:
         raise ValueError(
             f"eval_points = {eval_points} is below 2n + 1 = {2 * n + 1}: mode n would alias"
         )
-    if not isinstance(exact, _RingSpectrum):
-        exact = _ring_spectrum(problem, checkpoints, eval_points, (n,), exact)
+    if exact is None:
+        exact = _ring_spectrum(problem, checkpoints, eval_points, (n,))
+    elif not isinstance(exact, _RingSpectrum):
+        raise TypeError(f"exact on the ring is a _RingSpectrum or None, not {type(exact).__name__}")
     coeffs = dft_forward(states)
     coeffs -= exact.modes[:, : n + 1]
     squared = _power(coeffs) @ _mode_weights(eval_points)[: n + 1]
@@ -354,8 +344,8 @@ def trajectory_error(
     the ring is formed from the states' Fourier coefficients by discrete
     Parseval, with no reconstruction (:func:`_parseval_l2`). ``exact`` is
     the closed form as the caller shares it: the :func:`exact_grid` of the
-    trajectory's checkpoints, or for a ring problem :func:`run_study`'s
-    spectrum of it; None evaluates it here.
+    checkpoints, or for spectral-galerkin :func:`run_study`'s spectrum of
+    it, not a table; None evaluates it here.
     """
     return _worst_error(
         system, problem, trajectory.states, trajectory.checkpoints, eval_points, exact
@@ -410,14 +400,8 @@ def _beta_n(system: SemiDiscreteSystem, problem: TestProblem, duration: float) -
     return duration * system.weight_infnorm * problem.firing.sup_derivative
 
 
-def _cell(
-    problem: TestProblem,
-    cfg: StudyConfig,
-    n: int,
-    checkpoints,
-    exact: Optional[Union[np.ndarray, _RingSpectrum]] = None,
-):
-    """Build, integrate and measure one (problem, n) cell of ``cfg``.
+def _cell(problem: TestProblem, cfg: StudyConfig, key, n: int, checkpoints, exact):
+    """Build, integrate and measure the ``key`` entry's (problem, n) cell.
 
     Returns the system, its trajectory from the encoded closed form at
     ``cfg.t0``, the worst checkpoint error and the wall time of build plus
@@ -425,17 +409,33 @@ def _cell(
     ``exact`` is passed on to :func:`trajectory_error`.
     """
     start = time.perf_counter()
-    system = build_system(problem, cfg.scheme, n, quadrature=cfg.quadrature, variant=cfg.variant)
+    system = build_system(problem, key, n)
     u0 = system.encode(lambda x: problem.exact(x, cfg.t0))
     traj = _integrate(system, u0, cfg, checkpoints)
     wall = time.perf_counter() - start
     return system, traj, trajectory_error(system, traj, problem, cfg.eval_points, exact), wall
 
 
-def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
-    """Run every (problem, n) cell of the sweep, problem-major, n-minor.
+def _records(problem: TestProblem, cfg: StudyConfig, checkpoints, exact):
+    """Yield each n's :class:`ConvergenceRecord` of ``cfg`` on ``problem``
+    (order chained to the previous n, wall time its :func:`_cell`'s) with
+    the system built; ``exact`` is shared by every cell."""
+    key = _entry(cfg)
+    previous: Optional[ConvergenceRecord] = None
+    for n in cfg.n_values:
+        system, _, error, wall = _cell(problem, cfg, key, n, checkpoints, exact)
+        order = None if previous is None else observed_order(previous.error, error, previous.n, n)
+        record = ConvergenceRecord(
+            problem.id, cfg.scheme, key[1], n, _h_x(problem, system), error, order,
+            _beta_n(system, problem, cfg.duration), wall,
+        )
+        yield record, system
+        previous = record
 
-    Each record's wall time is that of :func:`_cell`: build plus integration.
+
+def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
+    """The :func:`_records` of every (problem, n) cell, problem-major, n-minor.
+
     The closed form is evaluated on the checkpoint x point grid once per
     problem and shared by its cells: on the box as its :func:`exact_grid`,
     on the ring as the spectrum that spectral-galerkin's L2 errors read,
@@ -443,34 +443,15 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     Output ordering and values are deterministic.
     """
     cfg.validate()
-    records: list[ConvergenceRecord] = []
     cps = default_checkpoints(cfg.t0, cfg.duration, cfg.checkpoint_count)
-    _, variant = _scheme_key(cfg.scheme, cfg.quadrature, cfg.variant)
+    records: list[ConvergenceRecord] = []
     for pid in cfg.problems:
         problem = make_problem(pid) if isinstance(pid, str) else pid
         if problem.interval.periodic:
             exact = _ring_spectrum(problem, cps, cfg.eval_points, cfg.n_values)
         else:
             exact = exact_grid(problem, cps, cfg.eval_points)
-        previous: Optional[ConvergenceRecord] = None
-        for n in cfg.n_values:
-            system, _, err, wall = _cell(problem, cfg, n, cps, exact)
-            order = (
-                observed_order(previous.error, err, previous.n, n) if previous is not None else None
-            )
-            record = ConvergenceRecord(
-                problem=problem.id,
-                scheme=cfg.scheme,
-                variant=variant,
-                n=n,
-                h_x=_h_x(problem, system),
-                error=err,
-                observed_order=order,
-                beta_n=_beta_n(system, problem, cfg.duration),
-                wall_time_s=wall,
-            )
-            records.append(record)
-            previous = record
+        records.extend(record for record, _ in _records(problem, cfg, cps, exact))
     return records
 
 
@@ -506,10 +487,11 @@ def euler_split_study(
     large n, measured per checkpoint against a tight rk54 reference cell of
     the same semi-discrete system from the same start state (the reference's
     first checkpoint state, encoded at t0), isolating the temporal error; (2)
-    ``run_study`` over n at the fixed small step, recovering the spatial
-    order; (3) ``run_study`` over n at each step size, the ht-major (ht, n)
+    :func:`_records` over n at the fixed small step, recovering the spatial
+    order; (3) :func:`_records` over n at each step size, the ht-major (ht, n)
     grid, least-squares fitted to err ~ a*ht + b*hx^2. Sweeps (2) and (3)
-    keep ``run_study``'s records, relabelled, with no orders on the grid.
+    keep those records, relabelled, with no orders on the grid; every cell
+    shares one :func:`exact_grid`.
 
     Every setting, ``n_fixed`` included, passes :meth:`StudyConfig.validate`
     before any work, and the fitted orders need two distinct step sizes and
@@ -535,7 +517,9 @@ def euler_split_study(
         cfg.validate()
 
     cps = default_checkpoints(t0, duration, checkpoint_count)
-    fixed, reference, spatial_floor, _ = _cell(prob, reference_cfg, n_fixed, cps)
+    exact = exact_grid(prob, cps, eval_points)
+    key = _entry(reference_cfg)
+    fixed, reference, spatial_floor, _ = _cell(prob, reference_cfg, key, n_fixed, cps, exact)
     hx_fixed = _h_x(prob, fixed)
     beta_fixed = _beta_n(fixed, prob, duration)
 
@@ -563,12 +547,13 @@ def euler_split_study(
         )
     temporal_order = float(np.polyfit(np.log(hts), np.log([r.error for r in temporal]), 1)[0])
 
-    spatial = [replace(r, variant=f"euler-spatial;ht={spatial_ht:.17g}") for r in run_study(spatial_cfg)]
+    label = f"euler-spatial;ht={spatial_ht:.17g}"
+    spatial = [replace(r, variant=label) for r, _ in _records(prob, spatial_cfg, cps, exact)]
     spatial_order = float(
         -np.polyfit(np.log(list(spatial_n_values)), np.log([r.error for r in spatial]), 1)[0]
     )
 
-    runs = [(cfg.ht, r) for cfg in grid_cfgs for r in run_study(cfg)]
+    runs = [(cfg.ht, r) for cfg in grid_cfgs for r, _ in _records(prob, cfg, cps, exact)]
     grid = [replace(r, variant=f"euler-grid;ht={ht:.17g}", observed_order=None) for ht, r in runs]
     design = np.array([(ht, r.h_x * r.h_x) for ht, r in runs])
     measured = np.array([r.error for r in grid])

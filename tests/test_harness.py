@@ -45,6 +45,10 @@ def _selectors(key):
     return {"scheme": scheme, **({SELECTORS[scheme]: variant} if scheme in SELECTORS else {})}
 
 
+# the SCHEMES entries of the sandwich suite's cells, under the StudyConfig defaults
+SANDWICH_ENTRIES = (("fe-collocation", "trapezium"), ("cheb-collocation", "cc"))
+
+
 def _loop_oracle(system, problem, states, checkpoints, eval_points):
     """Per-checkpoint reference: one reconstruction and one norm per state."""
     iv = problem.interval
@@ -105,10 +109,9 @@ def test_measuring_tent_states_holds_one_table_and_a_block(key, rng, peak_bytes)
 
 RING_NS = (8, 16, 32, 64, 128, 256)
 # how a caller passes the closed form to a ring measurement: run_study's
-# shared spectrum for n = 8..256, the exact_grid table, or not at all
+# shared spectrum for n = 8..256, or not at all
 RING_EXACT = {
     "spectrum": lambda problem, cps: harness._ring_spectrum(problem, cps, 2048, RING_NS),
-    "table": lambda problem, cps: exact_grid(problem, cps, 2048),
     "none": lambda problem, cps: None,
 }
 
@@ -154,6 +157,19 @@ def test_ring_errors_by_parseval_match_the_sampled_l2_norm(pid):
             projector_error(system, problem, cps, 2048, shared),
             _sampled_l2(system, problem, encoded, table),
         )
+
+
+def test_a_table_for_a_ring_measurement_is_refused():
+    # on the ring an L2 error reads the closed form's spectrum, never its table
+    problem = make_problem("P7p")
+    system = SCHEMES["spectral-galerkin", "fft"](problem, 8)
+    cps = default_checkpoints(0.0, 1.0, 3)
+    table = exact_grid(problem, cps, 64)
+    stub = SimpleNamespace(checkpoints=cps, states=system.encode(lambda x: problem.exact(x, cps[:, None])))
+    with pytest.raises(TypeError, match="exact on the ring is a _RingSpectrum or None, not ndarray"):
+        trajectory_error(system, stub, problem, 64, table)
+    with pytest.raises(TypeError, match="exact on the ring is a _RingSpectrum or None, not ndarray"):
+        projector_error(system, problem, cps, 64, table)
 
 
 def test_a_ring_grid_on_which_mode_n_aliases_is_refused():
@@ -220,7 +236,7 @@ def test_euler_split_record_layout():
 
 
 def _verdict_inputs(monkeypatch):
-    """The (error, projector, beta_n, floor) of each sandwich_check, in call order."""
+    """The (error, projector, beta_n, floor) of each sandwich cell, in call order."""
     seen = []
     verdict = checks.sandwich_verdict
 
@@ -238,22 +254,22 @@ def test_diagnostics_relations(monkeypatch):
     p1 = make_problem("P1")
     slope = p1.firing.sup_derivative
 
-    def beta(n, duration, **selectors):
-        return duration * harness.build_system(p1, **selectors, n=n).weight_infnorm * slope
+    def beta(n, duration, key):
+        return duration * harness.build_system(p1, key, n).weight_infnorm * slope
 
     for key in SCHEMES:
         if key[0] == "spectral-galerkin":
             continue
         cfg = StudyConfig(problems=(p1,), n_values=(8, 16), duration=0.5, **_selectors(key))
-        assert [r.beta_n for r in run_study(cfg)] == [beta(n, 0.5, **_selectors(key)) for n in (8, 16)]
+        assert [r.beta_n for r in run_study(cfg)] == [beta(n, 0.5, key) for n in (8, 16)]
     seen = _verdict_inputs(monkeypatch)
-    for scheme in ("fe-collocation", "cheb-collocation"):
-        checks.sandwich_check(p1, scheme, 16)
-        assert seen[-1][2] == beta(16, 1.0, scheme=scheme)
+    for key in SANDWICH_ENTRIES:
+        checks.sandwich_check(p1, key[0], 16)
+        assert seen[-1][2] == beta(16, 1.0, key)
 
     result = euler_split_study(p1, 128, (0.02, 0.01), spatial_n_values=(8, 16), spatial_ht=1e-3)
     records = result.temporal_records + result.spatial_records + result.grid_records
-    assert [r.beta_n for r in records] == [beta(r.n, 1.0, scheme="fe-collocation") for r in records]
+    assert [r.beta_n for r in records] == [beta(r.n, 1.0, ("fe-collocation", "trapezium")) for r in records]
 
 
 @pytest.mark.parametrize("eval_points", [1000, 2048])
@@ -321,6 +337,13 @@ def test_a_later_start_integrates_from_the_closed_form_at_that_time():
     assert 1.8 <= later[1].observed_order <= 2.2
 
 
+def test_the_euler_split_evaluates_the_closed_form_grid_once():
+    # its reference cell, spatial sweep and grid sweeps share one exact_grid
+    p1, calls = _counting_exact("P1")
+    euler_split_study(p1, 128, (0.02, 0.01), spatial_n_values=(8, 16), spatial_ht=1e-3)
+    assert calls == GRID_ROWS
+
+
 def test_sandwich_check_evaluates_the_closed_form_grid_once():
     p1, calls = _counting_exact("P1")
     checks.sandwich_check(p1, "fe-collocation", 16)
@@ -364,6 +387,19 @@ def test_projector_error_encodes_its_checkpoint_table_in_one_call(pid, key):
     assert len(tables) == 1 and tables[0].shape == (len(cps), system.dim)
 
 
+def test_a_sandwich_cell_is_the_sweep_cell_bitwise(monkeypatch):
+    seen = _verdict_inputs(monkeypatch)
+    results = checks.sandwich_suite()
+    swept = [
+        record
+        for pid in ("P1", "P2", "P3", "P4", "P5", "P6")
+        for key in SANDWICH_ENTRIES
+        for record in run_study(StudyConfig(problems=(pid,), n_values=(16, 32, 64), **_selectors(key)))
+    ]
+    assert [r.name for r in results] == [f"sandwich {r.problem} {r.scheme} n={r.n}" for r in swept]
+    assert [(error, beta_n) for error, _, beta_n, _ in seen] == [(r.error, r.beta_n) for r in swept]
+
+
 def test_a_passed_grid_gives_the_same_sandwich_result(monkeypatch):
     seen = _verdict_inputs(monkeypatch)
     p1 = make_problem("P1")
@@ -380,7 +416,11 @@ def test_a_passed_grid_gives_the_same_bits(pid, key):
     cps = default_checkpoints(0.0, 1.0, 11)
     u0 = system.encode(lambda x: problem.exact(x, 0.0))
     traj = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps, drive=system.drive)
-    exact = exact_grid(problem, cps, 1024)
+    # on the ring an L2 error reads the shared spectrum, not the table
+    if problem.interval.periodic:
+        exact = harness._ring_spectrum(problem, cps, 1024, (16,))
+    else:
+        exact = exact_grid(problem, cps, 1024)
     assert trajectory_error(system, traj, problem, 1024, exact) == trajectory_error(
         system, traj, problem, 1024
     )
