@@ -20,8 +20,9 @@ splits into a drive that depends on t alone and a field of the state:
 with K, W 1 / 2 and every factor of F(X, t) that depends on X alone
 computed once at build. ``post`` maps a stack of rows, and K is its image
 of the columns of -W / 2. ``drive`` takes a 1-D sequence of times and
-returns one row per time, so the steppers evaluate it once per rk54
-attempt and once per block of Euler steps, not once per stage or step.
+returns one row per time, so the steppers evaluate it once per block of
+Euler steps and once per rk54 attempt or run of steps from checkpoint to
+checkpoint, not once per stage or step.
 Per scheme (nodes X; weight W; pre; post; K):
 
 - fe-collocation, fe-galerkin/lumped, cheb-collocation/cc and
@@ -155,15 +156,18 @@ def _tent_gram_solve(rhs: np.ndarray) -> np.ndarray:
     both corners (6 / h times the tents' Gram matrix), by a forward and a
     backward (Thomas) sweep over all columns; G is strictly diagonally
     dominant, so needs no pivoting (Golub & Van Loan, Matrix Computations 4.3)."""
-    last = len(rhs) - 1
+    rows = list(rhs)  # views: indexing a list is cheaper than the array
+    last = len(rows) - 1
     pivots = [2.0]
-    rhs[0] /= 2.0
+    rows[0] /= 2.0
     for i in range(1, last + 1):
         pivots.append((2.0 if i == last else 4.0) - 1.0 / pivots[-1])
-        rhs[i] -= rhs[i - 1]
-        rhs[i] /= pivots[-1]
+        rows[i] -= rows[i - 1]
+        rows[i] /= pivots[-1]
+    quotient = np.empty_like(rows[0])
     for i in range(last - 1, -1, -1):
-        rhs[i] -= rhs[i + 1] / pivots[i]
+        np.divide(rows[i + 1], pivots[i], out=quotient)
+        rows[i] -= quotient
     return rhs
 
 

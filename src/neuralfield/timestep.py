@@ -4,8 +4,10 @@ Like ``solve_ivp(fun, t_span, y0)``, both integrate from the state u0 that
 the caller passes for t0, here a' = rhs(drive(t), a): ``drive`` takes a 1-D
 sequence of times and returns one row per time, the part of the
 right-hand side that depends on time alone (see
-:class:`schemes.SemiDiscreteSystem`). It is called once per rk54 attempt,
-at its six stage times, and once per block of ``EULER_BLOCK`` Euler steps.
+:class:`schemes.SemiDiscreteSystem`). It is called once per block of
+``EULER_BLOCK`` Euler steps, and once per rk54 attempt at its six stage
+times, except that one call serves a run of rk54 steps from checkpoint to
+checkpoint.
 A right-hand side f(t, a) of the time itself is integrated with
 ``drive=np.asarray``, since the times are their own drive. Both steppers
 are deterministic functions of their inputs and record states only at the
@@ -39,6 +41,10 @@ MAX_EULER_STEPS = 10**8
 # Euler steps per drive call: large enough that the call's fixed cost is
 # spread thin, small enough that one block of drive rows stays small
 EULER_BLOCK = 64
+
+# bytes of drive rows of one rk54 call for a run of steps from checkpoint to
+# checkpoint, 6 rows a step: 10 steps of a 65-long state, 1 of a 513-long one
+_DRIVE_BLOCK_BYTES = 32 * 1024
 
 
 class IntegrationError(RuntimeError):
@@ -215,9 +221,12 @@ def rk54_integrate(
     Every attempt then makes 6 evaluations: an accepted step hands its last
     stage, the right-hand side at the state it lands on, to the next attempt
     as its first stage (FSAL), and a rejected attempt's successor keeps the
-    rejected one's first stage. So rhs_evals is 1 + 6 * attempts, and
-    ``drive`` is called 1 + attempts times: once for the probe, and once per
-    attempt with its six stage times.
+    rejected one's first stage. So rhs_evals is 1 + 6 * attempts. ``drive``
+    is called for the probe and for each attempt's six stage times, except
+    that an attempt from checkpoint c_{j-1} clipped to c_j takes its rows,
+    bitwise those of its own call, from one call for the steps c_{j-1} to
+    c_j, c_j to c_{j+1}, ..., as many as fit ``_DRIVE_BLOCK_BYTES`` when
+    two or more do.
     """
     if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
         raise ValueError("rtol and atol must be positive and finite")
@@ -244,7 +253,11 @@ def rk54_integrate(
         start = 1
     floor = 1e-14 * max(duration, 1e-300)
 
-    for target in cps[start:]:
+    first, block = 0, ()  # the drive rows of the steps to cps[first], cps[first + 1], ...
+    per_block = _DRIVE_BLOCK_BYTES // (6 * 8 * len(u))  # steps whose rows fit the budget
+    abs_u = np.abs(u)
+    for j in range(start, len(cps)):
+        target = cps[j]
         while t < target:
             gap = target - t
             clipped = h >= gap
@@ -255,11 +268,24 @@ def rk54_integrate(
                     f"{accepted} accepted / {rejected} rejected steps so far"
                 )
             t_new = target if clipped else t + h_try
-            values = drive([*(t + _DP_C[1:] * h_try), t_new])
+            values = None  # the last attempt's rows go before the next ones are made
+            if per_block > 1 and clipped and j > 0 and t == cps[j - 1]:
+                # a step from checkpoint to checkpoint: its six times are known
+                # before it is tried, so one drive call serves a run of them;
+                # a block of one step would only add the cost of building it
+                if not first <= j < first + len(block) // 6:
+                    edges = cps[j - 1 : j + per_block]
+                    times = edges[:-1, None] + _DP_C[1:] * np.diff(edges)[:, None]
+                    first, block = j, ()
+                    block = drive(np.column_stack([times, edges[1:]]).ravel())
+                values = block[6 * (j - first) : 6 * (j - first) + 6]
+            else:
+                values = drive([*(t + _DP_C[1:] * h_try), t_new])
             proposal, error = _dormand_prince_step(rhs, values, u, h_try, stages, state)
             evals += 6
             # |error| / (atol + rtol * max(|u|, |proposal|)), in place
-            scale = np.maximum(np.abs(u), np.abs(proposal))
+            abs_new = np.abs(proposal)
+            scale = np.maximum(abs_u, abs_new)
             scale *= rtol
             scale += atol
             np.abs(error, out=error)
@@ -272,7 +298,7 @@ def rk54_integrate(
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             if err <= 1.0:
                 accepted += 1
-                t, u = t_new, proposal
+                t, u, abs_u = t_new, proposal, abs_new
                 stages[0] = stages[6]
             else:
                 rejected += 1

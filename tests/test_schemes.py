@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from neuralfield.checks import dft_backward_direct, dft_forward_direct
-from neuralfield.model import ChebyshevGrid, UniformGrid
+from neuralfield.harness import default_checkpoints
+from neuralfield.model import INVERSE_DOMAIN_ERROR, ChebyshevGrid, UniformGrid
 from neuralfield.problems import make_problem
 from neuralfield.projection import ChebyshevBasis, TentBasis, dft_forward
 from neuralfield.quadrature import clenshaw_curtis, gauss_legendre_2, trapezium_rule
@@ -116,6 +117,47 @@ class TestDrive:
         single = run(system.rhs, per_time(system.drive))
         assert np.array_equal(batched.states, single.states)
         assert batched.stats == single.stats
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
+    def test_rk54_on_the_sweep_grid_is_bitwise_the_per_time_form(self, builder, periodic, n):
+        # past the first checkpoint every step runs from one checkpoint to the next,
+        # so the batched run takes the rows of up to 10 steps from one drive call
+        problem = make_problem("P7p" if periodic else "P2")
+        system = builder(problem, n)
+        u0 = _encoded_start(system, problem)
+        cps = default_checkpoints(0.0, 1.0, 51)
+        sizes = []
+
+        def drive(ts):
+            sizes.append(len(ts))
+            return system.drive(ts)
+
+        batched = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps, drive=drive)
+        single = rk54_integrate(system.rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps,
+                                drive=per_time(system.drive))
+        assert max(sizes) > 6
+        assert np.array_equal(batched.states, single.states)
+        assert batched.stats == single.stats
+
+    def test_a_drive_block_past_the_envelope_raises_the_domain_error(self):
+        # from t0 = 1300 the steps soon span the checkpoint gaps of 4, and P1's
+        # envelope trough leaves the normal floats near t = 1414, inside a block
+        problem = make_problem("P1")
+        system = build_fe_collocation(problem, 8)
+        u0 = system.encode(lambda x: problem.exact(x, 1300.0))
+        sizes = []
+
+        def drive(ts):
+            sizes.append(len(ts))
+            return system.drive(ts)
+
+        for each in (drive, per_time(system.drive)):
+            with pytest.raises(ValueError) as raised:
+                rk54_integrate(system.rhs, u0, 1300.0, 200.0, 1e-6, 1e-9,
+                               np.linspace(1300.0, 1500.0, 51), drive=each)
+            assert str(raised.value) == INVERSE_DOMAIN_ERROR
+        assert sizes[-1] > 6
 
 
 class TestFeCollocation:

@@ -1,9 +1,13 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from neuralfield.harness import default_checkpoints, trajectory_error
 from neuralfield.schemes import build_fe_collocation
 from neuralfield.timestep import (
+    _DP_C,
+    _DRIVE_BLOCK_BYTES,
     EULER_BLOCK,
     MAX_EULER_STEPS,
     IntegrationError,
@@ -41,6 +45,12 @@ def counted_drive(dim):
         return np.zeros((len(ts), dim))
 
     return drive, calls
+
+
+def spike(t, a):
+    """a' = 50 exp(-((t - 0.51) / 0.005)^2) - a: with checkpoints 0.02 apart,
+    the steps from one checkpoint to the next meet the pulse and are rejected."""
+    return 50.0 * np.exp(-(((t - 0.51) / 0.005) ** 2)) - a
 
 
 def stiff_decay(t, a):
@@ -236,19 +246,23 @@ class TestDormandPrince:
             assert len(calls) == traj.stats.rhs_evals == 1 + 6 * attempts
             assert attempts >= len(cps) - 1  # at least one per checkpoint gap
 
-    @pytest.mark.parametrize("case", ["p1-fe-collocation-n16", "stiff-with-rejections"])
+    @pytest.mark.parametrize(
+        "case", ["p1-fe-collocation-n16", "stiff-with-rejections", "spike-with-rejections"]
+    )
     def test_fsal_matches_the_seven_evaluation_reference_bitwise(self, case, p1):
         # the system's drive is evaluated per time for the reference and
-        # batched per attempt by rk54_integrate
+        # batched per attempt, or per run of steps between checkpoints, by rk54_integrate
         if case == "stiff-with-rejections":
             rhs, drive, u0, cps = stiff_decay, np.asarray, np.array([1.0, 2.0]), [0.0, 0.5, 1.0]
+        elif case == "spike-with-rejections":
+            rhs, drive, u0, cps = spike, np.asarray, np.array([1.0, 2.0]), np.linspace(0.0, 1.0, 51)
         else:
             system = build_fe_collocation(p1, 16)
             rhs, drive = system.rhs, system.drive
             u0, cps = encoded_at(system, p1, 0.0), np.linspace(0.0, 1.0, 51)
         timed = lambda t, a: rhs(drive([t])[0], a)  # noqa: E731
         states, accepted, rejected = seven_evaluation_rk54(timed, u0, 0.0, 1.0, 1e-6, 1e-9, cps)
-        assert (rejected > 0) == (case == "stiff-with-rejections")
+        assert (rejected > 0) == case.endswith("with-rejections")
         rhs, calls = counted(rhs)
         traj = rk54_integrate(rhs, u0, 0.0, 1.0, 1e-6, 1e-9, cps, drive=drive)
         assert np.array_equal(traj.states, states)
@@ -362,6 +376,61 @@ class TestDrive:
             assert [len(ts) for ts in drives] == [1] + [6] * attempts
             assert list(drives[0]) == [0.0]
             assert len(calls) == traj.stats.rhs_evals == 1 + 6 * attempts
+
+    def test_rk54_takes_one_drive_call_for_a_run_of_steps_between_checkpoints(self):
+        # decay from a 65-long state with checkpoints 0.02 apart: three steps
+        # reach the first checkpoint, then each step goes from one checkpoint
+        # to the next, and one call serves 10 of them (60 rows of 520 bytes)
+        dim = 65
+        cps = 0.02 * np.arange(26)
+        rhs, calls = counted(lambda g, a: g - a)
+        drive, drives = counted_drive(dim)
+        traj = rk54_integrate(rhs, np.ones(dim), 0.0, 1.0, 1e-6, 1e-9, cps, drive=drive)
+        assert [len(ts) for ts in drives] == [1, 6, 6, 6, 60, 60, 24]
+        # each step's times bitwise as the attempt's own call makes them
+        steps = [[*(a + _DP_C[1:] * (b - a)), b] for a, b in zip(cps[:-1], cps[1:])]
+        for ts, run in zip(drives[4:], (steps[1:11], steps[11:21], steps[21:])):
+            assert list(ts) == [t for step in run for t in step]
+        attempts = traj.stats.accepted + traj.stats.rejected
+        assert len(calls) == traj.stats.rhs_evals == 1 + 6 * attempts
+
+    @pytest.mark.parametrize("dim", [1, 65])
+    def test_rk54_asks_the_drive_for_no_time_past_the_last_checkpoint(self, dim):
+        # the window runs to 1.0, the checkpoints to 0.5: one block would reach
+        # past it for both states, which take 682 and 10 steps per block
+        drive, drives = counted_drive(dim)
+        cps = 0.02 * np.arange(26)
+        rk54_integrate(lambda g, a: g - a, np.ones(dim), 0.0, 1.0, 1e-6, 1e-9, cps, drive=drive)
+        assert max(len(ts) for ts in drives) > 6
+        assert max(t for ts in drives for t in ts) == cps[-1]
+
+    def test_rk54_holds_one_byte_budget_of_drive_rows(self, peak_bytes):
+        # a 513-long state over 20 steps between checkpoints: all their drive
+        # rows take 492 KB, one step's 24.6 KB fits the budget and two do not.
+        # At each drive call, the rows still alive from earlier calls and the
+        # new ones fit it; besides them the stepper holds 7 stages and 9 other
+        # states, and the trajectory its list of states and their stack
+        dim = 513
+        row = 8 * dim
+        alive = []
+
+        def run():
+            made = []
+
+            def drive(ts):
+                kept = sum(r().nbytes for r in made if r() is not None)
+                alive.append(kept + len(ts) * row)
+                rows = np.zeros((len(ts), dim))
+                made.append(weakref.ref(rows))
+                return rows
+
+            cps = 0.02 * np.arange(22)
+            return rk54_integrate(lambda g, a: g - a, np.ones(dim), 0.0, 0.42, 1e-6, 1e-9, cps,
+                                  drive=drive)
+
+        peak, held = peak_bytes(run)
+        assert max(alive) <= _DRIVE_BLOCK_BYTES
+        assert peak <= 2 * held + _DRIVE_BLOCK_BYTES + 16 * row
 
     def test_euler_calls_the_drive_once_per_block(self):
         steps = 3 * EULER_BLOCK + 5
