@@ -83,7 +83,7 @@ def test_converge_spectral_galerkin_prints_the_golden_rows(capsys):
     lines = out.splitlines()
     assert lines[0] == harness.CSV_HEADER
     rows = [line.rsplit(",", 1)[0] for line in lines[1:]]
-    assert rows == GOLDEN[("P7p", "P9p"), "spectral-galerkin"].splitlines()
+    assert rows == GOLDEN["spectral-galerkin"][1].splitlines()
 
 
 EULER_P1 = ["euler", "--problem", "P1", "--ht", "0.02,0.01", "--spatial-n", "8,16",

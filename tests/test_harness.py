@@ -429,12 +429,19 @@ def test_a_passed_grid_gives_the_same_bits(pid, key):
     )
 
 
-# run_study's 17-digit CSV records without the wall time. P1, P3 and P7p reach
-# their worst error at t = 0, the encoded initial state, so their rows pin the
-# assembly and the measurement; P6 and P9p peak later, so a change to the
-# integration loop or the right-hand side that moves any bit fails here too
+# run_study's 17-digit CSV records without the wall time, per study: its
+# StudyConfig fields besides n_values = (8, 16, 32), and its rows. On
+# fe-collocation and spectral-galerkin, P1, P3 and P7p reach their worst error
+# at t = 0, the encoded initial state, so their rows pin the assembly and the
+# measurement; P6 and P9p peak later, so a change to the integration loop or
+# the right-hand side that moves any bit fails here too. The rk54 rows of the
+# other four SCHEMES entries pin each entry's pre and post, and the Euler rows
+# pin that stepper's loop; cheb-collocation/trapezium is in no benchmark
+# workload.
 GOLDEN = {
-    (("P1", "P3", "P6"), "fe-collocation"): """\
+    "fe-collocation": (
+        dict(problems=("P1", "P3", "P6"), scheme="fe-collocation"),
+        """\
 P1,fe-collocation,trapezium,8,0.25,0.012833304598058912,,3.5188642679514266
 P1,fe-collocation,trapezium,16,0.125,0.0037037834432228425,1.7928210615886482,3.491866001292347
 P1,fe-collocation,trapezium,32,0.0625,0.00096327397217380734,1.9429816584659902,3.4851800212176864
@@ -445,7 +452,10 @@ P6,fe-collocation,trapezium,8,0.25,0.015185251897028018,,1.4229315629007546
 P6,fe-collocation,trapezium,16,0.125,0.0039334493116114921,1.9488039429668336,1.2939831684214189
 P6,fe-collocation,trapezium,32,0.0625,0.00099282435599881702,1.9861845791805028,1.2610443683117403
 """,
-    (("P7p", "P9p"), "spectral-galerkin"): """\
+    ),
+    "spectral-galerkin": (
+        dict(problems=("P7p", "P9p"), scheme="spectral-galerkin"),
+        """\
 P7p,spectral-galerkin,fft,8,0.36959913571644626,0.0022164686805540936,,8.4827515581815192
 P7p,spectral-galerkin,fft,16,0.19039955476301776,3.2342263261596716e-05,6.0986985267437097,8.5359297559964542
 P7p,spectral-galerkin,fft,32,0.096664389341224399,1.1631193336748048e-08,11.441205802597691,8.5502834713904257
@@ -453,14 +463,68 @@ P9p,spectral-galerkin,fft,8,0.36959913571644626,0.0022164686805540936,,7.5109370
 P9p,spectral-galerkin,fft,16,0.19039955476301776,3.2342263261596716e-05,6.0986985267437097,7.5580620552248359
 P9p,spectral-galerkin,fft,32,0.096664389341224399,4.3418566737389641e-08,9.540892821722105,7.5707742101005699
 """,
+    ),
+    "cheb-collocation/cc": (
+        dict(problems=("P3", "P6"), scheme="cheb-collocation", quadrature="cc"),
+        """\
+P3,cheb-collocation,cc,8,0.25,0.0083271872131005509,,0.99806333675350978
+P3,cheb-collocation,cc,16,0.125,0.00015783938650737461,5.7213001004090822,0.96229947982994979
+P3,cheb-collocation,cc,32,0.0625,6.2087556151890766e-08,11.31186548681025,0.96161853526907437
+P6,cheb-collocation,cc,8,0.25,0.0017992542859016913,,1.2504869052765211
+P6,cheb-collocation,cc,16,0.125,2.740369934342568e-05,6.0368846227425044,1.2500310841541817
+P6,cheb-collocation,cc,32,0.0625,4.7580843998140665e-07,5.8478459889341803,1.2500019364000938
+""",
+    ),
+    "cheb-collocation/trapezium": (
+        dict(problems=("P2", "P6"), scheme="cheb-collocation", quadrature="trapezium"),
+        """\
+P2,cheb-collocation,trapezium,8,0.25,0.054478038052230393,,0.85393760140598174
+P2,cheb-collocation,trapezium,16,0.125,0.017311696974815272,1.6539275962486828,0.52237927217515645
+P2,cheb-collocation,trapezium,32,0.0625,0.0046614914958680309,1.8928836113370897,0.43203976585062553
+P6,cheb-collocation,trapezium,8,0.25,0.0095233246202979793,,1.4229315629007546
+P6,cheb-collocation,trapezium,16,0.125,0.0023856001987495601,1.997113027569265,1.5061875414869648
+P6,cheb-collocation,trapezium,32,0.0625,0.0005969556680424648,1.9986565817861246,1.4290278958757618
+""",
+    ),
+    "fe-galerkin/gauss2": (
+        dict(problems=("P2", "P6"), scheme="fe-galerkin", variant="gauss2"),
+        """\
+P2,fe-galerkin,gauss2,8,0.25,0.0034918325727502295,,0.26939324157930067
+P2,fe-galerkin,gauss2,16,0.125,0.00072989776287369029,2.2582180816508757,0.29527259900983382
+P2,fe-galerkin,gauss2,32,0.0625,0.00017971179884437852,2.0220092681380635,0.29753650330023163
+P6,fe-galerkin,gauss2,8,0.25,0.0030903784835150357,,1.2625485873244058
+P6,fe-galerkin,gauss2,16,0.125,0.00072989776287369029,2.0820172338046756,1.2532245573288583
+P6,fe-galerkin,gauss2,32,0.0625,0.00017971179884437852,2.0220092681380635,1.2508118707532254
+""",
+    ),
+    "fe-galerkin/lumped": (
+        dict(problems=("P2", "P6"), scheme="fe-galerkin", variant="lumped"),
+        """\
+P2,fe-galerkin,lumped,8,0.25,0.063007630567896211,,0.85294236815886648
+P2,fe-galerkin,lumped,16,0.125,0.019855238883249197,1.6660068390506482,0.47301633125390075
+P2,fe-galerkin,lumped,32,0.0625,0.0053341981714969747,1.8961763896346182,0.34490528969215295
+P6,fe-galerkin,lumped,8,0.25,0.014220980401748507,,1.4229315629007546
+P6,fe-galerkin,lumped,16,0.125,0.0035785113735417682,1.990589458452922,1.2939831684214189
+P6,fe-galerkin,lumped,32,0.0625,0.00089609108572776376,1.9976422732720327,1.2610443683117403
+""",
+    ),
+    "fe-collocation/euler": (
+        dict(problems=("P2",), scheme="fe-collocation", stepper="euler", ht=1e-3),
+        """\
+P2,fe-collocation,trapezium,8,0.25,0.058842319279830191,,0.85294236815886648
+P2,fe-collocation,trapezium,16,0.125,0.018764077392738998,1.6488807554014229,0.47301633125390075
+P2,fe-collocation,trapezium,32,0.0625,0.0051111458096116946,1.8762547024620353,0.34490528969215295
+""",
+    ),
 }
 
 
-@pytest.mark.parametrize("problems,scheme", list(GOLDEN), ids=["fe-collocation", "spectral-galerkin"])
-def test_study_records_match_the_golden_csv(problems, scheme):
-    text = render_csv(run_study(StudyConfig(problems=problems, scheme=scheme, n_values=(8, 16, 32))))
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_study_records_match_the_golden_csv(name):
+    fields, golden = GOLDEN[name]
+    text = render_csv(run_study(StudyConfig(n_values=(8, 16, 32), **fields)))
     rows = [line.rsplit(",", 1)[0] for line in text.splitlines()[1:]]
-    assert rows == GOLDEN[problems, scheme].splitlines()
+    assert rows == golden.splitlines()
 
 
 def test_an_unknown_selector_fails_validation_before_any_work(monkeypatch):
