@@ -313,7 +313,8 @@ def sandwich_verdict(error: float, projector: float, beta_n: float, floor: float
 def _sandwich(problem: str | TestProblem, schemes, n_values, exact=None):
     """Yield :func:`sandwich_verdict` on each record of a study per scheme under
     the :class:`StudyConfig` defaults, with its system's projector error, at
-    the floor 10 * (rtol * sup|u| + atol)."""
+    the floor 10 * (rtol * sup|u| + atol), sup|u| over the :func:`exact_grid`
+    ``exact``; on the ring the errors read the closed form's spectrum."""
     prob = make_problem(problem) if isinstance(problem, str) else problem
     studies = [StudyConfig(problems=(prob,), scheme=s, n_values=tuple(n_values)) for s in schemes]
     for cfg in studies:
@@ -322,6 +323,8 @@ def _sandwich(problem: str | TestProblem, schemes, n_values, exact=None):
     if exact is None:
         exact = exact_grid(prob, cps, StudyConfig.eval_points)
     floor = 10.0 * (StudyConfig.rtol * float(np.max(np.abs(exact))) + StudyConfig.atol)
+    if prob.interval.periodic:
+        exact = harness._ring_spectrum(prob, cps, StudyConfig.eval_points, tuple(n_values))
     for cfg in studies:
         for record, system in harness._records(prob, cfg, cps, exact):
             projector = harness.projector_error(system, prob, cps, cfg.eval_points, exact)

@@ -78,7 +78,11 @@ class ChebyshevGrid:
         object.__setattr__(self, "nodes", _frozen(nodes))
 
 
-INVERSE_DOMAIN_ERROR = "firing-rate inverse needs an activity strictly inside (0, 1)"
+INVERSE_DOMAIN_ERROR = (
+    "firing-rate inverse needs an activity strictly inside (0, 1), "
+    "no smaller than the least normal float"
+)
+_LEAST_ACTIVITY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -108,15 +112,16 @@ class FiringRate:
     def inverse(self, r):
         """Exact functional inverse: the voltage u with r(u) = r.
 
-        Only defined for activities strictly inside (0, 1); the manufactured
-        solutions keep their argument there by construction. The log-odds
-        threshold + log((1 - r) / r) / gain is evaluated into one array in
-        place.
+        Only defined for activities strictly inside (0, 1), and refused below
+        the least normal float, where (1 - r) / r would overflow; the
+        manufactured solutions keep their argument there by construction. The
+        log-odds threshold + log((1 - r) / r) / gain is evaluated into one
+        array in place.
         """
         r = np.asarray(r, dtype=float)
         # two reductions and no boolean table; a NaN minimum or maximum fails
         # both comparisons, and an empty r has no point to check
-        if r.size and not (r.min() > 0.0 and r.max() < 1.0):
+        if r.size and not (r.min() >= _LEAST_ACTIVITY and r.max() < 1.0):
             raise ValueError(INVERSE_DOMAIN_ERROR)
         out = np.asarray(1.0 - r)
         out /= r

@@ -13,7 +13,9 @@ A right-hand side f(t, a) of the time itself is integrated with
 are deterministic functions of their inputs and record states only at the
 requested checkpoints, landing on them exactly (Euler by requiring
 checkpoints to sit on the step lattice, the Runge-Kutta pair by clipping
-steps). There is no dense output.
+steps). There is no dense output. Both step into buffers of their own, which
+they overwrite from step to step, so ``rhs`` must not keep its state
+argument past the call; it may return it, or the drive row it was given.
 """
 
 from __future__ import annotations
@@ -110,7 +112,9 @@ def euler_integrate(
     before it. A non-finite state at a checkpoint raises IntegrationError.
     Step k evaluates rhs(drive(ts)[j], a) with ts the lattice times of the
     ``EULER_BLOCK`` steps from k - j on: one drive call per block, and only
-    one block of rows held at a time.
+    one block of rows held at a time. Like rk54, it steps into two buffers
+    of its own that take turns as the state, so ``rhs`` must not keep its
+    state argument past the call.
     """
     if not 0.0 < ht < math.inf:
         raise ValueError("step size must be positive and finite")
@@ -139,7 +143,11 @@ def euler_integrate(
         indices.append(k)
         previous = c
 
+    # spare takes u + ht * rhs and then swaps with u; addition commutes
+    # exactly, so the bits are those of u = u + ht * rhs(g, u)
     u = np.array(u0, dtype=float)
+    spare = np.empty_like(u)
+    step = np.array(ht, dtype=float)
     states = []
     evals = 0
     next_rec = 0
@@ -157,7 +165,9 @@ def euler_integrate(
             if j == 0:
                 values = None  # the last block's rows go before the next block's are made
                 values = drive([t0 + i * ht for i in range(k, min(k + EULER_BLOCK, last))])
-            u = u + ht * rhs(values[j], u)
+            np.multiply(rhs(values[j], u), step, out=spare)
+            spare += u
+            u, spare = spare, u
             evals += 1
     return _finish(cps, states, accepted=last, rejected=0, evals=evals)
 
@@ -192,16 +202,21 @@ def _dormand_prince_step(rhs, values, u, h, stages, state):
     formed in ``state``. The stage inputs share that buffer too, so ``rhs``
     must not keep its state argument past the call.
     """
+    # numpy's cheapest calls for the same bits, since at n <= 64 the calls
+    # cost more than the arithmetic: a 0-d h takes 0.42 us an op against
+    # 0.58-0.62 us as a Python float, and row.dot 0.56-0.61 us against
+    # 0.71-0.84 us for np.dot at dim 17 (2-core Xeon)
+    h = np.array(h, dtype=float)
     for i, row in enumerate(_DP_A):
-        np.dot(row, stages[: i + 1], out=state)  # the stage input u + h * (row @ stages)
+        row.dot(stages[: i + 1], out=state)  # the stage input u + h * (row @ stages)
         state *= h
         state += u
         stages[i + 1] = rhs(values[i], state)
-    proposal = np.dot(_DP_B5, stages[:6])
+    proposal = _DP_B5.dot(stages[:6])
     proposal *= h
     proposal += u
     stages[6] = rhs(values[5], proposal)
-    error = np.dot(_DP_ERR, stages, out=state)
+    error = _DP_ERR.dot(stages, out=state)
     error *= h
     return proposal, error
 
@@ -252,6 +267,7 @@ def rk54_integrate(
         states.append(u.copy())
         start = 1
     floor = 1e-14 * max(duration, 1e-300)
+    rel, absolute = np.array(rtol, dtype=float), np.array(atol, dtype=float)
 
     first, block = 0, ()  # the drive rows of the steps to cps[first], cps[first + 1], ...
     per_block = _DRIVE_BLOCK_BYTES // (6 * 8 * len(u))  # steps whose rows fit the budget
@@ -286,8 +302,8 @@ def rk54_integrate(
             # |error| / (atol + rtol * max(|u|, |proposal|)), in place
             abs_new = np.abs(proposal)
             scale = np.maximum(abs_u, abs_new)
-            scale *= rtol
-            scale += atol
+            scale *= rel
+            scale += absolute
             np.abs(error, out=error)
             error /= scale
             err = float(error.max())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from neuralfield import checks, cli, harness
+from neuralfield.model import INVERSE_DOMAIN_ERROR
 from neuralfield.schemes import SemiDiscreteSystem
 from test_harness import GOLDEN
 
@@ -211,6 +212,15 @@ def test_an_overflowing_window_end_is_reported_as_such(capsys):
     code, _, err = _exit(RUN_P1 + ["--t0", "1e308", "--T", "1e308"], capsys)
     assert code == cli.EXIT_USAGE
     assert err == "usage error: t0 + duration must be finite\n"
+
+
+def test_a_window_past_the_envelope_is_a_usage_error_with_no_warning(capsys):
+    # past t = 1414 the closed form's activity is subnormal at x = -1 and 1,
+    # and its inverse warned of an overflow in (1 - r) / r before this error;
+    # tier-1 turns that RuntimeWarning into an exception
+    code, out, err = _exit(RUN_P1 + ["--t0", "1300", "--T", "200"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert (out, err) == ("", f"usage error: {INVERSE_DOMAIN_ERROR}\n")
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array", ""])

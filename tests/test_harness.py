@@ -400,6 +400,27 @@ def test_a_sandwich_cell_is_the_sweep_cell_bitwise(monkeypatch):
     assert [(error, beta_n) for error, _, beta_n, _ in seen] == [(r.error, r.beta_n) for r in swept]
 
 
+@pytest.mark.parametrize("pid,key", CELLS)
+def test_a_sandwich_check_reads_its_sweep_cell_on_every_entry(pid, key, monkeypatch):
+    # on the ring it passed its exact_grid table to the Parseval path and
+    # raised TypeError; the check picks an entry by StudyConfig's selector
+    # defaults, here set to the entry's own
+    selectors = _selectors(key)
+    scheme = selectors.pop("scheme")
+    fields = [(name, str, dataclasses.field(default=value)) for name, value in selectors.items()]
+    selected = dataclasses.make_dataclass("Selected", fields, bases=(StudyConfig,))
+    monkeypatch.setattr(checks, "StudyConfig", selected)
+    seen = _verdict_inputs(monkeypatch)
+    result = checks.sandwich_check(pid, scheme, 16)
+    problem = make_problem(pid)
+    cps = default_checkpoints(0.0, 1.0, 51)
+    (record,) = run_study(StudyConfig(problems=(pid,), n_values=(16,), **_selectors(key)))
+    projector = projector_error(SCHEMES[key](problem, 16), problem, cps)
+    floor = 10.0 * (1e-6 * float(np.max(np.abs(exact_grid(problem, cps, 2048)))) + 1e-9)
+    assert result.name == f"sandwich {pid} {scheme} n=16"
+    assert seen == [(record.error, projector, record.beta_n, floor)]
+
+
 def test_a_passed_grid_gives_the_same_sandwich_result(monkeypatch):
     seen = _verdict_inputs(monkeypatch)
     p1 = make_problem("P1")

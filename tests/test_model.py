@@ -174,12 +174,18 @@ class TestFiringRate:
         assert value == pytest.approx(0.02274112777602183, rel=1e-14)
 
     @pytest.mark.parametrize(
-        "bad", [0.0, 1.0, -0.2, 1.3, np.nan, [0.5, np.nan], [0.5, np.inf], [-np.inf, 0.5]]
+        "bad",
+        [0.0, 1.0, -0.2, 1.3, np.nan, [0.5, np.nan], [0.5, np.inf], [-np.inf, 0.5], 5e-324,
+         [0.5, 1e-310]],
     )
     def test_inverse_domain_errors(self, bad):
-        # NaN compares False both ways, so it used to pass as inside (0, 1)
+        # NaN compares False both ways, so it used to pass as inside (0, 1);
+        # a subnormal activity used to overflow in (1 - r) / r
         with pytest.raises(ValueError, match="strictly inside"):
             FR.inverse(bad)
+
+    def test_the_least_normal_activity_has_a_finite_inverse(self):
+        assert np.isfinite(FR.inverse(np.finfo(float).tiny))
 
     def test_inverse_of_no_activities_is_empty(self):
         assert FR.inverse(np.empty((3, 0))).shape == (3, 0)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,25 @@ class TestDecayReduction:
         system = builder(problem, 8)
         a = rng.standard_normal(system.dim)
         assert np.array_equal(rhs_at(system, 0.3, a), rhs_at(system, 0.3, a))
+
+
+@pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
+def test_the_firing_constants_of_a_system_are_read_only(builder, periodic, rng):
+    # kappa and mu are 0-d arrays shared by every rhs call of the system, so
+    # it stays pure and safe to evaluate concurrently only if no write lands
+    problem = make_problem("P7p" if periodic else "P1")
+    system = builder(problem, 8)
+    a = rng.standard_normal(system.dim)
+    before = rhs_at(system, 0.3, a)
+    constants = inspect.getclosurevars(system.rhs).nonlocals
+    for name, value in zip(("kappa", "mu"), problem.firing.tanh_form):
+        constant = constants[name]
+        assert constant.shape == () and constant.dtype == np.float64 and constant == value
+        with pytest.raises(ValueError, match="read-only"):
+            constant[()] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            constant += 1.0
+    assert np.array_equal(rhs_at(system, 0.3, a), before)
 
 
 def per_time(drive):

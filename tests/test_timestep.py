@@ -188,6 +188,29 @@ class TestEuler:
                 cps = [0.0, 0.5, 1.0, 1.5, 2.0]
                 euler_integrate(lambda t, a: a * a, [1.0], 0.0, 2.0, 0.01, cps, drive=np.asarray)
 
+    @pytest.mark.parametrize(
+        "field", [lambda g, a: a, lambda g, a: g], ids=["its-state", "its-drive-row"]
+    )
+    def test_a_field_returning_its_argument_steps_bitwise_as_the_plain_update(self, field):
+        # euler steps into two buffers of its own, which take turns as the
+        # state; a right-hand side may return its state argument or the drive
+        # row it was given, and the states stay those of u = u + ht * rhs(g, u)
+        ht, steps = 0.01, 3 * EULER_BLOCK + 5
+
+        def drive(ts):
+            return np.outer(ts, [1.0, -2.0, 0.5])
+
+        u0 = np.array([1.0, -0.3, 2.0])
+        cps = [0.01 * k for k in range(0, steps + 1, 10)]
+        traj = euler_integrate(field, u0, 0.0, steps * ht, ht, cps, drive=drive)
+        u, plain = u0.copy(), [u0.copy()]
+        for k in range(1, steps + 1):
+            u = u + ht * field(drive([(k - 1) * ht])[0], u)
+            if k % 10 == 0:
+                plain.append(u)
+        assert np.array_equal(traj.states, np.array(plain))
+        assert np.array_equal(u0, [1.0, -0.3, 2.0])
+
     def test_vector_decay_matches_exponential(self, pure_decay_problem):
         problem = pure_decay_problem()
         system = build_fe_collocation(problem, 8)
