@@ -326,7 +326,7 @@ def _sandwich(problem: str | TestProblem, schemes, n_values, exact=None):
     if prob.interval.periodic:
         exact = harness._ring_spectrum(prob, cps, StudyConfig.eval_points, tuple(n_values))
     for cfg in studies:
-        for record, system in harness._records(prob, cfg, cps, exact):
+        for record, system, _ in harness._records(prob, cfg, cps, exact):
             projector = harness.projector_error(system, prob, cps, cfg.eval_points, exact)
             passed, detail = sandwich_verdict(record.error, projector, record.beta_n, floor)
             yield CheckResult(f"sandwich {prob.id} {cfg.scheme} n={record.n}", passed, detail)

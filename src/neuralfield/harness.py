@@ -5,7 +5,10 @@ This is the engine behind the reproduction studies: it builds a scheme per
 error against the closed form, records each cell's beta_n, and emits
 deterministic CSV records. One loop, :func:`_records`, runs every
 study's cells; :mod:`neuralfield.checks` tests its records against the
-paper's bounds.
+paper's bounds. A forward-Euler study integrates all of its cells at once,
+as one :func:`schemes.stack`, since with no step-size controller each cell
+keeps its own bits; an rk54 cell is integrated alone, as its controller
+would couple the cells of a stack.
 
 Errors are measured on a uniform grid of ``eval_points`` points, in the
 sup norm for collocation and the trapezium L2 norm for Galerkin. On the
@@ -31,11 +34,11 @@ from .model import Interval
 from .problems import TestProblem, make_problem
 from .projection import dft_forward
 from .quadrature import trapezium_rule
-from .schemes import SCHEMES, SemiDiscreteSystem, reconstruct_on
+from .schemes import SCHEMES, SemiDiscreteSystem, reconstruct_on, stack
 
 # not called here: the benchmark's tracer rebinds this name, so it stays importable
 from .schemes import build_fe_collocation  # noqa: F401
-from .timestep import Trajectory, euler_integrate, rk54_integrate
+from .timestep import IntegrationError, Trajectory, euler_integrate, rk54_integrate
 
 __all__ = [
     "StudyConfig",
@@ -114,7 +117,13 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
-    """One row of a study: the measured error at one (problem, n) cell."""
+    """One row of a study: the measured error at one (problem, n) cell.
+
+    ``wall_time_s`` is the monotonic time to build and integrate the cell,
+    the error measurement excluded; where a forward-Euler study integrates
+    its cells as one stack, each cell takes an equal share of the stack's
+    time, so a study's rows still add up to its time.
+    """
 
     problem: str
     scheme: str
@@ -152,9 +161,11 @@ def _entry(cfg: StudyConfig) -> tuple[str, str]:
     return entry
 
 
-def build_system(problem: TestProblem, key: tuple[str, str], n: int) -> SemiDiscreteSystem:
-    """Build the :data:`schemes.SCHEMES` entry ``key``; every cell builds here."""
-    return SCHEMES[key](problem, n)
+def build_system(problem: TestProblem, key: tuple[str, str], *ns: int) -> SemiDiscreteSystem:
+    """The :func:`schemes.stack` of the :data:`schemes.SCHEMES` entry
+    ``key``'s cells at ``ns``, in that order; one n gives its cell's system
+    itself. Every cell builds here."""
+    return stack(problem, [SCHEMES[key](problem, n) for n in ns])
 
 
 def default_checkpoints(t0: float, duration: float, count: int) -> np.ndarray:
@@ -379,13 +390,19 @@ def observed_order(e1: float, e2: float, n1: int, n2: int) -> Optional[float]:
     return float(np.log(e1 / e2) / np.log(n2 / n1))
 
 
-def _integrate(system: SemiDiscreteSystem, u0, cfg: StudyConfig, checkpoints) -> Trajectory:
+def _integrate(problem: TestProblem, cfg: StudyConfig, key, ns, checkpoints):
+    """Build the stack of the ``key`` entry's cells at ``ns`` and integrate it
+    from the encoded closed form at ``cfg.t0``; returns it and its trajectory."""
+    system = build_system(problem, key, *ns)
+    u0 = system.encode(lambda x: problem.exact(x, cfg.t0))
     rhs, drive = system.rhs, system.drive
     if cfg.stepper == "rk54":
-        return rk54_integrate(
+        traj = rk54_integrate(
             rhs, u0, cfg.t0, cfg.duration, cfg.rtol, cfg.atol, checkpoints, drive=drive
         )
-    return euler_integrate(rhs, u0, cfg.t0, cfg.duration, cfg.ht, checkpoints, drive=drive)
+    else:
+        traj = euler_integrate(rhs, u0, cfg.t0, cfg.duration, cfg.ht, checkpoints, drive=drive)
+    return system, traj
 
 
 def _h_x(problem: TestProblem, system: SemiDiscreteSystem) -> float:
@@ -400,37 +417,52 @@ def _beta_n(system: SemiDiscreteSystem, problem: TestProblem, duration: float) -
     return duration * system.weight_infnorm * problem.firing.sup_derivative
 
 
-def _cell(problem: TestProblem, cfg: StudyConfig, key, n: int, checkpoints, exact):
-    """Build, integrate and measure the ``key`` entry's (problem, n) cell.
-
-    Returns the system, its trajectory from the encoded closed form at
-    ``cfg.t0``, the worst checkpoint error and the wall time of build plus
-    integration (monotonic clock; the error measurement is excluded).
-    ``exact`` is passed on to :func:`trajectory_error`.
-    """
-    start = time.perf_counter()
-    system = build_system(problem, key, n)
-    u0 = system.encode(lambda x: problem.exact(x, cfg.t0))
-    traj = _integrate(system, u0, cfg, checkpoints)
-    wall = time.perf_counter() - start
-    return system, traj, trajectory_error(system, traj, problem, cfg.eval_points, exact), wall
-
-
 def _records(problem: TestProblem, cfg: StudyConfig, checkpoints, exact):
     """Yield each n's :class:`ConvergenceRecord` of ``cfg`` on ``problem``
-    (order chained to the previous n, wall time its :func:`_cell`'s) with
-    the system built; ``exact`` is shared by every cell."""
+    (order chained to the previous n) with its system and its states at the
+    checkpoints; ``exact`` is passed on to :func:`trajectory_error` and
+    shared by every cell.
+
+    A forward-Euler study's cells are built and integrated once, as one
+    stack over every n, and an rk54 study's one stack per n; each cell is
+    measured on its own columns of the stack's trajectory, and takes an
+    equal share of the stack's build and integration time as its wall time
+    (monotonic clock; the error measurement is excluded). The stack needs
+    no byte budget: on a doubling ladder of n its K matrices hold at most
+    4/3 of the largest n's. An ``IntegrationError`` of a stack of several
+    cells integrates them again one at a time, in ascending n, so the
+    error raised is that of the first cell that fails on its own.
+    """
     key = _entry(cfg)
+    ns = tuple(cfg.n_values)
+    stacks = [ns] if cfg.stepper == "euler" else [(n,) for n in ns]
     previous: Optional[ConvergenceRecord] = None
-    for n in cfg.n_values:
-        system, _, error, wall = _cell(problem, cfg, key, n, checkpoints, exact)
-        order = None if previous is None else observed_order(previous.error, error, previous.n, n)
-        record = ConvergenceRecord(
-            problem.id, cfg.scheme, key[1], n, _h_x(problem, system), error, order,
-            _beta_n(system, problem, cfg.duration), wall,
-        )
-        yield record, system
-        previous = record
+    for cells in stacks:
+        start = time.perf_counter()
+        try:
+            system, traj = _integrate(problem, cfg, key, cells, checkpoints)
+        except IntegrationError:
+            if len(cells) > 1:  # raise the error of the first cell to fail alone
+                for n in cells:
+                    _integrate(problem, cfg, key, (n,), checkpoints)
+            raise
+        wall = (time.perf_counter() - start) / len(cells)
+        end = 0
+        for n, part in zip(cells, system.parts):
+            # C-ordered, as a trajectory of its own, so it is measured in the same layout
+            states = np.ascontiguousarray(traj.states[:, end : end + part.dim])
+            end += part.dim
+            error = trajectory_error(
+                part, Trajectory(traj.checkpoints, states, traj.stats), problem,
+                cfg.eval_points, exact,
+            )
+            order = None if previous is None else observed_order(previous.error, error, previous.n, n)
+            record = ConvergenceRecord(
+                problem.id, cfg.scheme, key[1], n, _h_x(problem, part), error, order,
+                _beta_n(part, problem, cfg.duration), wall,
+            )
+            yield record, part, states
+            previous = record
 
 
 def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
@@ -451,7 +483,7 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
             exact = _ring_spectrum(problem, cps, cfg.eval_points, cfg.n_values)
         else:
             exact = exact_grid(problem, cps, cfg.eval_points)
-        records.extend(record for record, _ in _records(problem, cfg, cps, exact))
+        records.extend(record for record, _, _ in _records(problem, cfg, cps, exact))
     return records
 
 
@@ -486,12 +518,16 @@ def euler_split_study(
     Three sweeps on the fe-collocation scheme: (1) step sizes at the fixed
     large n, measured per checkpoint against a tight rk54 reference cell of
     the same semi-discrete system from the same start state (the reference's
-    first checkpoint state, encoded at t0), isolating the temporal error; (2)
+    first checkpoint state, encoded at t0), isolating the temporal error; the
+    reference's record gives the spatial floor, h_x and beta_n of its rows,
+    and its system and states are freed once they are built; (2)
     :func:`_records` over n at the fixed small step, recovering the spatial
     order; (3) :func:`_records` over n at each step size, the ht-major (ht, n)
     grid, least-squares fitted to err ~ a*ht + b*hx^2. Sweeps (2) and (3)
-    keep those records, relabelled, with no orders on the grid; every cell
-    shares one :func:`exact_grid`.
+    keep those records, relabelled, with no orders on the grid; each of their
+    studies integrates its n as one stack, so the split makes one Euler
+    integration per step size of (1), one for (2) and one per row of (3).
+    Every cell shares one :func:`exact_grid`.
 
     Every setting, ``n_fixed`` included, passes :meth:`StudyConfig.validate`
     before any work, and the fitted orders need two distinct step sizes and
@@ -518,26 +554,21 @@ def euler_split_study(
 
     cps = default_checkpoints(t0, duration, checkpoint_count)
     exact = exact_grid(prob, cps, eval_points)
-    key = _entry(reference_cfg)
-    fixed, reference, spatial_floor, _ = _cell(prob, reference_cfg, key, n_fixed, cps, exact)
-    hx_fixed = _h_x(prob, fixed)
-    beta_fixed = _beta_n(fixed, prob, duration)
+    ((fixed_record, fixed, reference),) = _records(prob, reference_cfg, cps, exact)
+    spatial_floor = fixed_record.error
 
     # the one hand-written sweep: it measures state differences, not reconstruction error
     temporal: list[ConvergenceRecord] = []
     for ht in hts:
         start = time.perf_counter()
-        traj = euler_integrate(
-            fixed.rhs, reference.states[0], t0, duration, ht, cps, drive=fixed.drive
-        )
+        traj = euler_integrate(fixed.rhs, reference[0], t0, duration, ht, cps, drive=fixed.drive)
         wall = time.perf_counter() - start
-        err = float(np.max(np.abs(traj.states - reference.states)))
+        err = float(np.max(np.abs(traj.states - reference)))
         temporal.append(
-            ConvergenceRecord(
-                prob.id, "fe-collocation", f"euler-temporal;ht={ht:.17g}",
-                n_fixed, hx_fixed, err, None, beta_fixed, wall,
-            )
+            replace(fixed_record, variant=f"euler-temporal;ht={ht:.17g}", error=err, wall_time_s=wall)
         )
+    # held through the stacked sweeps, the n_fixed cell's K and states would set the peak
+    del fixed, reference, traj
 
     coarse = temporal[int(np.argmax(hts))].error
     if spatial_floor >= 0.1 * coarse:
@@ -548,12 +579,12 @@ def euler_split_study(
     temporal_order = float(np.polyfit(np.log(hts), np.log([r.error for r in temporal]), 1)[0])
 
     label = f"euler-spatial;ht={spatial_ht:.17g}"
-    spatial = [replace(r, variant=label) for r, _ in _records(prob, spatial_cfg, cps, exact)]
+    spatial = [replace(r, variant=label) for r, _, _ in _records(prob, spatial_cfg, cps, exact)]
     spatial_order = float(
         -np.polyfit(np.log(list(spatial_n_values)), np.log([r.error for r in spatial]), 1)[0]
     )
 
-    runs = [(cfg.ht, r) for cfg in grid_cfgs for r, _ in _records(prob, cfg, cps, exact)]
+    runs = [(cfg.ht, r) for cfg in grid_cfgs for r, _, _ in _records(prob, cfg, cps, exact)]
     grid = [replace(r, variant=f"euler-grid;ht={ht:.17g}", observed_order=None) for ht, r in runs]
     design = np.array([(ht, r.h_x * r.h_x) for ht, r in runs])
     measured = np.array([r.error for r in grid])

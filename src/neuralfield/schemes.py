@@ -43,6 +43,12 @@ Per scheme (nodes X; weight W; pre; post; K):
 each to a builder (problem, n) -> system, and the harness and the CLI read
 their scheme names, selectors and variant labels from it.
 
+:func:`stack` joins systems of one entry, its cells at several n, into one
+block-diagonal system whose state is theirs end to end: its drive, rhs and
+encode give each part's own bits in that part's columns, so a fixed-step
+stepper, which has no controller to couple them, integrates every cell in
+one call. A stack of one is that system itself.
+
 Systems are immutable and their right-hand sides allocate no shared
 scratch, so they are safe to evaluate concurrently.
 """
@@ -51,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -68,6 +74,7 @@ __all__ = [
     "build_fe_galerkin",
     "build_spectral_galerkin",
     "reconstruct_on",
+    "stack",
 ]
 
 
@@ -100,6 +107,11 @@ class SemiDiscreteSystem:
     the nodal operator the scheme runs (W B for cheb-collocation/trapezium,
     P W T for gauss2), the quadrature image of the integral operator's norm:
     the scheme's factor of the bounds' exponent beta_n = T ||W_n|| sup|f'|.
+
+    ``slope`` is the read-only K of ``rhs`` and ``pre`` its map of the state
+    to values at the quadrature nodes, None where that is the identity;
+    :func:`stack` reads both. ``parts`` is ``(self,)`` for one system and
+    the systems joined for a stack, which ``cells`` holds.
     """
 
     drive: Callable
@@ -109,6 +121,13 @@ class SemiDiscreteSystem:
     weight_infnorm: float
     norm: str
     encode: Callable
+    slope: Optional[np.ndarray] = None
+    pre: Optional[Callable] = None
+    cells: tuple = ()
+
+    @property
+    def parts(self) -> tuple:
+        return self.cells or (self,)
 
 
 def _require_compact(problem: TestProblem, scheme: str) -> None:
@@ -126,6 +145,14 @@ def _infnorm(matrix: np.ndarray) -> float:
 
 def _identity(values):
     return values
+
+
+def _not_a_row(g, shape) -> TypeError:
+    """The error of an rhs given a g that is not a drive row of ``shape``."""
+    return TypeError(
+        f"rhs(g, a) takes g = drive(ts)[i], a row of the drive of shape {shape}, "
+        f"not {type(g).__name__} of shape {getattr(g, 'shape', ())}"
+    )
 
 
 def _two_tap(a, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -178,14 +205,15 @@ def _projected(
     scale,
     reconstruct: Callable,
     norm: str,
-    pre: Callable = _identity,
+    pre: Optional[Callable] = None,
     post: Callable = _identity,
     assemble: Callable = _identity,
     weight_infnorm: Callable = lambda slope: 2.0 * _infnorm(slope),
 ) -> SemiDiscreteSystem:
     """The system a' = -a + post(F(nodes, t) + W @ f(pre(a))), evaluated as
     a' = rhs(drive(t), a) with drive(t) = post(G(t)) and
-    rhs(g, a) = g + K tanh(kappa pre(a) - mu) - a.
+    rhs(g, a) = g + K tanh(kappa pre(a) - mu) - a; ``pre`` None is the
+    identity.
 
     W[i, j] = w(nodes_i, columns_j) * scale is the kernel matrix on the
     quadrature nodes ``columns``, scaled in place by the rule's weights (one
@@ -214,9 +242,10 @@ def _projected(
     slope = assemble(weight)
     del weight  # where assemble made a new K (gauss2), W is freed before the norm of K
     weight_norm = weight_infnorm(slope)
+    slope.setflags(write=False)
 
     shape = (len(slope),)
-    nodal = pre is _identity
+    nodal = pre is None
 
     def drive(ts):
         values = forcing(ts)
@@ -225,10 +254,7 @@ def _projected(
 
     def rhs(g, a):
         if getattr(g, "shape", None) != shape:
-            raise TypeError(
-                f"rhs(g, a) takes g = drive(ts)[i], a row of the drive of shape {shape}, "
-                f"not {type(g).__name__} of shape {getattr(g, 'shape', ())}"
-            )
+            raise _not_a_row(g, shape)
         # g + K tanh(kappa pre(a) - mu) - a, with the sums in that order, in
         # numpy's cheapest calls for the same bits, since at n <= 64 the calls
         # cost more than the arithmetic: at dim 9 slope.dot takes 0.41 us
@@ -253,6 +279,8 @@ def _projected(
         weight_infnorm=weight_norm,
         norm=norm,
         encode=encode,
+        slope=slope,
+        pre=pre,
     )
 
 
@@ -420,6 +448,59 @@ SCHEMES: dict[tuple[str, str], Callable[[TestProblem, int], SemiDiscreteSystem]]
     ("fe-galerkin", "lumped"): partial(build_fe_galerkin, variant="lumped"),
     ("spectral-galerkin", "fft"): build_spectral_galerkin,
 }
+
+
+def stack(problem: TestProblem, parts) -> SemiDiscreteSystem:
+    """The block-diagonal system of ``problem`` whose state is the states of
+    ``parts``, systems of one :data:`SCHEMES` entry, joined in the order
+    given; a stack of one is that system itself.
+
+    Each part keeps its own bits in its columns: of a row of ``drive``, of
+    ``encode`` and of ``rhs``. ``rhs`` forms kappa a - mu and its tanh once
+    over the whole state when no part has a ``pre``, and part by part
+    through ``pre`` otherwise, takes each part's K times its slice, then
+    adds g and subtracts a once; like a part's, it raises ``TypeError`` for
+    a g not of shape (dim,) and allocates no shared scratch. ``reconstruct``
+    joins the parts' values, and ||W_n|| is the largest of the parts'.
+    """
+    parts = tuple(parts)
+    if len(parts) == 1:
+        return parts[0]
+    kappa, mu = (_frozen(c) for c in problem.firing.tanh_form)
+    ends = np.cumsum([p.dim for p in parts]).tolist()
+    columns = [slice(end - p.dim, end) for p, end in zip(parts, ends)]
+    blocks = [(p.slope, p.pre or _identity, cols) for p, cols in zip(parts, columns)]
+    shape = (ends[-1],)
+    nodal = all(p.pre is None for p in parts)
+
+    def fire(values):
+        fired = kappa * values
+        fired -= mu
+        return np.tanh(fired, out=fired)
+
+    def rhs(g, a):
+        if getattr(g, "shape", None) != shape:
+            raise _not_a_row(g, shape)
+        fired = fire(a) if nodal else None
+        out = np.empty(shape)
+        for slope, pre, cols in blocks:
+            slope.dot(fired[cols] if nodal else fire(pre(a[cols])), out=out[cols])
+        out += g
+        out -= a
+        return out
+
+    return SemiDiscreteSystem(
+        drive=lambda ts: np.concatenate([p.drive(ts) for p in parts], axis=1),
+        rhs=rhs,
+        dim=shape[0],
+        reconstruct=lambda a, xs: np.concatenate(
+            [p.reconstruct(a[..., cols], xs) for p, cols in zip(parts, columns)], axis=-1
+        ),
+        weight_infnorm=max(p.weight_infnorm for p in parts),
+        norm=parts[0].norm,
+        encode=lambda fn: np.concatenate([p.encode(fn) for p in parts], axis=-1),
+        cells=parts,
+    )
 
 
 def reconstruct_on(system: SemiDiscreteSystem, a, xs) -> np.ndarray:

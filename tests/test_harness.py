@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from neuralfield import checks, harness
+from neuralfield import checks, cli, harness
 from neuralfield.harness import (
     StudyConfig,
     _h_x,
@@ -19,8 +19,8 @@ from neuralfield.harness import (
     trajectory_error,
 )
 from neuralfield.problems import PROBLEM_IDS, make_problem
-from neuralfield.schemes import SCHEMES, reconstruct_on
-from neuralfield.timestep import rk54_integrate
+from neuralfield.schemes import SCHEMES, build_fe_collocation, reconstruct_on
+from neuralfield.timestep import IntegrationError, euler_integrate, rk54_integrate
 
 # the problem each (scheme, variant) of the table is measured on
 CELL_PROBLEMS = {
@@ -233,6 +233,114 @@ def test_euler_split_record_layout():
         return [dataclasses.replace(r, variant="", wall_time_s=0.0) for r in records]
 
     assert fields(spatial) == fields(studied)
+
+
+@pytest.mark.parametrize("pid,key", CELLS)
+def test_one_n_builds_the_cell_itself(pid, key, rng):
+    problem = make_problem(pid)
+    system = harness.build_system(problem, key, 16)
+    cell = SCHEMES[key](problem, 16)
+    assert system.parts == (system,)
+    g, a = cell.drive([0.3])[0], rng.standard_normal(cell.dim)
+    assert np.array_equal(system.rhs(g, a), cell.rhs(g, a))
+
+
+def _counted_euler(monkeypatch):
+    """The (state length, steps) of each harness.euler_integrate call, in call order."""
+    calls = []
+
+    def counted(rhs, u0, t0, duration, ht, *args, **kwargs):
+        calls.append((len(u0), round(duration / ht)))
+        return euler_integrate(rhs, u0, t0, duration, ht, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "euler_integrate", counted)
+    return calls
+
+
+def test_an_euler_study_integrates_its_n_as_one_stack(monkeypatch):
+    calls = _counted_euler(monkeypatch)
+    cfg = StudyConfig(problems=("P2",), scheme="fe-collocation", n_values=(8, 16, 32, 64),
+                      stepper="euler", ht=1e-3)
+    records = run_study(cfg)
+    assert calls == [(9 + 17 + 33 + 65, 1000)]
+    # each row takes a quarter of the stack's time
+    assert len({r.wall_time_s for r in records}) == 1
+    calls.clear()
+    euler_split_study("P1", 256, (0.02, 0.01, 0.005, 0.0025), spatial_ht=1e-3)
+    # four temporal runs at n = 256, the spatial sweep's stack and one stack
+    # per grid row; one call per cell was 4 + 4 + 16 = 24
+    stacked = 17 + 33 + 65 + 129
+    assert calls == [(257, 50), (257, 100), (257, 200), (257, 400), (stacked, 1000),
+                     (stacked, 50), (stacked, 100), (stacked, 200), (stacked, 400)]
+
+
+def _blowing_builder(onsets):
+    """fe-collocation whose drive turns infinite from time ``onsets[n]`` on."""
+
+    def build(problem, n):
+        system = build_fe_collocation(problem, n)
+        if n not in onsets:
+            return system
+
+        def drive(ts):
+            rows = system.drive(ts)
+            rows[np.asarray(ts) >= onsets[n]] = np.inf
+            return rows
+
+        return dataclasses.replace(system, drive=drive)
+
+    return build
+
+
+def test_a_failing_stack_raises_the_error_of_its_first_failing_cell(monkeypatch, capsys):
+    # the stack fails first at n = 64's onset, but one cell at a time n = 16
+    # fails first, later
+    build = _blowing_builder({16: 0.5, 64: 0.2})
+    monkeypatch.setitem(harness.SCHEMES, ("fe-collocation", "trapezium"), build)
+    p1, cps = make_problem("P1"), default_checkpoints(0.0, 1.0, 51)
+    alone = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in (16, 64):
+            cell = build(p1, n)
+            with pytest.raises(IntegrationError) as raised:
+                euler_integrate(cell.rhs, cell.encode(lambda x: p1.exact(x, 0.0)), 0.0, 1.0, 1e-2,
+                                cps, drive=cell.drive)
+            alone[n] = str(raised.value)
+        assert alone[16] != alone[64]
+        calls = _counted_euler(monkeypatch)
+        cfg = StudyConfig(problems=(p1,), scheme="fe-collocation", n_values=(8, 16, 32, 64),
+                          stepper="euler", ht=1e-2)
+        with pytest.raises(IntegrationError) as raised:
+            run_study(cfg)
+        assert str(raised.value) == alone[16]
+        # the failed stack, then n = 8 to its end and n = 16 to its failure
+        assert [dim for dim, _ in calls] == [9 + 17 + 33 + 65, 9, 17]
+        code = cli.main(["converge", "--problems", "P1", "--n", "8,16,32,64",
+                         "--scheme", "fe-collocation", "--stepper", "euler", "--ht", "0.01"])
+    assert code == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"numerical failure: {alone[16]}\n"
+
+
+# the Euler split's own configurations and checkpoints, besides its cells
+SPLIT_SLACK = 4 * 1024
+
+
+def test_the_euler_split_peaks_at_its_reference_cell(peak_bytes):
+    # the n = 256 reference cell's K and states, held through the spatial and
+    # grid sweeps, put the split's peak at 2,923 KiB, against 2,557 KiB for the
+    # cell itself
+    p1 = make_problem("P1")
+    reference_cfg = StudyConfig(problems=(p1,), scheme="fe-collocation", n_values=(256,),
+                                rtol=1e-10, atol=1e-12)
+
+    def reference_cell():
+        cps = default_checkpoints(0.0, 1.0, 51)
+        return list(harness._records(p1, reference_cfg, cps, exact_grid(p1, cps, 2048)))
+
+    reference, _ = peak_bytes(reference_cell)
+    split, _ = peak_bytes(lambda: euler_split_study(p1, 256, (0.02, 0.01, 0.005, 0.0025),
+                                                    spatial_ht=1e-3))
+    assert split <= reference + SPLIT_SLACK
 
 
 def _verdict_inputs(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from neuralfield import problems
 from neuralfield.checks import _reference_rule, continuum_residual
-from neuralfield.harness import StudyConfig, _cell, _entry, default_checkpoints, eval_grid
+from neuralfield.harness import StudyConfig, _records, default_checkpoints, eval_grid
 from neuralfield.model import FiringRate
 from neuralfield.problems import (
     AMPLITUDE,
@@ -65,8 +65,8 @@ class TestParameters:
         for problem, scheme in ((p1, "fe-collocation"), (p7p, "spectral-galerkin")):
             cfg = StudyConfig(problems=(problem,), scheme=scheme, n_values=(16,))
             cps = default_checkpoints(cfg.t0, cfg.duration, cfg.checkpoint_count)
-            system, traj, _, _ = _cell(problem, cfg, _entry(cfg), 16, cps, None)
-            assert np.array_equal(traj.states[0], system.encode(lambda x: problem.exact(x, 0.0)))
+            ((_, system, states),) = _records(problem, cfg, cps, None)
+            assert np.array_equal(states[0], system.encode(lambda x: problem.exact(x, 0.0)))
 
 
 class TestModulationIntegral:

@@ -19,6 +19,7 @@ from neuralfield.schemes import (
     build_fe_galerkin,
     build_spectral_galerkin,
     reconstruct_on,
+    stack,
 )
 from neuralfield.timestep import euler_integrate, rk54_integrate
 from test_projection import NON_FINITE_POINTS
@@ -179,6 +180,71 @@ class TestDrive:
                                np.linspace(1300.0, 1500.0, 51), drive=each)
             assert str(raised.value) == INVERSE_DOMAIN_ERROR
         assert sizes[-1] > 6
+
+
+STACK_NS = (8, 16, 32)
+
+
+def _stacked(builder, periodic):
+    """The problem, the cells at ``STACK_NS`` and their stack."""
+    problem = make_problem("P7p" if periodic else "P1")
+    cells = [builder(problem, n) for n in STACK_NS]
+    return problem, cells, stack(problem, cells)
+
+
+def _columns(cells):
+    """Each cell's slice of its stack's state."""
+    ends = np.cumsum([cell.dim for cell in cells])
+    return [slice(end - cell.dim, end) for cell, end in zip(cells, ends)]
+
+
+class TestStack:
+    @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
+    def test_each_part_of_an_euler_stack_is_bitwise_its_own_integration(self, builder, periodic):
+        # gauss2 and cheb-collocation/trapezium map each part through its own pre
+        problem, cells, system = _stacked(builder, periodic)
+        assert system.parts == tuple(cells)
+        assert system.dim == sum(cell.dim for cell in cells)
+        cps = np.linspace(0.0, 1.0, 11)
+        u0 = _encoded_start(system, problem)
+        stacked = euler_integrate(system.rhs, u0, 0.0, 1.0, 1e-3, cps, drive=system.drive)
+        for cell, columns in zip(cells, _columns(cells)):
+            alone = euler_integrate(
+                cell.rhs, _encoded_start(cell, problem), 0.0, 1.0, 1e-3, cps, drive=cell.drive
+            )
+            assert np.array_equal(stacked.states[:, columns], alone.states)
+
+    @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
+    def test_each_part_of_the_drive_rhs_and_reconstruction_is_bitwise_its_own(
+        self, builder, periodic, rng, time_batches
+    ):
+        problem, cells, system = _stacked(builder, periodic)
+        for ts in time_batches:
+            rows = system.drive(ts)
+            for cell, columns in zip(cells, _columns(cells)):
+                assert np.array_equal(rows[:, columns], cell.drive(ts))
+        g, a = system.drive([0.3])[0], rng.standard_normal(system.dim)
+        out = system.rhs(g, a)
+        xs = np.linspace(problem.interval.a, problem.interval.b, 64)
+        values = np.split(system.reconstruct(a, xs), len(cells))
+        for cell, columns, own in zip(cells, _columns(cells), values):
+            assert np.array_equal(out[columns], cell.rhs(g[columns], a[columns].copy()))
+            assert np.array_equal(own, cell.reconstruct(a[columns].copy(), xs))
+
+    @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
+    def test_the_stacked_rhs_refuses_a_time(self, builder, periodic, rng):
+        _, cells, system = _stacked(builder, periodic)
+        a = rng.standard_normal(system.dim)
+        for g in (0.3, np.float64(0.3), np.array(0.3), cells[0].drive([0.3])[0]):
+            with pytest.raises(TypeError, match="drive"):
+                system.rhs(g, a)
+
+    @pytest.mark.parametrize("builder,periodic", ALL_BUILDERS)
+    def test_a_stack_of_one_is_the_system_itself(self, builder, periodic):
+        problem = make_problem("P7p" if periodic else "P1")
+        system = builder(problem, 8)
+        assert stack(problem, [system]) is system
+        assert system.parts == (system,)
 
 
 class TestFeCollocation:
